@@ -12,15 +12,13 @@ failure (degenerate systems, estimation breakdown).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .estimators import EstimationResult, yw_cv_estimate, yw_t_estimate
+from .estimators import yw_cv_estimate, yw_t_estimate
 from .exceptions import DataError, NumericalError, StableParError
 from .mc import McConfig, model1_preset, model2_preset, run_mc_study
 from .par_model import MultiTrajectory, ParModel, simulate_par1
@@ -73,60 +71,8 @@ def _setting(args, config: dict, key: str, flag_value=None):
     return CONFIG_DEFAULTS.get(key)
 
 
-def load_trajectory(path: str, columns: str | None = None) -> MultiTrajectory:
-    """Read a trajectory CSV.
-
-    Default layout is ``t,x1,...,xm``.  ``columns`` maps other layouts:
-    a comma-separated list naming the time column first and the value
-    columns in component order (e.g. ``timestamp,price,volume``); a
-    non-numeric time column is replaced by row order.
-    """
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"input file not found: {path}")
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    if columns:
-        names = [c.strip() for c in columns.split(",")]
-        if len(names) < 2:
-            raise DataError("--columns needs a time column and at least one value column")
-        try:
-            idx = [header.index(n) for n in names]
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}; header is {header}") from None
-    else:
-        if header[0] != "t":
-            raise DataError(
-                f"{path}: expected header 't,x1,...,xm' (got {header}); "
-                "use --columns to map other layouts"
-            )
-        idx = list(range(len(header)))
-
-    time_col, value_cols = idx[0], idx[1:]
-    for r, row in enumerate(rows):
-        if len(row) <= max(idx) or any(not row[c].strip() for c in idx):
-            raise DataError(f"{path}: missing cell in data row {r + 2}")
-    try:
-        data = np.array(
-            [[float(row[c]) for c in value_cols] for row in rows]
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric value cell ({exc})") from None
-    try:
-        t0 = int(float(rows[0][time_col]))
-    except ValueError:
-        t0 = 1  # non-numeric timestamps: keep row order, index from 1
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: non-finite values present")
-    return MultiTrajectory(values=data.T, t0=t0)
+# The one trajectory reader; every command reads through this name.
+load_trajectory = MultiTrajectory.from_csv
 
 
 def model_from_config(config: dict) -> ParModel:

@@ -75,41 +75,32 @@ def _check_lag(n: int, h: int) -> None:
 
 
 def ncv_auto(series, h: int) -> float:
-    """Normalized auto-covariation estimate of a stationary series at lag h.
+    """Normalized auto-covariation estimate of a stationary series at lag h:
+    :func:`ncv_cross` of a one-component trajectory with itself,
+
+        sum_{t=r..l} x(t) sign(x(t-h))  /  sum_{t=r..L} |x(t)|.
+
+    At h = 0 the value is exactly 1.
+    """
+    return ncv_cross(np.ravel(series), 1, 1, h)
+
+
+def ncv_cross(traj, i: int, j: int, h: int) -> float:
+    """Normalized cross-covariation of components i and j (1-based) of a
+    stationary multivariate trajectory at lag h.
 
     With summation limits ``r = max(1, 1+h)`` and ``l = min(L, L+h)`` (in
     1-based time), the estimate is
 
-        sum_{t=r..l} x(t) sign(x(t-h))  /  sum_{t=r..L} |x(t)|.
+        sum_{t=r..l} x_i(t) sign(x_j(t-h))  /  sum_{t=r..L} |x_j(t)|.
 
     Note the denominator runs to L, not l; the two ranges coincide for
-    h >= 0 and differ by |h| terms otherwise.  At h = 0 the value is
-    exactly 1.
+    h >= 0 and differ by |h| terms otherwise.
 
     Raises
     ------
     DegenerateSeriesError
         If the denominator vanishes.
-    """
-    x = np.asarray(series, dtype=float).ravel()
-    L = x.size
-    _check_lag(L, h)
-    r = max(1, 1 + h)
-    l = min(L, L + h)
-    num = float(np.sum(x[r - 1 : l] * np.sign(x[r - 1 - h : l - h])))
-    den = float(np.sum(np.abs(x[r - 1 : L])))
-    if den == 0.0:
-        raise DegenerateSeriesError("all-zero series in the summation range")
-    return num / den
-
-
-def ncv_cross(traj, i: int, j: int, h: int) -> float:
-    """Normalized cross-covariation of components i and j (1-based) of a
-    stationary multivariate trajectory at lag h:
-
-        sum_{t=r..l} x_i(t) sign(x_j(t-h))  /  sum_{t=r..L} |x_j(t)|.
-
-    Reduces exactly to :func:`ncv_auto` when ``i == j``.
     """
     values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
     xi = np.asarray(values[i - 1], dtype=float)
@@ -125,15 +116,25 @@ def ncv_cross(traj, i: int, j: int, h: int) -> float:
     return num / den
 
 
-def _phase_indices(L: int, T: int, v: int, h: int) -> np.ndarray:
-    """1-based time indices ``n*T + v`` for the phase-v sub-sample, with the
-    starting counter n0 chosen so that the lagged index ``n*T + v - h``
-    stays within the observed range: n0 = 0 when v > 0 and v - h > 0,
-    else 1."""
-    N = L // T
+def _phase_samples(traj, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-v sub-sample of every component and its h-lagged partner.
+
+    Returns ``(cur, lagged)``, both ``(m, n_obs)``: ``cur`` holds the
+    observations at 1-based times ``n*T + v`` and ``lagged`` those at
+    ``n*T + v - h``, with n running from n0 to N-1, N = floor(L/T).  The
+    starting counter n0 is 0 exactly when both v and v - h are positive
+    (otherwise 1, which shifts the sub-sample one period forward instead
+    of wrapping around).
+    """
+    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
+    L = values.shape[1]
+    if L < 2 * T:
+        raise ValueError(f"need at least two full periods (L >= {2 * T}), got {L}")
+    if not (0 <= v <= T):
+        raise ValueError(f"phase must lie in 0..{T}, got {v}")
     n0 = 0 if (v > 0 and v - h > 0) else 1
-    n = np.arange(n0, N)
-    return n * T + v
+    idx = np.arange(n0, L // T) * T + v
+    return values[:, idx - 1], values[:, idx - 1 - h]
 
 
 def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
@@ -145,23 +146,14 @@ def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
 
         sum_n x_r(nT+v) sign(x_l(nT+v-h))  /  sum_n |x_l(nT+v-h)|,
 
-    with n running from n0 to N-1, N = floor(L/T), and n0 = 0 exactly
-    when both v and v - h are positive (otherwise 1, which shifts the
-    sub-sample one period forward instead of wrapping around).  The
-    special value v = 0 addresses the phase preceding v = 1.
+    over the sub-samples of :func:`_phase_samples`.  The special value
+    v = 0 addresses the phase preceding v = 1.
 
     Equivalent to the stationary estimator applied to the two phase
     sub-samples.  At h = 0 the diagonal is exactly 1.
     """
-    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    m, L = values.shape
-    if L < 2 * T:
-        raise ValueError(f"need at least two full periods (L >= {2 * T}), got {L}")
-    if not (0 <= v <= T):
-        raise ValueError(f"phase must lie in 0..{T}, got {v}")
-    idx = _phase_indices(L, T, v, h)
-    cur = values[:, idx - 1]  # (m, n_obs) observations at phase v
-    lagged = values[:, idx - 1 - h]  # observations h steps earlier
+    cur, lagged = _phase_samples(traj, T, v, h)
+    m = cur.shape[0]
     out = np.empty((m, m))
     den = np.sum(np.abs(lagged), axis=1)  # per conditioning component l
     sign_lagged = np.sign(lagged)
@@ -290,19 +282,12 @@ def cv_phase_matrix_spectral(
     Entry (r, l) pairs the phase-v sub-sample of component r with the
     h-lagged sub-sample of component l, estimates the 2-D spectral
     measure of that pair by the projection method, and evaluates the
-    covariation from the measure.  Index conventions (N, n0, phase 0)
-    match :func:`ncv_phase_matrix`, so the two matrix families describe
-    the same sub-samples.
+    covariation from the measure.  The sub-samples come from
+    :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
+    matrix families describe the same observations.
     """
-    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    m, L = values.shape
-    if L < 2 * T:
-        raise ValueError(f"need at least two full periods (L >= {2 * T}), got {L}")
-    if not (0 <= v <= T):
-        raise ValueError(f"phase must lie in 0..{T}, got {v}")
-    idx = _phase_indices(L, T, v, h)
-    cur = values[:, idx - 1]
-    lagged = values[:, idx - 1 - h]
+    cur, lagged = _phase_samples(traj, T, v, h)
+    m = cur.shape[0]
     out = np.empty((m, m))
     for r in range(m):
         for l in range(m):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .exceptions import UnboundedModelError
+from .exceptions import DataError, UnboundedModelError
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure, sample_stable_vector, signed_power
 
@@ -170,21 +171,85 @@ class MultiTrajectory:
                 )
 
     @classmethod
-    def from_csv(cls, path) -> "MultiTrajectory":
+    def from_csv(cls, path, columns: str | None = None) -> "MultiTrajectory":
+        """Read a trajectory CSV.
+
+        Default layout is ``t,x1,...,xm``.  ``columns`` maps other layouts:
+        a comma-separated list naming the time column first and the value
+        columns in component order (e.g. ``timestamp,price,volume``).  A
+        numeric time column must hold consecutive integers; a non-numeric
+        one is replaced by row order, indexed from 1.
+
+        Raises
+        ------
+        DataError
+            On a missing or empty file, an unknown layout, a missing,
+            non-numeric or non-finite value cell, or a numeric time column
+            that is not consecutive integers.
+        """
+        if not Path(path).is_file():
+            raise DataError(f"input file not found: {path}")
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if not header or header[0].strip() != "t":
-                raise ValueError(f"{path}: expected header 't,x1,...,xm'")
-            rows = [row for row in reader if row]
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            rows = [row for row in reader if "".join(row).strip()]
         if not rows:
-            raise ValueError(f"{path}: no data rows")
+            raise DataError(f"{path}: no data rows")
+
+        if columns:
+            names = [c.strip() for c in columns.split(",")]
+            if len(names) < 2:
+                raise DataError(
+                    "columns needs a time column and at least one value column"
+                )
+            try:
+                idx = [header.index(n) for n in names]
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}; header is {header}") from None
+        else:
+            if header[0] != "t":
+                raise DataError(
+                    f"{path}: expected header 't,x1,...,xm' (got {header}); "
+                    "map other layouts with columns (CLI: --columns)"
+                )
+            idx = list(range(len(header)))
+
+        width = max(idx) + 1
+        bad = [r for r, row in enumerate(rows) if len(row) < width]
+        if not bad:
+            cols = [[row[c].strip() for row in rows] for c in idx]
+            bad = [col.index("") for col in cols if "" in col]
+        if bad:
+            raise DataError(f"{path}: missing cell in data row {min(bad) + 2}")
         try:
-            t0 = int(float(rows[0][0]))
-            data = np.array([[float(c) for c in row[1:]] for row in rows])
+            data = np.column_stack([_parse_floats(col) for col in cols[1:]])
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-        return cls(values=data.T, t0=t0)
+            raise DataError(f"{path}: non-numeric value cell ({exc})") from None
+        if not np.all(np.isfinite(data)):
+            raise DataError(f"{path}: non-finite values present")
+        return cls(values=data.T, t0=_start_time(path, header[idx[0]], cols[0]))
+
+
+def _parse_floats(cells: list) -> np.ndarray:
+    return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+
+
+def _start_time(path, name: str, cells: list) -> int:
+    """First index of a time column whose numeric cells must count up by one."""
+    try:
+        float(cells[0])
+    except ValueError:
+        return 1  # non-numeric timestamps: keep row order, index from 1
+    try:
+        t = _parse_floats(cells)
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric time cell ({exc})") from None
+    if not (np.all(t == np.round(t)) and np.all(np.diff(t) == 1.0)):
+        raise DataError(f"{path}: time column {name!r} is not consecutive integers")
+    return int(t[0])
 
 
 @dataclass
@@ -203,7 +268,6 @@ class BoundednessReport:
     detail: str
     spectral_radius: float | None = None
     period_products: np.ndarray | None = None
-    series_bound: float | None = field(default=None, repr=False)
 
 
 def g_product(model: ParModel, t: int, j: int) -> GProduct:
@@ -221,9 +285,7 @@ def _monodromy(model: ParModel, t: int) -> np.ndarray:
     return g_product(model, t, model.period).matrix
 
 
-def check_boundedness(
-    model: ParModel, tol: float = 1e-8, max_terms: int = 1000
-) -> BoundednessReport:
+def check_boundedness(model: ParModel, tol: float = 1e-8) -> BoundednessReport:
     """Decide whether the causal solution of the recursion exists.
 
     Diagonal models admit an exact criterion: the per-component one-cycle
@@ -231,8 +293,7 @@ def check_boundedness(
     the one-period monodromy product is tested against ``1 - tol``; a
     radius below one makes the g-products decay geometrically, which is
     sufficient for the absolute convergence of the moving-average
-    solution.  ``max_terms`` caps the diagnostic partial sum of g-product
-    magnitudes included in the report.
+    solution.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -244,7 +305,6 @@ def check_boundedness(
             diagonal=True,
             detail=f"diagonal model, |P_r| = {np.abs(p)!r} (need all < 1)",
             period_products=p,
-            series_bound=_series_bound(model, max_terms) if ok else None,
         )
     rho = float(np.max(np.abs(np.linalg.eigvals(_monodromy(model, model.period)))))
     ok = rho < 1.0 - tol
@@ -253,24 +313,7 @@ def check_boundedness(
         diagonal=False,
         detail=f"monodromy spectral radius {rho:.6g} (need < {1.0 - tol:.6g})",
         spectral_radius=rho,
-        series_bound=_series_bound(model, max_terms) if ok else None,
     )
-
-
-def _series_bound(model: ParModel, max_terms: int) -> float:
-    """Partial sum of ``max_t ||g(t, t-j+1)||_inf`` over ``j < max_terms``."""
-    total = 0.0
-    prods = [np.eye(model.dim) for _ in range(model.period)]
-    for j in range(max_terms):
-        term = max(np.abs(p).sum(axis=1).max() for p in prods)
-        total += term
-        if term > 1e12 or term < 1e-15 * total:
-            break
-        prods = [
-            p @ model.theta_at(t - j)
-            for t, p in zip(range(1, model.period + 1), prods)
-        ]
-    return total
 
 
 def simulate_par1(

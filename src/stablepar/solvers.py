@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import SolverError
 
 __all__ = [
     "SolveReport",
     "bicgstab",
-    "lu_preconditioner",
     "solution1",
     "solve_yw",
     "COND_LIMIT",
@@ -45,30 +43,11 @@ class SolveReport:
     column_reports: list = field(default_factory=list, repr=False)
 
 
-def _apply_precond(precond, v: np.ndarray) -> np.ndarray:
-    if precond is None:
-        return v
-    m1, m2 = precond
-    return np.linalg.solve(m2, np.linalg.solve(m1, v))
-
-
-def lu_preconditioner(a: np.ndarray):
-    """Factor pair ``(M1, M2) = (P L, U)`` from a dense LU decomposition.
-
-    The dense analogue of an incomplete LU with a full fill pattern:
-    applying both factors inverts ``a`` up to rounding, so the
-    preconditioned iteration converges in O(1) steps.
-    """
-    p, l, u = scipy.linalg.lu(np.asarray(a, dtype=float))
-    return p @ l, u
-
-
 def bicgstab(
     a: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: int = 1000,
-    precond=None,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
     """Solve ``a x = b`` by the stabilized bi-conjugate gradient method.
@@ -79,9 +58,6 @@ def bicgstab(
     after ``maxit`` sweeps reports the best iterate seen; a vanishing
     bi-orthogonality coefficient (rho) or stabilization weight (omega)
     is reported distinctly as a breakdown.
-
-    ``precond`` is an optional factor pair ``(M1, M2)`` whose product
-    approximates ``a``; each iteration applies ``M2^-1 M1^-1``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -113,8 +89,7 @@ def bicgstab(
             )
         beta = (rho / rho_prev) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = _apply_precond(precond, p)
-        v = a @ p_hat
+        v = a @ p
         denom = float(r_hat @ v)
         if abs(denom) < tiny:
             return SolveReport(
@@ -124,12 +99,11 @@ def bicgstab(
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= stop:
-            x = x + alpha * p_hat
+            x = x + alpha * p
             return SolveReport(
                 x, "bicgstab", it, float(np.linalg.norm(b - a @ x)), True
             )
-        s_hat = _apply_precond(precond, s)
-        t = a @ s_hat
+        t = a @ s
         tt = float(t @ t)
         if tt < tiny:
             return SolveReport(
@@ -137,7 +111,7 @@ def bicgstab(
                 detail="omega breakdown: A-image of residual vanished",
             )
         omega = float(t @ s) / tt
-        x = x + alpha * p_hat + omega * s_hat
+        x = x + alpha * p + omega * s
         r = s - omega * t
         res = float(np.linalg.norm(r))
         if res < best_res:
@@ -164,9 +138,7 @@ def solution1(
 
     Transposing gives ``m0' Theta' = m1'``, one vector system per column
     of ``Theta'``; each is solved iteratively and the results are
-    transposed back.  For systems of size eight or larger an LU factor
-    pair preconditions the iteration; the Yule-Walker systems this
-    package builds are far smaller, so the plain iteration is the norm.
+    transposed back.
 
     The report's residual is the Frobenius norm of ``Theta m0 - m1``;
     convergence means it is below ``tol`` times the Frobenius norm of
@@ -180,14 +152,10 @@ def solution1(
         raise ValueError(f"m0 must be square, got {m0.shape}")
     if m1.shape != m0.shape:
         raise ValueError(f"m0/m1 shape mismatch: {m0.shape} vs {m1.shape}")
-    m = m0.shape[0]
-    a = m0.T
-    precond = lu_preconditioner(a) if m >= 8 else None
-
     columns = []
     reports = []
-    for i in range(m):
-        rep = bicgstab(a, m1.T[:, i], tol=tol, maxit=maxit, precond=precond)
+    for i in range(m0.shape[0]):
+        rep = bicgstab(m0.T, m1.T[:, i], tol=tol, maxit=maxit)
         reports.append(rep)
         columns.append(rep.solution)
     theta = np.column_stack(columns).T

@@ -109,6 +109,10 @@ class TestLoadTrajectory:
         text_cell.write_text("t,x1\n1,1.0\n2,oops\n")
         with pytest.raises(DataError):
             load_trajectory(str(text_cell))
+        mixed_time = tmp_path / "mixed.csv"
+        mixed_time.write_text("t,x1\n1,1.0\ntwo,2.0\n")
+        with pytest.raises(DataError):
+            load_trajectory(str(mixed_time))
 
 
 class TestSimulateCommand:
@@ -196,6 +200,15 @@ class TestEstimateCommand:
         MultiTrajectory(values=np.ones((1, 8)) + np.arange(8)).to_csv(short)
         rc = main(["estimate", str(short), "--period", "3", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    def test_non_consecutive_timestamps_exit_2(self, tmp_path, capsys):
+        # one gap and two swapped rows: loading it as contiguous would
+        # misalign every phase
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("t,x1\n1,0.5\n2,-1.0\n10,0.3\n9,0.2\n11,1.1\n")
+        rc = main(["estimate", str(gapped), "--period", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "consecutive" in capsys.readouterr().err
 
     def test_degenerate_series_exits_3(self, tmp_path):
         vals = RandomStream(61).generator().normal(size=(1, 60))

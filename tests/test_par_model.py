@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepar.exceptions import UnboundedModelError
+from stablepar.exceptions import DataError, UnboundedModelError
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
@@ -98,6 +98,12 @@ class TestMultiTrajectory:
         back = MultiTrajectory.from_csv(path)
         assert back.t0 == 5
         assert np.array_equal(back.values, vals)
+
+    def test_from_csv_rejects_non_consecutive_time(self, tmp_path):
+        path = tmp_path / "gapped.csv"
+        path.write_text("t,x1\n1,0.5\n2,-1.0\n10,0.3\n9,0.2\n11,1.1\n")
+        with pytest.raises(DataError, match="consecutive"):
+            MultiTrajectory.from_csv(path)
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from stablepar.solvers import (
     COND_LIMIT,
     SolveReport,
     bicgstab,
-    lu_preconditioner,
     solution1,
     solve_yw,
 )
@@ -44,17 +43,6 @@ class TestBicgstab:
         assert rep.converged
         assert rep.residual_norm <= 1e-10 * np.linalg.norm(a @ x_true)
         assert np.allclose(rep.solution, x_true, atol=1e-7)
-
-    def test_preconditioner_agrees_and_accelerates(self):
-        gen = np.random.default_rng(21)
-        a = _well_conditioned(gen, 20)
-        b = gen.normal(size=20)
-        plain = bicgstab(a, b)
-        pre = bicgstab(a, b, precond=lu_preconditioner(a))
-        assert plain.converged and pre.converged
-        assert np.allclose(plain.solution, pre.solution, atol=1e-6)
-        # a full LU factor pair inverts the matrix: one sweep suffices
-        assert pre.iterations <= 2
 
     def test_consistent_singular_system(self):
         """Rank-deficient a with b in its range: the iteration settles on
@@ -104,15 +92,13 @@ class TestSolution1:
             assert np.allclose(rep.solution, direct, atol=1e-8)
             assert len(rep.column_reports) == n
 
-    def test_preconditioned_large_system(self):
-        # m >= 8 engages the LU factor pair; answers must not change
+    def test_large_system(self):
         gen = np.random.default_rng(24)
         m0 = _well_conditioned(gen, 9)
         theta = gen.normal(size=(9, 9))
         rep = solution1(m0, theta @ m0)
         assert rep.converged
         assert np.allclose(rep.solution, theta, atol=1e-7)
-        assert rep.iterations <= 2
 
     def test_consistent_singular_matrix_system(self):
         gen = np.random.default_rng(25)
@@ -176,6 +162,18 @@ class TestSolveYw:
             m1, "fro"
         )
         assert "condition estimate" in rep.detail
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_exactly_singular_consistent_system(self, m):
+        """diag(1, ..., 1, 0) is exactly singular, so the router takes the
+        iterative route, which must solve the consistent system at any size."""
+        m0 = np.diag([1.0] * (m - 1) + [0.0])
+        rep = solve_yw(m0, m0)
+        assert rep.method == "bicgstab"
+        assert rep.converged
+        assert np.linalg.norm(rep.solution @ m0 - m0, "fro") <= 1e-10 * np.linalg.norm(
+            m0, "fro"
+        )
 
     def test_direct_report_carries_condition_estimate(self):
         rep = solve_yw(np.eye(2), np.eye(2))
