@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -180,12 +181,38 @@ def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
     return float(np.sum(s1 * signed_power(s2, alpha - 1.0) * measure2d.weights))
 
 
-def _scale_from_iqr(projection: np.ndarray, alpha: float) -> float:
-    """Scale estimate of a symmetric stable sample with *known* alpha:
-    interquartile range divided by the tabulated standard-law IQR."""
-    q25, q75 = np.quantile(projection, [0.25, 0.75])
+@lru_cache(maxsize=16)
+def _projection_design(
+    alpha: float, n_grid: int
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The data-free half of the projection method for one (alpha, n_grid).
+
+    Returns ``(dirs, a_aug, c, rank_deficient)``: the ``n_grid/2`` grid
+    directions on the upper half-circle as rows, the ridge-augmented NNLS
+    matrix, the tabulated interquartile range ``c`` of the standard
+    symmetric alpha-stable law, and whether the projection-scale kernel
+    is numerically rank-deficient.  Both arrays are read-only because
+    every caller shares them.
+    """
+    half = n_grid // 2
+    phi = np.pi * np.arange(half) / half
+    dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+
+    # One unknown per +- pair: both mirrored atoms load every projection
+    # identically, so the design matrix uses 2|cos(phi_k - phi_j)|^alpha.
+    A = 2.0 * np.abs(np.cos(phi[:, None] - phi[None, :])) ** alpha
+
+    # Ridge-regularized nonnegative least squares: min ||A g - b||^2
+    # + lam^2 ||g||^2 over g >= 0, via NNLS on the stacked system.  The
+    # ridge weight is far below the kernel's leading singular value, so
+    # it only breaks ties between exact minimizers.
+    svals = np.linalg.svd(A, compute_uv=False)
+    rank_deficient = bool(svals[-1] < 1e-8 * svals[0])
+    a_aug = np.vstack([A, 1e-6 * svals[0] * np.eye(half)])
     c = float(np.interp(alpha, ALPHA_GRID, C_TABLE))
-    return max(q75 - q25, 0.0) / c
+    dirs.flags.writeable = False
+    a_aug.flags.writeable = False
+    return dirs, a_aug, c, rank_deficient
 
 
 def estimate_spectral_measure_2d(
@@ -210,10 +237,16 @@ def estimate_spectral_measure_2d(
     mass evenly instead of parking it on arbitrary vertices).  Atoms
     whose weight hits zero are dropped.
 
+    Everything that does not depend on the sample (the grid, the design
+    matrix with its ridge rows, the rank check and the IQR constant) is
+    built once per ``(alpha, n_grid)`` and cached, so a per-phase matrix
+    of many pair fits pays for it once.  Per call, the quartiles of all
+    projections come from a single quantile pass.
+
     Parameters
     ----------
     sample : (n, 2) array_like
-        Observations; at least 100 are required.
+        Finite observations; at least 100 are required.
     alpha : float
         Stability index in (1, 2].
     n_grid : int
@@ -221,6 +254,9 @@ def estimate_spectral_measure_2d(
 
     Raises
     ------
+    ValueError
+        If the sample has the wrong shape, too few rows or a non-finite
+        entry, or if alpha or n_grid is out of range.
     NumericalError
         If every fitted weight is zero (nothing to build a measure from).
 
@@ -229,44 +265,35 @@ def estimate_spectral_measure_2d(
     UserWarning
         When the projection-scale system is numerically rank-deficient,
         i.e. the directions are not identifiable from the data and only
-        the ridge tie-break makes the answer unique.
+        the ridge tie-break makes the answer unique.  The warning is
+        issued on every such call, cached design or not.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError("sample must be an (n, 2) array")
     if x.shape[0] < 100:
         raise ValueError(f"need at least 100 observations, got {x.shape[0]}")
+    n_bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+    if n_bad:
+        raise ValueError(f"sample contains {n_bad} non-finite entries")
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     if n_grid < 4 or n_grid % 2:
         raise ValueError("n_grid must be an even number >= 4")
 
-    half = n_grid // 2
-    phi = np.pi * np.arange(half) / half  # upper half-circle directions
-    dirs = np.column_stack([np.cos(phi), np.sin(phi)])
-    proj = x @ dirs.T  # (n, half)
-    b = np.array([_scale_from_iqr(proj[:, k], alpha) ** alpha for k in range(half)])
-
-    # One unknown per +- pair: both mirrored atoms load every projection
-    # identically, so the design matrix uses 2|cos(phi_k - phi_j)|^alpha.
-    A = 2.0 * np.abs(np.cos(phi[:, None] - phi[None, :])) ** alpha
-
-    # Ridge-regularized nonnegative least squares: min ||A g - b||^2
-    # + lam^2 ||g||^2 over g >= 0, via NNLS on the stacked system.  The
-    # ridge weight is far below the kernel's leading singular value, so
-    # it only breaks ties between exact minimizers.
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] < 1e-8 * svals[0]:
+    dirs, a_aug, c, rank_deficient = _projection_design(float(alpha), int(n_grid))
+    if rank_deficient:
         warnings.warn(
             "projection-scale system is rank-deficient: the direction "
             "grid is not identifiable from these projections and the "
             "returned weights are the minimum-norm nonnegative fit",
             stacklevel=2,
         )
-    lam = 1e-6 * svals[0]
-    a_aug = np.vstack([A, lam * np.eye(half)])
-    b_aug = np.concatenate([b, np.zeros(half)])
-    g, _ = scipy.optimize.nnls(a_aug, b_aug)
+    # (half, n) with each projection contiguous: one quantile pass along
+    # rows is faster than the column-wise pass on the transposed layout.
+    q25, q75 = np.quantile(dirs @ x.T, [0.25, 0.75], axis=1)
+    b = (np.maximum(q75 - q25, 0.0) / c) ** alpha
+    g, _ = scipy.optimize.nnls(a_aug, np.concatenate([b, np.zeros_like(b)]))
 
     keep = g > 0.0
     if not np.any(keep):
@@ -285,6 +312,12 @@ def cv_phase_matrix_spectral(
     covariation from the measure.  The sub-samples come from
     :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
     matrix families describe the same observations.
+
+    Raises
+    ------
+    NumericalError
+        If a pair fit collapses to the zero measure; the message names
+        the phase, the lag and the 1-based entry (r, l).
     """
     cur, lagged = _phase_samples(traj, T, v, h)
     m = cur.shape[0]
@@ -292,6 +325,11 @@ def cv_phase_matrix_spectral(
     for r in range(m):
         for l in range(m):
             pair = np.column_stack([cur[r], lagged[l]])
-            measure = estimate_spectral_measure_2d(pair, alpha, n_grid)
+            try:
+                measure = estimate_spectral_measure_2d(pair, alpha, n_grid)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"phase {v}, lag {h}, entry ({r + 1}, {l + 1}): {exc}"
+                ) from None
             out[r, l] = cv_from_spectral(measure, alpha)
     return PhaseCovMatrix(period=T, phase=v, lag=h, values=out, kind="spectral")

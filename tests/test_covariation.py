@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stablepar._mcculloch import ALPHA_GRID, C_TABLE
 from stablepar.covariation import (
+    _projection_design,
     cv_from_spectral,
     cv_phase_matrix_spectral,
     estimate_spectral_measure_2d,
@@ -16,7 +19,7 @@ from stablepar.covariation import (
     ncv_cross,
     ncv_phase_matrix,
 )
-from stablepar.exceptions import DegenerateSeriesError
+from stablepar.exceptions import DegenerateSeriesError, NumericalError
 from stablepar.par_model import MultiTrajectory
 from stablepar.rng import RandomStream
 from stablepar.stable import (
@@ -141,6 +144,14 @@ class TestProjectionMethod:
         with pytest.raises(ValueError):
             estimate_spectral_measure_2d(good, 1.5, n_grid=7)  # odd grid
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        x = RandomStream(5).generator().normal(size=(500, 2))
+        x[17, 1] = bad
+        x[400, 0] = -bad
+        with pytest.raises(ValueError, match="2 non-finite entries"):
+            estimate_spectral_measure_2d(x, 1.5)
+
     def test_recovers_independent_axes(self):
         """Independent components concentrate the measure near the four
         semi-axes; most of the mass must land within pi/16 of an axis and
@@ -181,6 +192,62 @@ class TestProjectionMethod:
             warnings.simplefilter("error")
             estimate_spectral_measure_2d(z, 1.5)
 
+    def test_warning_survives_warm_design_cache(self):
+        """The design is cached per (alpha, n_grid); the rank-deficiency
+        warning must still come on every call that hits the cache."""
+        z = RandomStream(33).generator().normal(size=(500, 2))
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="rank-deficient"):
+                estimate_spectral_measure_2d(z, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_spectral_measure_2d(z, 1.5)
+
+    def test_cached_design_is_read_only(self):
+        dirs, a_aug, _, _ = _projection_design(1.5, 40)
+        assert _projection_design(1.5, 40)[0] is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            a_aug[0, 0] = 0.0
+
+    @staticmethod
+    def _reference_fit(x, alpha, n_grid):
+        """The per-direction formulation: one quantile call per
+        projection, and the kernel, its SVD and the ridge rebuilt on
+        every call."""
+        half = n_grid // 2
+        phi = np.pi * np.arange(half) / half
+        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+        proj = x @ dirs.T
+        c = float(np.interp(alpha, ALPHA_GRID, C_TABLE))
+        b = np.empty(half)
+        for k in range(half):
+            q25, q75 = np.quantile(proj[:, k], [0.25, 0.75])
+            b[k] = (max(q75 - q25, 0.0) / c) ** alpha
+        A = 2.0 * np.abs(np.cos(phi[:, None] - phi[None, :])) ** alpha
+        svals = np.linalg.svd(A, compute_uv=False)
+        a_aug = np.vstack([A, 1e-6 * svals[0] * np.eye(half)])
+        g, _ = scipy.optimize.nnls(a_aug, np.concatenate([b, np.zeros(half)]))
+        keep = g > 0.0
+        return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("n_grid", [4, 40])
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_matches_per_direction_reference(self, model1, alpha, n_grid, n):
+        z = sample_stable_vector(model1.noise, alpha, n, RandomStream(37))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = estimate_spectral_measure_2d(z, alpha, n_grid)
+        ref = self._reference_fit(z, alpha, n_grid)
+        assert got.n_atoms == ref.n_atoms
+        np.testing.assert_allclose(got.points, ref.points, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+        assert cv_from_spectral(got, alpha) == pytest.approx(
+            cv_from_spectral(ref, alpha), rel=1e-12, abs=0.0
+        )
+
     def test_recovers_known_measure_functionals(self, model1):
         """Individual atoms are not identifiable from a finite sample, but
         mass and covariation are; both must come back near the truth."""
@@ -206,6 +273,18 @@ class TestSpectralPhaseMatrix:
         assert a.kind == "spectral"
         assert a.values.shape == (2, 2)
         assert np.array_equal(a.values, b.values)
+
+    def test_collapsed_pair_fit_names_its_entry(self):
+        """A component that is identically zero makes its self-pair
+        collapse to the zero measure; the error must say which phase,
+        lag and matrix entry it came from."""
+        vals = RandomStream(38).generator().normal(size=(2, 600))
+        vals[1] = 0.0
+        traj = MultiTrajectory(values=vals)
+        with pytest.raises(
+            NumericalError, match=r"^phase 1, lag 1, entry \(2, 2\): .*zero measure"
+        ):
+            cv_phase_matrix_spectral(traj, T=2, v=1, h=1, alpha=1.5)
 
     def test_requires_two_periods(self):
         traj = MultiTrajectory(values=np.ones((2, 5)))
