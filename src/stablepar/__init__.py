@@ -58,6 +58,7 @@ from .pipeline import (
     build_predictive_model,
     diagnose_residuals,
     fit_deterministic,
+    fit_model,
     fit_par1,
     one_step_quantiles,
     simulate_quantile_lines,
@@ -75,6 +76,7 @@ from .stable import (
     sample_stable_vector,
     signed_power,
     stable_cdf,
+    stable_quantile,
 )
 
 __version__ = "0.1.0"

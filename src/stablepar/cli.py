@@ -22,7 +22,12 @@ from .estimators import yw_cv_estimate, yw_t_estimate
 from .exceptions import DataError, NumericalError, StableParError
 from .mc import McConfig, model1_preset, model2_preset, run_mc_study
 from .par_model import MultiTrajectory, ParModel, simulate_par1
-from .pipeline import fit_par1, one_step_quantiles, simulate_quantile_lines
+from .pipeline import (
+    fit_model,
+    fit_par1,
+    one_step_quantiles,
+    simulate_quantile_lines,
+)
 from .rng import RandomStream
 
 PRESETS = {"model1": model1_preset, "model2": model2_preset}
@@ -33,7 +38,6 @@ CONFIG_DEFAULTS = {
     "alpha": None,
     "burn_in": None,
     "seed": 0,
-    "n_paths": 5000,
     "quantiles": (0.1, 0.5, 0.9),
     "h_max": 10,
     "n_sims": 1000,
@@ -161,25 +165,27 @@ def cmd_mc_study(args, config: dict) -> int:
     return 0
 
 
-def _run_fit(args, config: dict):
+def _fit_inputs(args, config: dict):
+    """Trajectory plus the model-fit arguments shared by the fit trio."""
     traj = load_trajectory(args.input, args.columns)
     T = int(_require(_setting(args, config, "period", args.period), "--period"))
     method = _method_key(_setting(args, config, "method", args.method))
     alpha = config.get("alpha")
-    seed = int(_setting(args, config, "seed", args.seed))
-    return traj, fit_par1(
-        traj,
-        T,
-        method=method,
-        alpha=None if alpha is None else float(alpha),
-        h_max=int(_setting(args, config, "h_max")),
-        n_sims=int(_setting(args, config, "n_sims")),
-        rng=RandomStream(seed, (101,)),
-    ), seed
+    return traj, T, method, None if alpha is None else float(alpha)
 
 
 def cmd_fit(args, config: dict) -> int:
-    _, fit, _ = _run_fit(args, config)
+    traj, T, method, alpha = _fit_inputs(args, config)
+    seed = int(_setting(args, config, "seed", args.seed))
+    fit = fit_par1(
+        traj,
+        T,
+        method=method,
+        alpha=alpha,
+        h_max=int(_setting(args, config, "h_max")),
+        n_sims=int(_setting(args, config, "n_sims")),
+        rng=RandomStream(seed, (101,)),
+    )
     out_dir = Path(_require(args.out, "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     fit.estimate.to_csv(out_dir / "coefficients.csv")
@@ -197,14 +203,13 @@ def cmd_fit(args, config: dict) -> int:
 
 
 def cmd_quantile_lines(args, config: dict) -> int:
-    traj, fit, seed = _run_fit(args, config)
+    traj, T, method, alpha = _fit_inputs(args, config)
+    fit = fit_model(traj, T, method=method, alpha=alpha)
     lines = simulate_quantile_lines(
         fit.model,
         fit.deterministic,
-        n_paths=int(_setting(args, config, "n_paths")),
         q_list=tuple(_setting(args, config, "quantiles")),
         L=traj.length,
-        rng=RandomStream(seed, (202,)),
         t0=traj.t0,
     )
     lines.to_csv(_require(args.out, "--out"))
@@ -213,14 +218,13 @@ def cmd_quantile_lines(args, config: dict) -> int:
 
 
 def cmd_one_step(args, config: dict) -> int:
-    traj, fit, seed = _run_fit(args, config)
+    traj, T, method, alpha = _fit_inputs(args, config)
+    fit = fit_model(traj, T, method=method, alpha=alpha)
     lines = one_step_quantiles(
         fit.model,
         fit.deterministic,
         traj,
         q_list=tuple(_setting(args, config, "quantiles")),
-        n_paths=int(_setting(args, config, "n_paths")),
-        rng=RandomStream(seed, (303,)),
     )
     lines.to_csv(_require(args.out, "--out"))
     print(f"wrote one-step quantiles ({lines.quantiles}) to {args.out}")

@@ -165,10 +165,10 @@ class MultiTrajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"x{i}" for i in range(1, self.dim + 1)])
-            for k in range(self.length):
-                writer.writerow(
-                    [self.t0 + k] + [repr(float(v)) for v in self.values[:, k]]
-                )
+            writer.writerows(
+                [t, *map(repr, row.tolist())]
+                for t, row in zip(range(self.t0, self.t0 + self.length), self.values.T)
+            )
 
     @classmethod
     def from_csv(cls, path, columns: str | None = None) -> "MultiTrajectory":

@@ -6,19 +6,23 @@ and a within-period mean profile on top of the stochastic part.  The
 pipeline removes the deterministic structure, fits the periodic
 autoregression to what remains, inspects the residuals for the stable
 i.i.d. hypothesis, and turns the fitted model into predictive quantile
-bands by simulation.
+bands computed from its law.
 
 Stages
 ------
 1. :func:`fit_deterministic` — least-squares line per component, then
    per-phase means of the detrended series; exactly invertible.
-2. :func:`yw_cv_estimate` / :func:`yw_t_estimate` via :func:`fit_par1`.
+2. :func:`yw_cv_estimate` / :func:`yw_t_estimate` and the predictive
+   model via :func:`fit_model`.
 3. :func:`diagnose_residuals` — tail-index and scale fits, bootstrap
    goodness-of-fit p-values, dependence screens over lags, and (for
-   two-component series) the residual spectral measure.
-4. :func:`simulate_quantile_lines` / :func:`one_step_quantiles` —
-   pointwise quantile bands from many simulated paths, deterministic
-   structure added back.
+   two-component series) the residual spectral measure;
+   :func:`fit_par1` is :func:`fit_model` plus this stage.
+4. :func:`simulate_quantile_lines` / :func:`one_step_quantiles` — exact
+   pointwise quantiles of the fitted law, deterministic structure added
+   back.  Every component of the stationary solution, and of the noise,
+   is SaS, so a band is a scale times a standard SaS quantile
+   (:func:`stable_quantile`); nothing is simulated.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ from .covariation import (
     ncv_cross,
 )
 from .estimators import EstimationResult, yw_cv_estimate, yw_t_estimate
-from .exceptions import DataError
-from .par_model import MultiTrajectory, ParModel
+from .exceptions import DataError, NumericalError, UnboundedModelError
+from .par_model import MultiTrajectory, ParModel, check_boundedness
 from .rng import RandomStream
 from .stable import (
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
     mcculloch_estimate,
-    sample_stable_vector,
+    sample_stable_vector,  # unused here; the benchmark tracer patches this name
+    stable_quantile,
 )
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
     "diagnose_residuals",
     "residuals_from_estimate",
     "build_predictive_model",
+    "fit_model",
     "fit_par1",
     "simulate_quantile_lines",
     "one_step_quantiles",
@@ -306,26 +312,27 @@ def residuals_from_estimate(
 
 def build_predictive_model(
     residuals: MultiTrajectory,
-    diagnostics: DiagnosticsReport,
+    marginals: list,
     estimate: EstimationResult,
 ) -> ParModel:
     """Assemble the simulation model implied by a fit.
 
-    The stability index is the mean of the per-component estimates (the
-    noise vector gets a single index).  For two-component fits the noise
-    measure is the projection-method estimate on the raw residual pairs;
-    otherwise an independent-components fallback puts mass
+    ``marginals`` holds the per-component :func:`mcculloch_estimate` of
+    the residuals.  The stability index is the mean of their indices
+    (the noise vector gets a single index).  For two-component fits the
+    noise measure is the projection-method estimate on the raw residual
+    pairs; otherwise an independent-components fallback puts mass
     ``sigma_i^alpha / 2`` on each signed coordinate axis, reproducing the
     marginal scales.
     """
-    alpha = float(np.clip(np.mean(diagnostics.alphas), 1.0001, 2.0))
+    alpha = float(np.clip(np.mean([p.alpha for p in marginals]), 1.0001, 2.0))
     m = residuals.dim
     if m == 2:
         noise = estimate_spectral_measure_2d(residuals.values.T, alpha)
     else:
         eye = np.eye(m)
         points = np.vstack([eye, -eye])
-        scales = np.array([c.params.scale for c in diagnostics.components])
+        scales = np.array([p.scale for p in marginals])
         weights = np.concatenate([scales**alpha / 2.0] * 2)
         noise = DiscreteSpectralMeasure(points=points, weights=weights)
     return ParModel(
@@ -338,14 +345,51 @@ def build_predictive_model(
 
 @dataclass
 class FitResult:
-    """Everything produced by one run of the fitting pipeline."""
+    """Everything produced by one run of the fitting pipeline.
+
+    ``diagnostics`` is None for a :func:`fit_model` result.
+    """
 
     deterministic: DeterministicComponents
     estimate: EstimationResult
-    diagnostics: DiagnosticsReport
+    diagnostics: DiagnosticsReport | None
     detrended: MultiTrajectory = field(repr=False)
     residuals: MultiTrajectory = field(repr=False)
     model: ParModel = field(repr=False)
+
+
+def fit_model(
+    traj: MultiTrajectory,
+    T: int,
+    method: str = "yw-cv",
+    alpha: float | None = None,
+) -> FitResult:
+    """Deterministic split, coefficient fit, residuals and predictive
+    model, without the residual diagnostics.
+
+    ``method`` selects the estimator ("yw-cv" or "yw-t", case
+    insensitive); ``alpha`` optionally fixes the index for the
+    spectral-measure method instead of estimating it.  This is all the
+    predictive operations need; the result has ``diagnostics=None``.
+    """
+    det, detrended = fit_deterministic(traj, T)
+    key = method.strip().lower().replace("_", "-")
+    if key == "yw-cv":
+        estimate = yw_cv_estimate(detrended, T)
+    elif key == "yw-t":
+        estimate = yw_t_estimate(detrended, T, alpha=alpha)
+    else:
+        raise ValueError(f"unknown method {method!r}; use 'yw-cv' or 'yw-t'")
+    residuals = residuals_from_estimate(detrended, estimate)
+    marginals = [mcculloch_estimate(x) for x in residuals.values]
+    return FitResult(
+        deterministic=det,
+        estimate=estimate,
+        diagnostics=None,
+        detrended=detrended,
+        residuals=residuals,
+        model=build_predictive_model(residuals, marginals, estimate),
+    )
 
 
 def fit_par1(
@@ -357,35 +401,14 @@ def fit_par1(
     n_sims: int = 1000,
     rng: RandomStream | None = None,
 ) -> FitResult:
-    """Full pipeline: deterministic split, coefficient fit, diagnostics.
-
-    ``method`` selects the estimator ("yw-cv" or "yw-t", case
-    insensitive); ``alpha`` optionally fixes the index for the
-    spectral-measure method instead of estimating it.  The returned
-    result carries the fitted simulation model for the predictive
-    operations.
-    """
-    det, detrended = fit_deterministic(traj, T)
-    key = method.strip().lower().replace("_", "-")
-    if key == "yw-cv":
-        estimate = yw_cv_estimate(detrended, T)
-    elif key == "yw-t":
-        estimate = yw_t_estimate(detrended, T, alpha=alpha)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'yw-cv' or 'yw-t'")
-    residuals = residuals_from_estimate(detrended, estimate)
-    diagnostics = diagnose_residuals(
-        residuals, T, h_max=h_max, n_sims=n_sims, rng=rng
+    """Full pipeline: :func:`fit_model` followed by
+    :func:`diagnose_residuals` on its residuals (``h_max``, ``n_sims``
+    and ``rng`` go to the diagnostics)."""
+    fit = fit_model(traj, T, method=method, alpha=alpha)
+    fit.diagnostics = diagnose_residuals(
+        fit.residuals, T, h_max=h_max, n_sims=n_sims, rng=rng
     )
-    model = build_predictive_model(residuals, diagnostics, estimate)
-    return FitResult(
-        deterministic=det,
-        estimate=estimate,
-        diagnostics=diagnostics,
-        detrended=detrended,
-        residuals=residuals,
-        model=model,
-    )
+    return fit
 
 
 @dataclass
@@ -429,59 +452,104 @@ class QuantilePaths:
             for i in range(self.dim)
             for q in self.quantiles
         ]
+        # (L, m * n_q), component-major like the header; one row of
+        # Python floats at a time keeps memory flat in L
+        values = self.lines.transpose(2, 1, 0).reshape(self.length, -1)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for k in range(self.length):
-                row = [self.t0 + k]
-                for i in range(self.dim):
-                    row.extend(
-                        repr(float(self.lines[qi, i, k]))
-                        for qi in range(len(self.quantiles))
-                    )
-                writer.writerow(row)
+            writer.writerows(
+                [t, *map(repr, row.tolist())]
+                for t, row in zip(range(self.t0, self.t0 + self.length), values)
+            )
+
+
+#: Cap on the periods summed for the stationary scales.
+_MAX_SCALE_PERIODS = 20_000
+
+
+def _quantile_orders(q_list) -> np.ndarray:
+    q_arr = np.asarray(sorted(float(q) for q in q_list))
+    if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
+        raise ValueError("quantile orders must lie strictly between 0 and 1")
+    return q_arr
+
+
+def _standard_quantiles(alpha: float, q_arr: np.ndarray) -> np.ndarray:
+    unit = StableParams(alpha, 1.0)
+    return np.array([stable_quantile(unit, q) for q in q_arr])
+
+
+def _stationary_scales(model: ParModel) -> np.ndarray:
+    """``(T, m)`` scales of X_r at each phase of the stationary solution.
+
+    ``sigma_r(v)^alpha = sum_j sum_a gamma_a |e_r' Phi(v, j) s_a|^alpha``
+    with ``Phi(v, j) = Theta(v) ... Theta(v-j+1)``, all phases and rows
+    at once.  The first period builds ``Phi(v, j)`` for j < T; after that
+    ``Phi(v, j + T) = Phi(v, j) Phi(v - j, T)`` advances every lag by one
+    period per step.  The sum stops when one period adds less than 1e-12
+    of the partial sum.
+    """
+    T, m = model.period, model.dim
+    thetas = np.stack(model.theta)
+    pts_t = model.noise.points.T  # (m, k)
+    gam = model.noise.weights
+    a = model.alpha
+    phases = np.arange(T)  # phase v - 1
+    chain = np.tile(np.eye(m), (T, 1, 1))
+    first = []
+    for j in range(T):
+        first.append(chain)
+        chain = chain @ thetas[(phases - j) % T]
+    # chain is now Phi(v, T), the monodromy ending at each phase
+    lags = np.stack(first, axis=1)  # (T, T, m, m): [v, j] -> Phi(v, j)
+    step = chain[(phases[:, None] - phases[None, :]) % T]  # Phi(v - j, T)
+    total = np.zeros((T, m))
+    for _ in range(_MAX_SCALE_PERIODS):
+        added = (np.abs(lags @ pts_t) ** a @ gam).sum(axis=1)
+        total += added
+        if np.all(added <= 1e-12 * total):
+            return total ** (1.0 / a)
+        lags = lags @ step
+    rho = float(np.max(np.abs(np.linalg.eigvals(chain[0]))))
+    raise NumericalError(
+        f"stationary scale series did not converge in {_MAX_SCALE_PERIODS} "
+        f"periods (monodromy spectral radius {rho:.6g})"
+    )
 
 
 def simulate_quantile_lines(
     model: ParModel,
     det: DeterministicComponents,
-    n_paths: int,
     q_list,
     L: int,
-    rng: RandomStream,
     t0: int = 1,
-    burn_in: int | None = None,
 ) -> QuantilePaths:
     """Quantile bands of the marginal law of the fitted process.
 
-    Simulates ``n_paths`` independent stationary trajectories
-    (vectorized over paths, one noise substream per time step), adds the
-    deterministic structure back, and reduces each time point to the
-    requested empirical quantiles across paths.  Memory stays at
-    O(paths x components): quantiles are taken step by step.
+    Each component of the periodically stationary solution is SaS with a
+    scale that depends only on the phase, so the band of order ``q`` is
+    ``det_r(t) + sigma_r(phase t) z_q``, with ``z_q`` the standard SaS
+    quantile.  Exact; no paths are drawn.
+
+    Raises
+    ------
+    UnboundedModelError
+        When the model fails :func:`check_boundedness`.
+    NumericalError
+        When the scale series converges too slowly (near-unit monodromy).
     """
-    if n_paths < 100:
-        raise ValueError(f"need at least 100 paths, got {n_paths}")
     if L < 1:
         raise ValueError("L must be positive")
-    q_arr = np.asarray(sorted(float(q) for q in q_list))
-    if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
-        raise ValueError("quantile orders must lie strictly between 0 and 1")
-    if burn_in is None:
-        burn_in = 50 * model.period
-    state = np.zeros((n_paths, model.dim))
-    lines = np.empty((q_arr.size, model.dim, L))
+    q_arr = _quantile_orders(q_list)
+    report = check_boundedness(model)
+    if not report.bounded:
+        raise UnboundedModelError(f"no bounded solution: {report.detail}")
+    scales = _stationary_scales(model)  # (T, m)
     times = np.arange(t0, t0 + L)
-    det_vals = det.evaluate(times)  # (m, L)
-    for step, t in enumerate(range(t0 - burn_in, t0 + L)):
-        z = sample_stable_vector(
-            model.noise, model.alpha, n_paths, rng.substream(step)
-        )
-        state = state @ model.theta_at(t).T + z
-        k = t - t0
-        if k >= 0:
-            q_vals = np.quantile(state, q_arr, axis=0)  # (n_q, m)
-            lines[:, :, k] = q_vals + det_vals[None, :, k]
+    sigma = scales[(times - 1) % model.period].T  # (m, L)
+    z_q = _standard_quantiles(model.alpha, q_arr)
+    lines = det.evaluate(times)[None] + z_q[:, None, None] * sigma[None]
     return QuantilePaths(t0=t0, quantiles=tuple(q_arr), lines=lines)
 
 
@@ -490,30 +558,22 @@ def one_step_quantiles(
     det: DeterministicComponents,
     traj: MultiTrajectory,
     q_list,
-    n_paths: int = 5000,
-    rng: RandomStream | None = None,
 ) -> QuantilePaths:
     """Conditional next-step quantile bands along an observed series.
 
     At each time ``t`` past the first observation, the predictive law is
-    ``det(t) + Theta-hat(t) (x(t-1) - det(t-1)) + Z`` with ``Z`` drawn
-    from the fitted noise; quantiles are over ``n_paths`` shared noise
-    draws (the same draws serve every ``t``, which keeps bands smooth
-    and the computation one quantile pass per step).
+    ``det(t) + Theta-hat(t) (x(t-1) - det(t-1)) + Z``.  Component r of
+    the noise is SaS with ``sigma_r^alpha = sum_a gamma_a |s_{a,r}|^alpha``,
+    so its quantile of order q is ``sigma_r z_q``: the bands are exact.
     """
-    if rng is None:
-        rng = RandomStream(0)
-    q_arr = np.asarray(sorted(float(q) for q in q_list))
-    if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
-        raise ValueError("quantile orders must lie strictly between 0 and 1")
+    q_arr = _quantile_orders(q_list)
     times = np.arange(traj.t0, traj.t0 + traj.length)
     det_vals = det.evaluate(times)
     centered = traj.values - det_vals
-    z = sample_stable_vector(model.noise, model.alpha, n_paths, rng)
-    lines = np.empty((q_arr.size, traj.dim, traj.length - 1))
-    z_quant = np.quantile(z, q_arr, axis=0)  # (n_q, m) — noise is additive
-    for k in range(1, traj.length):
-        t = int(times[k])
-        predictor = model.theta_at(t) @ centered[:, k - 1] + det_vals[:, k]
-        lines[:, :, k - 1] = predictor[None, :] + z_quant
+    thetas = np.stack(model.theta)[(times[1:] - 1) % model.period]  # (L-1, m, m)
+    predictor = np.einsum("kij,jk->ik", thetas, centered[:, :-1]) + det_vals[:, 1:]
+    sigma = (np.abs(model.noise.points) ** model.alpha).T @ model.noise.weights
+    sigma = sigma ** (1.0 / model.alpha)
+    z_quant = _standard_quantiles(model.alpha, q_arr)[:, None] * sigma[None]
+    lines = predictor[None] + z_quant[:, :, None]
     return QuantilePaths(t0=traj.t0 + 1, quantiles=tuple(q_arr), lines=lines)

@@ -40,6 +40,7 @@ __all__ = [
     "empirical_char_function",
     "mcculloch_estimate",
     "stable_cdf",
+    "stable_quantile",
     "ad_stable_test",
 ]
 
@@ -298,6 +299,10 @@ def mcculloch_estimate(sample) -> StableParams:
 # Distribution function
 # ---------------------------------------------------------------------------
 
+#: |z| from which the distribution function uses the power-tail series
+_TAIL_Z = 50.0
+
+
 def _tail_upper_prob(z, alpha: float, kmax: int = 10):
     """Asymptotic series for P(X > z) of the standard law, valid for large
     positive z.  Terms: (1/pi) * (-1)^(k+1) Gamma(alpha k)/k! *
@@ -333,6 +338,17 @@ def _half_cdf_quad(z: float, alpha: float) -> float:
     return val / math.pi
 
 
+def _density_quad(z: float, alpha: float) -> float:
+    """Density of the standard law at z >= 0, by quadrature of the
+    cosine inversion integral."""
+    upper = 37.0 ** (1.0 / alpha)
+    val, _ = quad(
+        lambda u: math.cos(z * u) * math.exp(-(u ** alpha)),
+        0.0, upper, limit=800, epsabs=1e-12, epsrel=1e-10,
+    )
+    return val / math.pi
+
+
 def stable_cdf(params: StableParams, x):
     """Distribution function of SaS(alpha, scale) at ``x`` (scalar or
     array).
@@ -348,12 +364,48 @@ def stable_cdf(params: StableParams, x):
     out = np.empty_like(z)
     for i, zi in enumerate(z):
         az = abs(zi)
-        if az >= 50.0:
+        if az >= _TAIL_Z:
             g = 0.5 - _tail_upper_prob(az, params.alpha)
         else:
             g = _half_cdf_quad(az, params.alpha)
         out[i] = 0.5 + math.copysign(g, zi) if zi != 0.0 else 0.5
     return float(out[0]) if single else out
+
+
+def stable_quantile(params: StableParams, q: float) -> float:
+    """Quantile of order ``q`` of SaS(alpha, scale), the inverse of
+    :func:`stable_cdf`.
+
+    Orders whose quantile lies past ``_TAIL_Z``, where :func:`stable_cdf`
+    switches to the power-tail series, are inverted by bisection on that
+    series.  Below it, Newton's method runs on the quadrature
+    distribution function from z = 0: G is concave on z >= 0, so the
+    iterates rise monotonically to the root (4 to 11 steps for orders
+    0.55 to 0.99).  Symmetry gives the lower half.
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"quantile order must lie strictly in (0, 1), got {q}")
+    g = abs(q - 0.5)
+    a = params.alpha
+    if g >= 0.5 - float(_tail_upper_prob(_TAIL_Z, a)):
+        lo, hi = _TAIL_Z, 2.0 * _TAIL_Z
+        while 0.5 - float(_tail_upper_prob(hi, a)) < g:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            if 0.5 - float(_tail_upper_prob(mid, a)) < g:
+                lo = mid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+    else:
+        z = 0.0
+        for _ in range(100):
+            step = (g - _half_cdf_quad(z, a)) / _density_quad(z, a)
+            z += step
+            if step <= 1e-12 * max(z, 1.0):
+                break
+    return math.copysign(params.scale * z, q - 0.5)
 
 
 class _CdfInterpolator:
@@ -380,10 +432,13 @@ class _CdfInterpolator:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w *= (u[1] - u[0]) / 3.0
-        # sin(z u)/u with the u -> 0 limit z patched in
+        # sin(z u)/u with the u -> 0 limit z patched in, built in place:
+        # the (n_z, n_u) array is the largest allocation of the package
         ratio = np.empty((n_z, n_u))
-        zu = np.outer(self.z, u[1:])
-        ratio[:, 1:] = np.sin(zu) / u[1:]
+        body = ratio[:, 1:]
+        np.outer(self.z, u[1:], out=body)
+        np.sin(body, out=body)
+        body /= u[1:]
         ratio[:, 0] = self.z
         self.table = np.empty((n_alpha, n_z))
         for ia, a in enumerate(self.alphas):

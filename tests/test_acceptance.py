@@ -323,15 +323,12 @@ def test_criterion_11_pipeline_round_trip():
     obs = data.values + det0.evaluate(np.arange(1, L + 1))
 
     # marginal quantile-line coverage on data from the same model
-    lines = simulate_quantile_lines(
-        model, det0, n_paths=5000, q_list=[0.1, 0.5, 0.9], L=L, rng=RandomStream(22)
-    )
+    lines = simulate_quantile_lines(model, det0, q_list=[0.1, 0.5, 0.9], L=L)
     cover_lines = float(np.mean((obs >= lines.lines[0]) & (obs <= lines.lines[2])))
 
     # conditional one-step coverage
     osq = one_step_quantiles(
-        model, det0, MultiTrajectory(values=obs), q_list=[0.1, 0.5, 0.9],
-        n_paths=5000, rng=RandomStream(23),
+        model, det0, MultiTrajectory(values=obs), q_list=[0.1, 0.5, 0.9]
     )
     cover_step = float(
         np.mean((obs[:, 1:] >= osq.lines[0]) & (obs[:, 1:] <= osq.lines[2]))

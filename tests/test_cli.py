@@ -293,6 +293,20 @@ class TestFitFamily:
         assert len(rows) == 1 + 1499
         assert rows[1].startswith("2,")
 
+    def test_unbounded_fit_exits_3(self, tmp_path):
+        """An explosive series fits Theta-hat > 1.  Marginal bands do not
+        exist and exit 3 instead of returning huge or overflowing lines;
+        one-step bands condition on the observed state and still exist."""
+        gen = RandomStream(65).generator()
+        x = np.zeros((1, 250))
+        for k in range(1, 250):
+            x[0, k] = 1.2 * x[0, k - 1] + gen.standard_normal()
+        data = tmp_path / "explosive.csv"
+        MultiTrajectory(values=x).to_csv(data)
+        for cmd, code in (("quantile-lines", 3), ("one-step", 0)):
+            out = tmp_path / f"{cmd}.csv"
+            assert main([cmd, str(data), "--period", "1", "--out", str(out)]) == code
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(
             ["fit", str(tmp_path / "none.csv"), "--period", "3",

@@ -5,22 +5,54 @@ import numpy as np
 import pytest
 
 from stablepar.estimators import EstimationResult
-from stablepar.exceptions import DataError
+from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
-from stablepar.par_model import MultiTrajectory, ParModel, simulate_par1
+from stablepar.par_model import (
+    MultiTrajectory,
+    ParModel,
+    simulate_par1,
+    simulate_paths,
+    theoretical_cv,
+)
 from stablepar.pipeline import (
     DeterministicComponents,
     QuantilePaths,
     build_predictive_model,
     diagnose_residuals,
     fit_deterministic,
+    fit_model,
     fit_par1,
     one_step_quantiles,
     residuals_from_estimate,
     simulate_quantile_lines,
 )
 from stablepar.rng import RandomStream
-from stablepar.stable import DiscreteSpectralMeasure, StableParams, sample_sas_1d
+from stablepar.stable import (
+    DiscreteSpectralMeasure,
+    StableParams,
+    mcculloch_estimate,
+    sample_sas_1d,
+    sample_stable_vector,
+    stable_quantile,
+)
+
+
+def _zero_det(model):
+    return DeterministicComponents(
+        period=model.period,
+        intercept=np.zeros(model.dim),
+        slope=np.zeros(model.dim),
+        periodic_mean=np.zeros((model.dim, model.period)),
+    )
+
+
+def _within_binomial_error(x, lines, q_arr, n_se=4.0):
+    """The share of draws ``x`` (axis 0) at or below each exact quantile
+    line is within ``n_se`` binomial standard errors of its order."""
+    n = x.shape[0]
+    for qi, q in enumerate(q_arr):
+        share = np.mean(x <= lines[qi][None], axis=0)
+        assert np.all(np.abs(share - q) <= n_se * np.sqrt(q * (1 - q) / n)), (q, share)
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +213,11 @@ class TestBuildPredictiveModel:
             ]
         )
         res = MultiTrajectory(values=vals)
-        diag = diagnose_residuals(res, T=2, n_sims=100, rng=RandomStream(53))
+        marginals = [mcculloch_estimate(x) for x in res.values]
         est = EstimationResult(
             theta_hat=(np.zeros((3, 3)), np.zeros((3, 3))), method="YW-CV"
         )
-        model = build_predictive_model(res, diag, est)
+        model = build_predictive_model(res, marginals, est)
         assert model.noise.n_atoms == 6
         assert model.noise.is_symmetric(tol=1e-12)
         # per-axis mass is sigma_i^alpha / 2, so the mass ordering must
@@ -217,6 +249,21 @@ class TestFitPar1:
         assert fr.estimate.method == "YW-T"
         with pytest.raises(ValueError):
             fit_par1(obs, 3, method="nope")
+
+    @pytest.mark.parametrize("method", ["yw-cv", "yw-t"])
+    def test_is_model_fit_plus_diagnostics(self, observed_model1, method):
+        """Splitting off fit_model changes nothing: same coefficients and
+        model, and the bootstrap p-values of the parent commit at this seed."""
+        _, obs = observed_model1
+        fr = fit_par1(obs, 3, method=method, n_sims=100, rng=RandomStream(44))
+        fm = fit_model(obs, 3, method=method)
+        assert fm.diagnostics is None
+        assert np.array_equal(np.stack(fr.estimate.theta_hat), np.stack(fm.estimate.theta_hat))
+        assert fr.model.to_dict() == fm.model.to_dict()
+        diag = diagnose_residuals(fm.residuals, 3, n_sims=100, rng=RandomStream(44))
+        assert fr.diagnostics.table_rows() == diag.table_rows()
+        p_values = [c.ad_p_value for c in fr.diagnostics.components]
+        assert p_values == {"yw-cv": [0.36, 0.71], "yw-t": [0.35, 0.42]}[method]
 
 
 class TestQuantilePaths:
@@ -263,51 +310,88 @@ class TestSimulateQuantileLines:
             slope=[0.1, 0.0],
             periodic_mean=[[0.3, -0.3], [0.0, 0.0]],
         )
-        qp = simulate_quantile_lines(
-            tiny, det, n_paths=100, q_list=[0.1, 0.5, 0.9], L=10, rng=RandomStream(45)
-        )
+        qp = simulate_quantile_lines(tiny, det, q_list=[0.1, 0.5, 0.9], L=10)
         expected = det.evaluate(np.arange(1, 11))
         assert np.max(np.abs(qp.lines - expected[None])) < 1e-9
 
     def test_deterministic_and_ordered(self, observed_model1):
         m1, _ = observed_model1
-        det = DeterministicComponents(
-            period=3, intercept=[0.0, 0.0], slope=[0.0, 0.0],
-            periodic_mean=np.zeros((2, 3)),
-        )
-        a = simulate_quantile_lines(
-            m1, det, n_paths=200, q_list=[0.1, 0.5, 0.9], L=12, rng=RandomStream(54)
-        )
-        b = simulate_quantile_lines(
-            m1, det, n_paths=200, q_list=[0.1, 0.5, 0.9], L=12, rng=RandomStream(54)
-        )
+        det = _zero_det(m1)
+        a = simulate_quantile_lines(m1, det, q_list=[0.1, 0.5, 0.9], L=12)
+        b = simulate_quantile_lines(m1, det, q_list=[0.1, 0.5, 0.9], L=12)
         assert np.array_equal(a.lines, b.lines)
         assert np.all(a.lines[0] < a.lines[1])
         assert np.all(a.lines[1] < a.lines[2])
 
     def test_input_validation(self, model1):
-        det = DeterministicComponents(
-            period=3, intercept=[0.0, 0.0], slope=[0.0, 0.0],
-            periodic_mean=np.zeros((2, 3)),
+        det = _zero_det(model1)
+        for q_list in ([0.0], [0.5, 1.0], []):
+            with pytest.raises(ValueError):
+                simulate_quantile_lines(model1, det, q_list=q_list, L=5)
+        with pytest.raises(ValueError):
+            simulate_quantile_lines(model1, det, q_list=[0.5], L=0)
+
+    @pytest.mark.parametrize("L", [20, 4000])
+    def test_unbounded_model_is_named(self, L):
+        """Theta = 1.2 I has no bounded solution.  Without the check the
+        bands reach 2.4e10 at L=20 and overflow at L=4000."""
+        model = ParModel(
+            period=2,
+            theta=(1.2 * np.eye(2), 1.2 * np.eye(2)),
+            alpha=1.5,
+            noise=DiscreteSpectralMeasure.symmetric(np.eye(2), [1.0, 1.0]),
         )
-        with pytest.raises(ValueError):
-            simulate_quantile_lines(model1, det, n_paths=10, q_list=[0.5], L=5,
-                                    rng=RandomStream(0))
-        with pytest.raises(ValueError):
-            simulate_quantile_lines(model1, det, n_paths=200, q_list=[0.0], L=5,
-                                    rng=RandomStream(0))
+        with pytest.raises(UnboundedModelError):
+            simulate_quantile_lines(model, _zero_det(model), q_list=[0.1, 0.9], L=L)
+
+    def test_near_unit_monodromy_is_named(self, model1):
+        """A bounded model whose scale series cannot converge in the
+        period cap fails with the monodromy radius in the message."""
+        near = ParModel(
+            period=3,
+            theta=(np.array([[0.99999, 0.2], [0.0, 0.5]]), np.eye(2), np.eye(2)),
+            alpha=model1.alpha,
+            noise=model1.noise,
+        )
+        with pytest.raises(NumericalError, match="monodromy spectral radius 0.99999"):
+            simulate_quantile_lines(near, _zero_det(near), q_list=[0.9], L=3)
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_scales_match_theoretical_cv(self, preset, request):
+        """Band minus median over z_q is the stationary scale, whose
+        alpha-th power is the covariation norm CV(X_r(v), X_r(v))."""
+        model = request.getfixturevalue(preset)
+        qp = simulate_quantile_lines(model, _zero_det(model), q_list=[0.5, 0.9], L=model.period)
+        z = stable_quantile(StableParams(model.alpha, 1.0), 0.9)
+        for v in range(1, model.period + 1):
+            for r in range(1, model.dim + 1):
+                cv = theoretical_cv(model, r, r, v, v, truncation=2000)
+                assert qp.lines[0, r - 1, v - 1] == 0.0
+                assert qp.lines[1, r - 1, v - 1] / z == pytest.approx(
+                    cv ** (1.0 / model.alpha), rel=1e-9
+                )
+
+    @pytest.mark.parametrize("preset, seed", [("model1", 61), ("model2", 62)])
+    def test_agrees_with_simulated_paths(self, preset, seed, request):
+        """20 000 stationary paths from ``simulate_paths`` fall below each
+        exact line at its order's rate, within 4 binomial standard errors."""
+        model = request.getfixturevalue(preset)
+        T, q_arr = model.period, [0.05, 0.1, 0.5, 0.9, 0.95]
+        burn_in = 60 * T
+        paths = simulate_paths(
+            model, np.zeros(model.dim), 0, burn_in + T, 20_000, RandomStream(seed)
+        )[:, :, burn_in:]  # times burn_in + 1 .. burn_in + T: phases 1..T
+        qp = simulate_quantile_lines(model, _zero_det(model), q_list=q_arr, L=T)
+        _within_binomial_error(paths, qp.lines, q_arr)
 
 
 class TestOneStepQuantiles:
     def test_median_tracks_conditional_predictor(self, observed_model1):
-        """Symmetric noise has (near-)zero median, so the central line must
-        ride on Theta-hat(t) (x(t-1) - det(t-1)) + det(t)."""
+        """Symmetric noise has zero median, so the central line must ride on
+        Theta-hat(t) (x(t-1) - det(t-1)) + det(t)."""
         m1, obs = observed_model1
-        fr = fit_par1(obs, 3, n_sims=100, rng=RandomStream(44))
-        osq = one_step_quantiles(
-            fr.model, fr.deterministic, obs, q_list=[0.1, 0.5, 0.9],
-            n_paths=4000, rng=RandomStream(46),
-        )
+        fr = fit_model(obs, 3)
+        osq = one_step_quantiles(fr.model, fr.deterministic, obs, q_list=[0.1, 0.5, 0.9])
         t = np.arange(1, obs.length + 1)
         cen = obs.values - fr.deterministic.evaluate(t)
         preds = np.stack(
@@ -319,5 +403,17 @@ class TestOneStepQuantiles:
             axis=1,
         )
         assert osq.t0 == obs.t0 + 1
-        assert np.max(np.abs(osq.lines[1] - preds)) < 0.1
+        assert np.max(np.abs(osq.lines[1] - preds)) < 1e-12
         assert np.all(osq.lines[0] < osq.lines[2])
+
+    @pytest.mark.parametrize("preset, seed", [("model1", 63), ("model2", 64)])
+    def test_noise_quantiles_match_sampler(self, preset, seed, request):
+        """From a zero state the one-step bands are the noise quantiles:
+        20 000 ``sample_stable_vector`` draws fall below them at the
+        right rate, within 4 binomial standard errors."""
+        model = request.getfixturevalue(preset)
+        q_arr = [0.05, 0.1, 0.5, 0.9, 0.95]
+        obs = MultiTrajectory(values=np.zeros((model.dim, 2)))
+        osq = one_step_quantiles(model, _zero_det(model), obs, q_list=q_arr)
+        z = sample_stable_vector(model.noise, model.alpha, 20_000, RandomStream(seed))
+        _within_binomial_error(z, osq.lines[:, :, 0], q_arr)

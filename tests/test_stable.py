@@ -19,6 +19,7 @@ from stablepar.stable import (
     sample_stable_vector,
     signed_power,
     stable_cdf,
+    stable_quantile,
 )
 
 
@@ -215,6 +216,34 @@ class TestStableCdf:
         p = StableParams(1.5, 1.0)
         upper = 1.0 - stable_cdf(p, 10.0)
         assert 0.005 < upper < 0.05
+
+
+class TestStableQuantile:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0])
+    def test_inverts_stable_cdf(self, alpha):
+        """At alpha = 1.1 the order 0.999 lies past z = 50 (z ~ 178),
+        where the power-tail series branch inverts it."""
+        p = StableParams(alpha, 1.0)
+        for q in (0.001, 0.05, 0.25, 0.5, 0.9, 0.999):
+            assert stable_cdf(p, stable_quantile(p, q)) == pytest.approx(q, abs=1e-6)
+        assert stable_quantile(StableParams(1.1, 1.0), 0.999) > 50.0
+
+    def test_gaussian_case_matches_normal(self):
+        p = StableParams(2.0, 1.0)
+        for q in (0.001, 0.05, 0.25, 0.5, 0.9, 0.999):
+            assert stable_quantile(p, q) == pytest.approx(
+                np.sqrt(2.0) * norm.ppf(q), abs=1e-8
+            )
+
+    def test_scale_and_symmetry(self):
+        z = stable_quantile(StableParams(1.4, 1.0), 0.8)
+        assert stable_quantile(StableParams(1.4, 2.5), 0.8) == pytest.approx(2.5 * z)
+        assert stable_quantile(StableParams(1.4, 1.0), 0.2) == pytest.approx(-z, rel=1e-12)
+
+    def test_order_range(self):
+        for q in (0.0, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                stable_quantile(StableParams(1.5, 1.0), q)
 
 
 class TestAdTest:
