@@ -46,6 +46,7 @@ from .par_model import (
     g_product,
     simulate_par1,
     simulate_paths,
+    simulate_replicates,
     theoretical_cv,
     theoretical_cv_diagonal,
     theoretical_phase_matrix,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .exceptions import DegenerateSeriesError, NumericalError
 from .stable import DiscreteSpectralMeasure, signed_power
@@ -280,6 +279,7 @@ def estimate_spectral_measure_2d(
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     if n_grid < 4 or n_grid % 2:
         raise ValueError("n_grid must be an even number >= 4")
+    from scipy.optimize import nnls  # scipy is imported on first use only
 
     dirs, a_aug, c, rank_deficient = _projection_design(float(alpha), int(n_grid))
     if rank_deficient:
@@ -293,7 +293,7 @@ def estimate_spectral_measure_2d(
     # rows is faster than the column-wise pass on the transposed layout.
     q25, q75 = np.quantile(dirs @ x.T, [0.25, 0.75], axis=1)
     b = (np.maximum(q75 - q25, 0.0) / c) ** alpha
-    g, _ = scipy.optimize.nnls(a_aug, np.concatenate([b, np.zeros_like(b)]))
+    g, _ = nnls(a_aug, np.concatenate([b, np.zeros_like(b)]))
 
     keep = g > 0.0
     if not np.any(keep):

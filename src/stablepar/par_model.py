@@ -37,6 +37,7 @@ __all__ = [
     "GProduct",
     "BoundednessReport",
     "simulate_par1",
+    "simulate_replicates",
     "simulate_paths",
     "g_product",
     "check_boundedness",
@@ -328,7 +329,34 @@ def simulate_par1(
     The recursion starts at the zero vector ``burn_in`` steps before time
     1 (default ``50 * T``) so the retained stretch is effectively a draw
     from the periodically stationary solution; the phase of the retained
-    samples is anchored so that ``X(t)`` uses ``Theta(t)``.
+    samples is anchored so that ``X(t)`` uses ``Theta(t)``.  This is
+    :func:`simulate_replicates` with one stream.
+
+    Raises
+    ------
+    UnboundedModelError
+        When the model fails :func:`check_boundedness` and
+        ``allow_unbounded`` is not set.
+    """
+    paths = simulate_replicates(model, L, [rng], burn_in, allow_unbounded)
+    return MultiTrajectory(values=paths[0], t0=1)
+
+
+def simulate_replicates(
+    model: ParModel,
+    L: int,
+    streams: list[RandomStream],
+    burn_in: int | None = None,
+    allow_unbounded: bool = False,
+) -> np.ndarray:
+    """Simulate one trajectory ``X(1..L)`` per stream, all in one pass.
+
+    Replicate ``i`` draws its ``burn_in + L`` noise vectors from
+    ``streams[i]`` exactly as :func:`simulate_par1` does, and the
+    recursion runs once over time for all replicates, so row ``i`` equals
+    ``simulate_par1(model, L, streams[i], burn_in).values``.  The model is
+    checked once per call.  Returns an ``(M, m, L)`` view of the
+    ``(burn_in + L, M, m)`` noise buffer the recursion overwrote.
 
     Raises
     ------
@@ -350,14 +378,27 @@ def simulate_par1(
                 "pass allow_unbounded=True to simulate anyway"
             )
     n_steps = burn_in + L
-    z = sample_stable_vector(model.noise, model.alpha, n_steps, rng)
-    x = np.zeros(model.dim)
-    out = np.empty((model.dim, L))
-    for k, t in enumerate(range(1 - burn_in, L + 1)):
-        x = model.theta_at(t) @ x + z[k]
-        if t >= 1:
-            out[:, t - 1] = x
-    return MultiTrajectory(values=out, t0=1)
+    buf = np.empty((n_steps, len(streams), model.dim))
+    for i, rng in enumerate(streams):
+        buf[:, i] = sample_stable_vector(model.noise, model.alpha, n_steps, rng)
+    _recurse(model, buf, 1 - burn_in, np.zeros(model.dim))
+    return buf[burn_in:].transpose(1, 2, 0)
+
+
+def _recurse(model: ParModel, buf: np.ndarray, t_first: int, x: np.ndarray) -> None:
+    """Run the recursion in place over ``buf`` of shape ``(n_steps, M, m)``.
+
+    On entry ``buf[k]`` holds the noise ``Z(t_first + k)`` of every
+    replicate, on exit the state ``X(t_first + k)``; ``x`` is the state
+    at ``t_first - 1``, shared by all replicates when it is one vector.
+    ``np.matvec`` takes one matrix-vector product per replicate, so each
+    row's arithmetic does not depend on how many replicates share the
+    buffer (a matrix-matrix product may round differently by batch size).
+    """
+    T = model.period
+    for k in range(buf.shape[0]):
+        buf[k] += np.matvec(model.theta[(t_first - 1 + k) % T], x)
+        x = buf[k]
 
 
 def simulate_paths(
@@ -379,14 +420,11 @@ def simulate_paths(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must have shape ({model.dim},), got {x0.shape}")
-    state = np.tile(x0, (n_paths, 1))
-    out = np.empty((n_paths, model.dim, n_steps))
+    buf = np.empty((n_steps, n_paths, model.dim))
     for k in range(n_steps):
-        t = t_start + 1 + k
-        z = sample_stable_vector(model.noise, model.alpha, n_paths, rng.substream(k))
-        state = state @ model.theta_at(t).T + z
-        out[:, :, k] = state
-    return out
+        buf[k] = sample_stable_vector(model.noise, model.alpha, n_paths, rng.substream(k))
+    _recurse(model, buf, t_start + 1, x0)
+    return buf.transpose(1, 2, 0)
 
 
 def theoretical_cv(

@@ -300,14 +300,16 @@ def residuals_from_estimate(
     detrended: MultiTrajectory, estimate: EstimationResult
 ) -> MultiTrajectory:
     """One-step-ahead residuals ``x(t) - Theta-hat(t) x(t-1)``, t from the
-    second observation on."""
-    x = detrended.values
-    L = detrended.length
-    out = np.empty((detrended.dim, L - 1))
-    for k in range(1, L):
-        t = detrended.t0 + k
-        out[:, k - 1] = x[:, k] - estimate.theta_at(t) @ x[:, k - 1]
-    return MultiTrajectory(values=out, t0=detrended.t0 + 1)
+    second observation on, computed phase by phase over time-major
+    copies (one matrix-vector product per time, as a per-step loop)."""
+    x = detrended.values.T  # (L, m)
+    L, T = detrended.length, estimate.period
+    out = np.empty((L - 1, detrended.dim))
+    for k0 in range(1, T + 1):
+        ks = np.arange(k0, L, T)  # every column of the phase of t0 + k0
+        th = estimate.theta_at(detrended.t0 + k0)
+        out[ks - 1] = x[ks] - np.matvec(th, x[ks - 1])
+    return MultiTrajectory(values=out.T, t0=detrended.t0 + 1)
 
 
 def build_predictive_model(

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from ._mcculloch import ALPHA_GRID, C_TABLE, NU_TABLE
 from .exceptions import DataError, TableRangeError
@@ -313,7 +311,7 @@ def _tail_upper_prob(z, alpha: float, kmax: int = 10):
         term = (
             (-1.0) ** (k + 1)
             / math.pi
-            * gamma_fn(alpha * k)
+            * math.gamma(alpha * k)
             / math.factorial(k)
             * math.sin(k * math.pi * alpha / 2.0)
             * z ** (-alpha * k)
@@ -327,6 +325,8 @@ def _half_cdf_quad(z: float, alpha: float) -> float:
     quadrature of the characteristic-function inversion integral."""
     if z == 0.0:
         return 0.0
+    from scipy.integrate import quad  # scipy is imported on first use only
+
     upper = 37.0 ** (1.0 / alpha)  # exp(-37) truncation of the CF factor
 
     def integrand(u: float) -> float:
@@ -341,6 +341,8 @@ def _half_cdf_quad(z: float, alpha: float) -> float:
 def _density_quad(z: float, alpha: float) -> float:
     """Density of the standard law at z >= 0, by quadrature of the
     cosine inversion integral."""
+    from scipy.integrate import quad  # scipy is imported on first use only
+
     upper = 37.0 ** (1.0 / alpha)
     val, _ = quad(
         lambda u: math.cos(z * u) * math.exp(-(u ** alpha)),

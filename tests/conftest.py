@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import stablepar.par_model as par_model
 from stablepar.mc import model1_preset, model2_preset
 from stablepar.rng import RandomStream
 
@@ -29,3 +30,18 @@ def model2():
 @pytest.fixture()
 def stream():
     return RandomStream(20260822)
+
+
+@pytest.fixture()
+def boundedness_calls(monkeypatch):
+    """Models passed to ``check_boundedness`` while the test runs, counted
+    at the name the simulation kernel calls."""
+    calls = []
+    original = par_model.check_boundedness
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(par_model, "check_boundedness", counting)
+    return calls

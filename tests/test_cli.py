@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablepar
 from stablepar.cli import load_config, load_trajectory, main, model_from_config
 from stablepar.estimators import EstimationResult
 from stablepar.exceptions import DataError
@@ -313,3 +318,16 @@ class TestFitFamily:
              "--out", str(tmp_path / "a")]
         )
         assert rc == 2
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported on first use only, so starting the CLI does not
+    pay for it."""
+    src = str(Path(stablepar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, stablepar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,13 +2,16 @@
 aggregation, and the failure-accounting contract."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stablepar.exceptions import NumericalError
+import stablepar.mc as mc
+from stablepar.exceptions import NumericalError, UnboundedModelError
 from stablepar.mc import (
     DEFAULT_ALPHA_SWEEP,
+    REPLICATE_BLOCK,
     McCell,
     McConfig,
     McReport,
@@ -16,7 +19,8 @@ from stablepar.mc import (
     model2_preset,
     run_mc_study,
 )
-from stablepar.par_model import ParModel, check_boundedness
+from stablepar.par_model import ParModel, check_boundedness, simulate_par1
+from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
 
 
@@ -149,6 +153,63 @@ class TestRunMcStudy:
         cfg = McConfig(model=bad, L=50, M=4, methods=("YW-CV",), seed=1)
         with pytest.raises(NumericalError):
             run_mc_study(cfg)
+
+
+def _record_trajectories(monkeypatch):
+    """Capture the trajectory every YW-CV estimate of a study receives."""
+    seen = []
+    original = mc.yw_cv_estimate
+
+    def recording(traj, T):
+        seen.append(np.array(traj.values))
+        return original(traj, T)
+
+    monkeypatch.setattr(mc, "yw_cv_estimate", recording)
+    return seen
+
+
+class TestBatchedReplicates:
+    @pytest.mark.parametrize("preset", [model1_preset, model2_preset])
+    def test_replicate_equals_single_stream_simulation(
+        self, monkeypatch, boundedness_calls, preset
+    ):
+        """Replicates run in blocks, yet replicate i of the k-th alpha is
+        exactly simulate_par1 on substream (k, i); M spans two blocks."""
+        seen = _record_trajectories(monkeypatch)
+        M = REPLICATE_BLOCK + 3
+        cfg = McConfig(model=preset(), L=40, M=M, alphas=(1.4, 1.9),
+                       methods=("YW-CV",), seed=17, burn_in=12)
+        run_mc_study(cfg)
+        assert len(seen) == 2 * M
+        # one check per alpha, not per block
+        assert [m.alpha for m in boundedness_calls] == [1.4, 1.9]
+        base = RandomStream(17)
+        for k, alpha in enumerate(cfg.alphas):
+            model = replace(cfg.model, alpha=alpha)
+            for i in range(M):
+                expected = simulate_par1(model, 40, base.substream(k, i), burn_in=12)
+                assert np.array_equal(seen[k * M + i], expected.values), (k, i)
+
+    def test_replicate_seeds_are_honoured(self, monkeypatch):
+        seen = _record_trajectories(monkeypatch)
+        cfg = McConfig(model=model1_preset(), L=40, M=3, methods=("YW-CV",),
+                       replicate_seeds=(5, 9, 5))
+        run_mc_study(cfg)
+        for values, seed in zip(seen, (5, 9, 5)):
+            expected = simulate_par1(cfg.model, 40, RandomStream(seed))
+            assert np.array_equal(values, expected.values)
+
+    def test_unbounded_model_raises_once(self, boundedness_calls):
+        bad = ParModel(
+            period=1,
+            theta=(np.array([[1.3]]),),
+            alpha=1.8,
+            noise=DiscreteSpectralMeasure.symmetric([[1.0]], [0.5]),
+        )
+        cfg = McConfig(model=bad, L=50, M=REPLICATE_BLOCK + 3, methods=("YW-CV",))
+        with pytest.raises(UnboundedModelError):
+            run_mc_study(cfg)
+        assert len(boundedness_calls) == 1
 
 
 @pytest.fixture(scope="module")

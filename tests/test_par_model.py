@@ -16,13 +16,14 @@ from stablepar.par_model import (
     g_product,
     simulate_par1,
     simulate_paths,
+    simulate_replicates,
     theoretical_cv,
     theoretical_cv_diagonal,
     theoretical_phase_matrix,
 )
 from stablepar.estimators import yw_cv_estimate
 from stablepar.rng import RandomStream
-from stablepar.stable import DiscreteSpectralMeasure
+from stablepar.stable import DiscreteSpectralMeasure, sample_stable_vector
 
 
 def _diagonal_model(diags, alpha=1.5, weights=None):
@@ -224,6 +225,71 @@ class TestSimulate:
         b = simulate_paths(model1, x0, t_start=4, n_steps=6, n_paths=50, rng=RandomStream(13))
         assert a.shape == (50, 2, 6)
         assert np.array_equal(a, b)
+
+
+def _reference_recursion(model, x, t_first, z):
+    """Per-step ``Theta(t) @ x + z`` loop: ``z[k]`` drives time ``t_first + k``."""
+    out = np.empty((len(z), model.dim))
+    for k in range(len(z)):
+        x = model.theta_at(t_first + k) @ x + z[k]
+        out[k] = x
+    return out
+
+
+class TestSimulateReplicates:
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    @pytest.mark.parametrize("burn_in", [None, 0, 7])
+    def test_matches_reference_loop(self, preset, burn_in, request):
+        model = request.getfixturevalue(preset)
+        streams = [RandomStream(31).substream(i) for i in range(5)]
+        paths = simulate_replicates(model, 40, streams, burn_in=burn_in)
+        assert paths.shape == (5, model.dim, 40)
+        n_burn = 50 * model.period if burn_in is None else burn_in
+        for i, rng in enumerate(streams):
+            z = sample_stable_vector(model.noise, model.alpha, n_burn + 40, rng)
+            ref = _reference_recursion(model, np.zeros(model.dim), 1 - n_burn, z)[n_burn:]
+            np.testing.assert_allclose(paths[i], ref.T, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_rows_equal_single_stream_runs(self, preset, request):
+        model = request.getfixturevalue(preset)
+        streams = [RandomStream(32).substream(0, i) for i in range(40)]
+        paths = simulate_replicates(model, 60, streams, burn_in=9)
+        for i, rng in enumerate(streams):
+            assert np.array_equal(paths[i], simulate_par1(model, 60, rng, burn_in=9).values)
+
+    def test_checks_boundedness_once_per_call(self, boundedness_calls, model1):
+        calls = boundedness_calls
+        simulate_replicates(model1, 30, [RandomStream(33).substream(i) for i in range(8)])
+        assert len(calls) == 1
+        bad = _diagonal_model([[1.2]])
+        with pytest.raises(UnboundedModelError):
+            simulate_replicates(bad, 30, [RandomStream(34).substream(i) for i in range(8)])
+        assert len(calls) == 2
+        paths = simulate_replicates(
+            bad, 30, [RandomStream(34)], burn_in=0, allow_unbounded=True
+        )
+        assert len(calls) == 2 and paths.shape == (1, 1, 30)
+
+    def test_input_validation(self, model1):
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate_replicates(model1, 30, [RandomStream(1)], burn_in=-1)
+        with pytest.raises(ValueError, match="one period"):
+            simulate_replicates(model1, 2, [RandomStream(1)])
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_simulate_paths_matches_reference_loop(self, preset, request):
+        model = request.getfixturevalue(preset)
+        x0 = np.linspace(-0.5, 0.7, model.dim)
+        rng = RandomStream(35)
+        paths = simulate_paths(model, x0, t_start=5, n_steps=8, n_paths=30, rng=rng)
+        z = np.stack([
+            sample_stable_vector(model.noise, model.alpha, 30, rng.substream(k))
+            for k in range(8)
+        ])  # (step, path, m)
+        for p in range(30):
+            ref = _reference_recursion(model, x0, 6, z[:, p])
+            np.testing.assert_allclose(paths[p], ref.T, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
 class TestTheoreticalCv:

@@ -201,6 +201,24 @@ class TestResiduals:
         )
 
 
+    @pytest.mark.parametrize("t0", [5, 7, -4])
+    def test_matches_per_step_loop(self, model1, t0):
+        """Phase-by-phase residuals equal the per-step loop exactly, also
+        when t0 is not 1 modulo the period."""
+        traj = simulate_par1(model1, 500, RandomStream(61))
+        detrended = MultiTrajectory(values=traj.values, t0=t0)
+        est = EstimationResult(
+            theta_hat=tuple(th + 0.01 for th in model1.theta), method="YW-CV"
+        )
+        x = detrended.values
+        loop = np.empty((2, 499))
+        for k in range(1, 500):
+            loop[:, k - 1] = x[:, k] - est.theta_at(t0 + k) @ x[:, k - 1]
+        res = residuals_from_estimate(detrended, est)
+        assert res.t0 == t0 + 1
+        assert np.array_equal(res.values, loop)
+
+
 class TestBuildPredictiveModel:
     def test_axis_fallback_for_three_components(self):
         """Above two dimensions the noise falls back to independent signed

@@ -259,3 +259,22 @@ class TestAdTest:
         x = RandomStream(11).generator().uniform(0.0, 1.0, size=1000)
         p = ad_stable_test(x, n_sims=100, rng=RandomStream(12))
         assert p < 0.05
+
+
+class TestTailSeries:
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.8, 2.0])
+    def test_matches_series_with_scipy_gamma(self, alpha):
+        """The power-tail series uses math.gamma; scipy's gamma gives the
+        same upper probabilities to rounding."""
+        from scipy.special import gamma
+
+        from stablepar.stable import _tail_upper_prob
+
+        z = np.array([30.0, 50.0, 80.0, 1e3])
+        k = np.arange(1, 11)[:, None]
+        terms = ((-1.0) ** (k + 1) / np.pi * gamma(alpha * k)
+                 / np.cumprod(k)[:, None] * np.sin(k * np.pi * alpha / 2.0)
+                 * z ** (-alpha * k))
+        expected = np.clip(terms.sum(axis=0), 0.0, 0.5)
+        np.testing.assert_allclose(_tail_upper_prob(z, alpha), expected,
+                                   rtol=1e-13, atol=1e-18)
