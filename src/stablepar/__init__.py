@@ -39,7 +39,6 @@ from .mc import (
 )
 from .par_model import (
     BoundednessReport,
-    GProduct,
     MultiTrajectory,
     ParModel,
     check_boundedness,

@@ -14,27 +14,30 @@ products
 
 and every pairwise covariation of the solution is an explicit series in
 those products.  This module provides simulation, the g-products, the
-boundedness check, and the theoretical covariations (general series and
-the diagonal closed form) that serve as oracles for the estimators.
+boundedness check, and the theoretical covariations that serve as
+oracles for the estimators.  One kernel sums the series for every phase
+and component pair at a given lag, one period per step, until a further
+period no longer changes its absolute majorant in floating point;
+:func:`theoretical_cv`, :func:`theoretical_phase_matrix` and the
+stationary scales of the predictive bands are views of it.  The
+diagonal closed form is kept apart as an independent oracle.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DataError, UnboundedModelError
+from .exceptions import DataError, NumericalError, UnboundedModelError
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure, sample_stable_vector, signed_power
 
 __all__ = [
     "ParModel",
     "MultiTrajectory",
-    "GProduct",
     "BoundednessReport",
     "simulate_par1",
     "simulate_replicates",
@@ -254,15 +257,6 @@ def _start_time(path, name: str, cells: list) -> int:
 
 
 @dataclass
-class GProduct:
-    """The coefficient product ``g(t, t-j+1)`` with its index pair."""
-
-    t: int
-    j: int
-    matrix: np.ndarray
-
-
-@dataclass
 class BoundednessReport:
     bounded: bool
     diagonal: bool
@@ -271,19 +265,14 @@ class BoundednessReport:
     period_products: np.ndarray | None = None
 
 
-def g_product(model: ParModel, t: int, j: int) -> GProduct:
+def g_product(model: ParModel, t: int, j: int) -> np.ndarray:
     """Product ``Theta(t) Theta(t-1) ... Theta(t-j+1)`` (identity at j=0)."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     out = np.eye(model.dim)
     for k in range(j):
         out = out @ model.theta_at(t - k)
-    return GProduct(t=t, j=j, matrix=out)
-
-
-def _monodromy(model: ParModel, t: int) -> np.ndarray:
-    """One full period of coefficients ending at time ``t``."""
-    return g_product(model, t, model.period).matrix
+    return out
 
 
 def check_boundedness(model: ParModel, tol: float = 1e-8) -> BoundednessReport:
@@ -307,7 +296,8 @@ def check_boundedness(model: ParModel, tol: float = 1e-8) -> BoundednessReport:
             detail=f"diagonal model, |P_r| = {np.abs(p)!r} (need all < 1)",
             period_products=p,
         )
-    rho = float(np.max(np.abs(np.linalg.eigvals(_monodromy(model, model.period)))))
+    monodromy = g_product(model, model.period, model.period)
+    rho = float(np.max(np.abs(np.linalg.eigvals(monodromy))))
     ok = rho < 1.0 - tol
     return BoundednessReport(
         bounded=ok,
@@ -427,62 +417,95 @@ def simulate_paths(
     return buf.transpose(1, 2, 0)
 
 
-def theoretical_cv(
-    model: ParModel,
-    r: int,
-    l: int,
-    s: int,
-    t: int,
-    truncation: int = 500,
-    tail_tol: float = 1e-10,
-) -> float:
+#: Cap on the periods the covariation series may take to converge.
+_MAX_PERIODS = 20_000
+
+
+def _covariation_stack(model: ParModel, h: int) -> np.ndarray:
+    """``(T, m, m)`` stack ``C[v-1, r, l] = CV(X_r(v), X_l(v-h))`` at lag ``h``.
+
+    Both coordinates load on the noise at the shared times
+    ``v - h+ - j``, ``j >= 0`` (``h+ = max(h, 0)``, ``h- = max(-h, 0)``),
+    through ``A_j = Phi(v, h+ + j)`` and ``B_j = Phi(v - h, h- + j)`` with
+    ``Phi(t, j) = Theta(t) ... Theta(t-j+1)``.  The first period builds
+    them for ``j < T``; after that both advance one period per step by the
+    same factor ``Phi(v - h+ - j, T)``, and each period adds
+
+        sum_j  A_j U diag(gamma) (B_j U)^<alpha-1>'
+
+    over the atoms ``U`` and weights ``gamma`` of the noise measure, for
+    every phase at once.  The sum stops when one more period leaves every
+    entry of the absolute majorant ``sum gamma |A_j U| |B_j U|^(alpha-1)``
+    unchanged in floating point.
+
+    Raises
+    ------
+    UnboundedModelError
+        When the model fails :func:`check_boundedness`.
+    NumericalError
+        When the series has not converged after ``_MAX_PERIODS`` periods
+        (a near-unit monodromy); the message names its spectral radius.
+    """
+    report = check_boundedness(model)
+    if not report.bounded:
+        raise UnboundedModelError(f"no bounded solution: {report.detail}")
+    T = model.period
+    thetas = np.stack(model.theta)
+    phases = np.arange(T)  # phase v - 1, also the lag j within a period
+    h_plus, h_minus = max(h, 0), max(-h, 0)
+    # prods[k][p] = Phi(p + 1, k), the k coefficients ending at phase p + 1
+    prods = [np.tile(np.eye(model.dim), (T, 1, 1))]
+    for k in range(max(h_plus, h_minus) + T):
+        prods.append(prods[-1] @ thetas[(phases - k) % T])
+    a = np.stack([prods[h_plus + j] for j in phases], axis=1)  # (T, T, m, m): [v, j]
+    b = np.stack([prods[h_minus + j][(phases - h) % T] for j in phases], axis=1)
+    step = prods[T][(phases[:, None] - h_plus - phases[None, :]) % T]
+    pts_t = model.noise.points.T  # (m, k)
+    gam = model.noise.weights
+    exp = model.alpha - 1.0
+    total = np.zeros((T, model.dim, model.dim))
+    bound = np.zeros_like(total)
+    for _ in range(_MAX_PERIODS):
+        au, bu = a @ pts_t, b @ pts_t
+        total += np.einsum("vjrk,k,vjlk->vrl", au, gam, signed_power(bu, exp))
+        grown = bound + np.einsum(
+            "vjrk,k,vjlk->vrl", np.abs(au), gam, np.abs(bu) ** exp
+        )
+        if np.array_equal(grown, bound):
+            return total
+        bound = grown
+        a, b = a @ step, b @ step
+    rho = float(np.max(np.abs(np.linalg.eigvals(prods[T][0]))))
+    raise NumericalError(
+        f"covariation series did not converge in {_MAX_PERIODS} periods "
+        f"(monodromy spectral radius {rho:.6g})"
+    )
+
+
+def theoretical_cv(model: ParModel, r: int, l: int, s: int, t: int) -> float:
     """Covariation ``CV(X_r(s), X_l(t))`` of the stationary solution.
 
-    Expands both coordinates in the causal moving average and sums the
-    atom contributions over shared noise times ``min(s, t) - j``,
-    ``j = 0 .. truncation - 1``:
+    The moving-average series
 
-        sum_j sum_a gamma_a <row_r g(s, m*-j+1), u_a>
-                            <row_l g(t, m*-j+1), u_a>^<alpha-1>,
+        sum_j sum_a gamma_a <row_r Phi(s, s-m*+j), u_a>
+                            <row_l Phi(t, t-m*+j), u_a>^<alpha-1>,
 
-    with ``m* = min(s, t)``.  Also serves as the alpha-th power of the
-    covariation norm via ``r = l, s = t``.
+    over the shared noise times ``m* - j`` with ``m* = min(s, t)``,
+    summed to convergence: one entry of :func:`_covariation_stack` at
+    lag ``s - t`` and the phase of ``s``.  Also serves as the alpha-th
+    power of the covariation norm via ``r = l, s = t``.
 
-    Warns when the last retained term still exceeds ``tail_tol`` times
-    the partial sum in magnitude (insufficient truncation).
+    Raises
+    ------
+    UnboundedModelError
+        When the model fails :func:`check_boundedness`.
+    NumericalError
+        When the series does not converge (near-unit monodromy).
     """
     _check_component(model, r, "r")
     _check_component(model, l, "l")
-    if truncation < model.period:
-        raise ValueError(
-            f"truncation must cover a period ({model.period}), got {truncation}"
-        )
-    m_star = min(s, t)
-    a_s = g_product(model, s, s - m_star).matrix[r - 1]
-    a_t = g_product(model, t, t - m_star).matrix[l - 1]
-    u = model.noise.points  # (n_atoms, m)
-    gam = model.noise.weights
-    exp = model.alpha - 1.0
-    row_s = a_s.copy()
-    row_t = a_t.copy()
-    total = 0.0
-    term = 0.0
-    for j in range(truncation):
-        vs = row_s @ u.T
-        vt = row_t @ u.T
-        term = float(np.sum(gam * vs * signed_power(vt, exp)))
-        total += term
-        th = model.theta_at(m_star - j)
-        row_s = row_s @ th
-        row_t = row_t @ th
-    if abs(term) > tail_tol * max(abs(total), 1e-300):
-        warnings.warn(
-            f"covariation series tail not negligible after {truncation} terms "
-            f"(last term {term:.3g} vs partial sum {total:.3g}); "
-            "increase truncation or check boundedness",
-            stacklevel=2,
-        )
-    return total
+    stack = _covariation_stack(model, s - t)
+    return float(stack[(s - 1) % model.period, r - 1, l - 1])
 
 
 def theoretical_cv_diagonal(
@@ -494,7 +517,7 @@ def theoretical_cv_diagonal(
     covariation series telescopes across whole periods into a geometric
     factor ``1 / (1 - P_l^<alpha-1> P_r)``, leaving one finite sum over a
     single period.  Exact (up to rounding), hence the oracle against
-    which the truncated general series is validated.
+    which the general series is validated.
     """
     _check_component(model, r, "r")
     _check_component(model, l, "l")
@@ -537,12 +560,8 @@ def theoretical_cv_diagonal(
 
 
 def theoretical_phase_matrix(
-    model: ParModel,
-    v: int,
-    h: int,
-    normalized: bool = True,
-    truncation: int = 500,
-):
+    model: ParModel, v: int, h: int, normalized: bool = True
+) -> np.ndarray:
     """Model-implied per-phase (normalized) covariation matrix.
 
     Entry ``(r, l)`` is ``CV(X_r(v), X_l(v - h))``, divided when
@@ -551,17 +570,12 @@ def theoretical_phase_matrix(
     the per-phase sample matrices, used as the exact-recovery oracle for
     the estimation stage.  Returns a plain ``(m, m)`` array.
     """
-    m = model.dim
-    out = np.empty((m, m))
-    for r in range(1, m + 1):
-        for l in range(1, m + 1):
-            out[r - 1, l - 1] = theoretical_cv(
-                model, r, l, v, v - h, truncation=truncation
-            )
+    T = model.period
+    stack = _covariation_stack(model, h)
+    out = stack[(v - 1) % T]
     if normalized:
-        for l in range(1, m + 1):
-            norm = theoretical_cv(model, l, l, v - h, v - h, truncation=truncation)
-            out[:, l - 1] /= norm
+        lag0 = stack if h == 0 else _covariation_stack(model, 0)
+        out = out / np.diagonal(lag0[(v - h - 1) % T])
     return out
 
 

@@ -38,8 +38,8 @@ from .covariation import (
     ncv_cross,
 )
 from .estimators import EstimationResult, yw_cv_estimate, yw_t_estimate
-from .exceptions import DataError, NumericalError, UnboundedModelError
-from .par_model import MultiTrajectory, ParModel, check_boundedness
+from .exceptions import DataError
+from .par_model import MultiTrajectory, ParModel, _covariation_stack
 from .rng import RandomStream
 from .stable import (
     DiscreteSpectralMeasure,
@@ -64,11 +64,6 @@ __all__ = [
     "simulate_quantile_lines",
     "one_step_quantiles",
 ]
-
-
-def _phase_of(t, T: int):
-    """Phase 1..T of integer time ``t``, matching coefficient indexing."""
-    return (np.asarray(t) - 1) % T + 1
 
 
 @dataclass
@@ -466,10 +461,6 @@ class QuantilePaths:
             )
 
 
-#: Cap on the periods summed for the stationary scales.
-_MAX_SCALE_PERIODS = 20_000
-
-
 def _quantile_orders(q_list) -> np.ndarray:
     q_arr = np.asarray(sorted(float(q) for q in q_list))
     if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
@@ -480,44 +471,6 @@ def _quantile_orders(q_list) -> np.ndarray:
 def _standard_quantiles(alpha: float, q_arr: np.ndarray) -> np.ndarray:
     unit = StableParams(alpha, 1.0)
     return np.array([stable_quantile(unit, q) for q in q_arr])
-
-
-def _stationary_scales(model: ParModel) -> np.ndarray:
-    """``(T, m)`` scales of X_r at each phase of the stationary solution.
-
-    ``sigma_r(v)^alpha = sum_j sum_a gamma_a |e_r' Phi(v, j) s_a|^alpha``
-    with ``Phi(v, j) = Theta(v) ... Theta(v-j+1)``, all phases and rows
-    at once.  The first period builds ``Phi(v, j)`` for j < T; after that
-    ``Phi(v, j + T) = Phi(v, j) Phi(v - j, T)`` advances every lag by one
-    period per step.  The sum stops when one period adds less than 1e-12
-    of the partial sum.
-    """
-    T, m = model.period, model.dim
-    thetas = np.stack(model.theta)
-    pts_t = model.noise.points.T  # (m, k)
-    gam = model.noise.weights
-    a = model.alpha
-    phases = np.arange(T)  # phase v - 1
-    chain = np.tile(np.eye(m), (T, 1, 1))
-    first = []
-    for j in range(T):
-        first.append(chain)
-        chain = chain @ thetas[(phases - j) % T]
-    # chain is now Phi(v, T), the monodromy ending at each phase
-    lags = np.stack(first, axis=1)  # (T, T, m, m): [v, j] -> Phi(v, j)
-    step = chain[(phases[:, None] - phases[None, :]) % T]  # Phi(v - j, T)
-    total = np.zeros((T, m))
-    for _ in range(_MAX_SCALE_PERIODS):
-        added = (np.abs(lags @ pts_t) ** a @ gam).sum(axis=1)
-        total += added
-        if np.all(added <= 1e-12 * total):
-            return total ** (1.0 / a)
-        lags = lags @ step
-    rho = float(np.max(np.abs(np.linalg.eigvals(chain[0]))))
-    raise NumericalError(
-        f"stationary scale series did not converge in {_MAX_SCALE_PERIODS} "
-        f"periods (monodromy spectral radius {rho:.6g})"
-    )
 
 
 def simulate_quantile_lines(
@@ -539,15 +492,15 @@ def simulate_quantile_lines(
     UnboundedModelError
         When the model fails :func:`check_boundedness`.
     NumericalError
-        When the scale series converges too slowly (near-unit monodromy).
+        When the scale series does not converge (near-unit monodromy).
     """
     if L < 1:
         raise ValueError("L must be positive")
     q_arr = _quantile_orders(q_list)
-    report = check_boundedness(model)
-    if not report.bounded:
-        raise UnboundedModelError(f"no bounded solution: {report.detail}")
-    scales = _stationary_scales(model)  # (T, m)
+    # sigma_r(v)^alpha = CV(X_r(v), X_r(v)), the lag-0 diagonal
+    scales = np.diagonal(_covariation_stack(model, 0), axis1=1, axis2=2) ** (
+        1.0 / model.alpha
+    )  # (T, m)
     times = np.arange(t0, t0 + L)
     sigma = scales[(times - 1) % model.period].T  # (m, L)
     z_q = _standard_quantiles(model.alpha, q_arr)

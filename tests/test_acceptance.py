@@ -58,8 +58,8 @@ def test_criterion_01_exact_recovery_from_theoretical_matrices():
     """Exact per-phase dependence matrices recover the exact coefficients."""
     t0 = time.perf_counter()
     model = model1_preset()
-    m0s = [theoretical_phase_matrix(model, v - 1, 0, truncation=500) for v in (1, 2, 3)]
-    m1s = [theoretical_phase_matrix(model, v, 1, truncation=500) for v in (1, 2, 3)]
+    m0s = [theoretical_phase_matrix(model, v - 1, 0) for v in (1, 2, 3)]
+    m1s = [theoretical_phase_matrix(model, v, 1) for v in (1, 2, 3)]
     res = theta_from_cov_matrices(m0s, m1s)
     err = max(
         float(np.max(np.abs(res.theta_hat[v] - model.theta[v]))) for v in range(3)
@@ -72,8 +72,9 @@ def test_criterion_01_exact_recovery_from_theoretical_matrices():
 
 
 def test_criterion_02_series_matches_diagonal_closed_form():
-    """Truncated covariation series vs exact closed form, 20 random
-    diagonal models, indices 1.2/1.5/1.8, one-cycle products capped at 0.9."""
+    """Covariation series summed to convergence vs exact closed form, 20
+    random diagonal models, indices 1.2/1.5/1.8, one-cycle products
+    capped at 0.9."""
     t0 = time.perf_counter()
     gen = np.random.default_rng(42)
     worst = 0.0

@@ -57,14 +57,17 @@ class TestEstimationResult:
 
 
 class TestExactRecovery:
-    def test_theoretical_matrices_recover_coefficients(self, model1):
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_theoretical_matrices_recover_coefficients(self, preset, request):
         """The estimating systems are exact identities of the model: feeding
         exact dependence matrices returns the exact coefficients."""
-        m0s = [theoretical_phase_matrix(model1, v - 1, 0) for v in (1, 2, 3)]
-        m1s = [theoretical_phase_matrix(model1, v, 1) for v in (1, 2, 3)]
+        model = request.getfixturevalue(preset)
+        phases = range(1, model.period + 1)
+        m0s = [theoretical_phase_matrix(model, v - 1, 0) for v in phases]
+        m1s = [theoretical_phase_matrix(model, v, 1) for v in phases]
         res = theta_from_cov_matrices(m0s, m1s)
-        for v in range(3):
-            assert np.allclose(res.theta_hat[v], model1.theta[v], atol=1e-10)
+        for v in range(model.period):
+            assert np.allclose(res.theta_hat[v], model.theta[v], atol=1e-10)
         assert res.all_converged
 
     def test_column_scaling_cancels(self, model1):

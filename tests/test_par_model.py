@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepar.exceptions import DataError, UnboundedModelError
+from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
@@ -23,7 +23,7 @@ from stablepar.par_model import (
 )
 from stablepar.estimators import yw_cv_estimate
 from stablepar.rng import RandomStream
-from stablepar.stable import DiscreteSpectralMeasure, sample_stable_vector
+from stablepar.stable import DiscreteSpectralMeasure, sample_stable_vector, signed_power
 
 
 def _diagonal_model(diags, alpha=1.5, weights=None):
@@ -115,10 +115,10 @@ class TestMultiTrajectory:
 
 class TestGProduct:
     def test_identity_at_j_zero(self, model1):
-        assert np.array_equal(g_product(model1, 5, 0).matrix, np.eye(2))
+        assert np.array_equal(g_product(model1, 5, 0), np.eye(2))
 
     def test_single_factor(self, model1):
-        assert np.array_equal(g_product(model1, 4, 1).matrix, model1.theta_at(4))
+        assert np.array_equal(g_product(model1, 4, 1), model1.theta_at(4))
 
     @given(
         t=st.integers(-5, 10),
@@ -130,15 +130,15 @@ class TestGProduct:
         """g(t, t-j1-j2+1) = g(t, t-j1+1) g(t-j1, t-j1-j2+1): products over
         adjacent index windows compose."""
         model = _diagonal_model([[0.5, -0.3], [0.2, 0.1], [0.7, 0.4]])
-        full = g_product(model, t, j1 + j2).matrix
-        split = g_product(model, t, j1).matrix @ g_product(model, t - j1, j2).matrix
+        full = g_product(model, t, j1 + j2)
+        split = g_product(model, t, j1) @ g_product(model, t - j1, j2)
         assert np.allclose(full, split, atol=1e-12)
 
     def test_periodicity(self, model2):
         for j in (0, 1, 2, 5):
             assert np.allclose(
-                g_product(model2, 3, j).matrix,
-                g_product(model2, 3 + model2.period, j).matrix,
+                g_product(model2, 3, j),
+                g_product(model2, 3 + model2.period, j),
             )
 
 
@@ -292,9 +292,24 @@ class TestSimulateReplicates:
             np.testing.assert_allclose(paths[p], ref.T, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
+def _reference_cv_matrix(model, s, t, n_terms=3000):
+    """``CV(X_r(s), X_l(t))`` for all (r, l): the moving-average series
+    over the shared noise times ``min(s, t) - j``, one term per j."""
+    m_star = min(s, t)
+    lead_s = g_product(model, s, s - m_star)
+    lead_t = g_product(model, t, t - m_star)
+    tails = [np.eye(model.dim)]  # g_product(model, m_star, j), j = 0, 1, ...
+    for j in range(1, n_terms):
+        tails.append(tails[-1] @ model.theta_at(m_star - j + 1))
+    tails = np.stack(tails)
+    a = lead_s @ tails @ model.noise.points.T  # (n_terms, m, n_atoms)
+    b = signed_power(lead_t @ tails @ model.noise.points.T, model.alpha - 1.0)
+    return np.einsum("jrk,k,jlk->rl", a, model.noise.weights, b)
+
+
 class TestTheoreticalCv:
     def test_diagonal_closed_form_vs_series(self):
-        """The truncated series must agree with the exact telescoped form
+        """The general series must agree with the exact telescoped form
         on diagonal models; a handful of randomized cases at several
         (s, t) offsets."""
         gen = np.random.default_rng(42)
@@ -313,13 +328,47 @@ class TestTheoreticalCv:
                             theoretical_cv_diagonal(model, r, l, s, t), abs=1e-8
                         )
 
-    def test_tail_warning_fires_on_short_truncation(self):
+    def test_converges_or_raises_named_error(self, model1):
+        """The series is summed to convergence or fails by name: a slowly
+        decaying model meets the closed form with no warning, a model
+        without a bounded solution is refused, and a near-unit monodromy
+        names its spectral radius."""
         slow = _diagonal_model([[0.97]], alpha=1.5)
-        with pytest.warns(UserWarning, match="tail"):
-            theoretical_cv(slow, 1, 1, 1, 1, truncation=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            theoretical_cv(slow, 1, 1, 1, 1, truncation=2000)
+            assert theoretical_cv(slow, 1, 1, 1, 1) == pytest.approx(
+                theoretical_cv_diagonal(slow, 1, 1, 1, 1), rel=1e-10, abs=1e-10
+            )
+        explosive = _diagonal_model([[1.2, 1.2], [1.2, 1.2]])
+        with pytest.raises(UnboundedModelError):
+            theoretical_cv(explosive, 1, 1, 1, 1)
+        with pytest.raises(UnboundedModelError):
+            theoretical_phase_matrix(explosive, 1, 0)
+        near = ParModel(
+            period=3,
+            theta=(np.array([[0.99999, 0.2], [0.0, 0.5]]), np.eye(2), np.eye(2)),
+            alpha=model1.alpha,
+            noise=model1.noise,
+        )
+        with pytest.raises(NumericalError, match="monodromy spectral radius 0.99999"):
+            theoretical_cv(near, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_matches_term_by_term_series(self, preset, request):
+        """Every phase, component pair and lag in -T-1..T+1 against the
+        moving-average series summed term by term to a fixed 3000 terms."""
+        model = request.getfixturevalue(preset)
+        T = model.period
+        for h in range(-T - 1, T + 2):
+            for v in range(1, T + 1):
+                ref = _reference_cv_matrix(model, v, v - h)
+                np.testing.assert_allclose(
+                    theoretical_phase_matrix(model, v, h, normalized=False),
+                    ref, rtol=0, atol=1e-12,
+                )
+                assert theoretical_cv(model, 2, 1, v, v - h) == pytest.approx(
+                    ref[1, 0], rel=0, abs=1e-12
+                )
 
     def test_periodic_in_both_time_indices(self, model1):
         a = theoretical_cv(model1, 1, 2, 2, 1)

@@ -383,7 +383,7 @@ class TestSimulateQuantileLines:
         z = stable_quantile(StableParams(model.alpha, 1.0), 0.9)
         for v in range(1, model.period + 1):
             for r in range(1, model.dim + 1):
-                cv = theoretical_cv(model, r, r, v, v, truncation=2000)
+                cv = theoretical_cv(model, r, r, v, v)
                 assert qp.lines[0, r - 1, v - 1] == 0.0
                 assert qp.lines[1, r - 1, v - 1] / z == pytest.approx(
                     cv ** (1.0 / model.alpha), rel=1e-9
