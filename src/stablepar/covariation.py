@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateSeriesError, NumericalError
-from .stable import DiscreteSpectralMeasure, signed_power
+from .stable import DiscreteSpectralMeasure, signed_power, sorted_quantiles
 from ._mcculloch import ALPHA_GRID, C_TABLE
 
 __all__ = [
@@ -180,6 +180,14 @@ def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
     return float(np.sum(s1 * signed_power(s2, alpha - 1.0) * measure2d.weights))
 
 
+#: Most projection values one sort handles at once (8 MB of float64).
+#: A phase matrix packs as many pair fits into one block as fit; a pair
+#: of 50 000 observations on the default grid fills one block alone.
+_BLOCK_ELEMENTS = 1 << 20
+
+_COLLAPSED = "projection-method fit collapsed to the zero measure"
+
+
 @lru_cache(maxsize=16)
 def _projection_design(
     alpha: float, n_grid: int
@@ -214,6 +222,80 @@ def _projection_design(
     return dirs, a_aug, c, rank_deficient
 
 
+def _nnls_weights(a_aug: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ridge NNLS weights for each row of projection scales ``b``."""
+    from scipy.optimize import nnls  # scipy is imported on first use only
+
+    rhs = np.zeros(a_aug.shape[0])
+    g = np.empty_like(b)
+    for p, row in enumerate(b):
+        rhs[: row.size] = row
+        g[p] = nnls(a_aug, rhs)[0]
+    return g
+
+
+def _cv_weights(dirs: np.ndarray, alpha: float) -> np.ndarray:
+    """Covariation per unit weight of each +- atom pair on the grid, so
+    that ``cv_from_spectral`` of a fit with weights g is their dot."""
+    return 2.0 * dirs[:, 0] * signed_power(dirs[:, 1], alpha - 1.0)
+
+
+@lru_cache(maxsize=16)
+def _diagonal_cv_constant(alpha: float, n_grid: int) -> float:
+    """Covariation K of the fit to the pair (x, x) of a unit-IQR sample.
+
+    Every projection of (x, x) is (cos phi + sin phi) x, so its scale row
+    is |cos phi + sin phi|^alpha times (IQR(x)/c)^alpha, and the ridge
+    NNLS is positively homogeneous: the lag-0 diagonal entry of a phase
+    matrix is (IQR(x)/c)^alpha K, with no pair fit.
+    """
+    dirs, a_aug, _, _ = _projection_design(alpha, n_grid)
+    b = np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha
+    g = _nnls_weights(a_aug, b[None])[0]
+    return float(np.sum(_cv_weights(dirs, alpha) * g))
+
+
+def _checked_design(alpha: float, n_grid: int, *samples: np.ndarray) -> tuple:
+    """Validate a fit's options and samples (observations along the last
+    axis), warn if the design is rank-deficient, and return the cached
+    :func:`_projection_design`."""
+    n = samples[0].shape[-1]
+    if n < 100:
+        raise ValueError(f"need at least 100 observations, got {n}")
+    n_bad = sum(x.size - int(np.count_nonzero(np.isfinite(x))) for x in samples)
+    if n_bad:
+        raise ValueError(f"sample contains {n_bad} non-finite entries")
+    if not (1.0 < alpha <= 2.0):
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
+    if n_grid < 4 or n_grid % 2:
+        raise ValueError("n_grid must be an even number >= 4")
+    design = _projection_design(float(alpha), int(n_grid))
+    if design[3]:
+        warnings.warn(
+            "projection-scale system is rank-deficient: the direction "
+            "grid is not identifiable from these projections and the "
+            "returned weights are the minimum-norm nonnegative fit",
+            stacklevel=3,
+        )
+    return design
+
+
+def _fit_pairs(pairs: np.ndarray, alpha: float, n_grid: int) -> np.ndarray:
+    """Projection-method weights for a block of pairs.
+
+    ``pairs`` is ``(P, 2, n)``; the result is ``(P, n_grid/2)``, one NNLS
+    weight per grid direction (and its mirror image).  All projections of
+    the block are sorted in place along the observations, and their
+    quartiles are read from the sorted rows.
+    """
+    dirs, a_aug, c, _ = _projection_design(alpha, n_grid)
+    proj = dirs @ pairs
+    proj.sort(axis=-1)
+    q25, q75 = sorted_quantiles(proj, (0.25, 0.75))
+    b = (np.maximum(q75 - q25, 0.0) / c) ** alpha
+    return _nnls_weights(a_aug, b)
+
+
 def estimate_spectral_measure_2d(
     sample, alpha: float, n_grid: int = 40
 ) -> DiscreteSpectralMeasure:
@@ -238,9 +320,10 @@ def estimate_spectral_measure_2d(
 
     Everything that does not depend on the sample (the grid, the design
     matrix with its ridge rows, the rank check and the IQR constant) is
-    built once per ``(alpha, n_grid)`` and cached, so a per-phase matrix
-    of many pair fits pays for it once.  Per call, the quartiles of all
-    projections come from a single quantile pass.
+    built once per ``(alpha, n_grid)`` and cached, so many pair fits pay
+    for it once.  This is the one-pair case of the block fit that
+    :func:`cv_phase_matrix_spectral` runs: the projections are sorted and
+    their quartiles read by index.
 
     Parameters
     ----------
@@ -270,34 +353,12 @@ def estimate_spectral_measure_2d(
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError("sample must be an (n, 2) array")
-    if x.shape[0] < 100:
-        raise ValueError(f"need at least 100 observations, got {x.shape[0]}")
-    n_bad = x.size - int(np.count_nonzero(np.isfinite(x)))
-    if n_bad:
-        raise ValueError(f"sample contains {n_bad} non-finite entries")
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    if n_grid < 4 or n_grid % 2:
-        raise ValueError("n_grid must be an even number >= 4")
-    from scipy.optimize import nnls  # scipy is imported on first use only
-
-    dirs, a_aug, c, rank_deficient = _projection_design(float(alpha), int(n_grid))
-    if rank_deficient:
-        warnings.warn(
-            "projection-scale system is rank-deficient: the direction "
-            "grid is not identifiable from these projections and the "
-            "returned weights are the minimum-norm nonnegative fit",
-            stacklevel=2,
-        )
-    # (half, n) with each projection contiguous: one quantile pass along
-    # rows is faster than the column-wise pass on the transposed layout.
-    q25, q75 = np.quantile(dirs @ x.T, [0.25, 0.75], axis=1)
-    b = (np.maximum(q75 - q25, 0.0) / c) ** alpha
-    g, _ = nnls(a_aug, np.concatenate([b, np.zeros_like(b)]))
+    dirs = _checked_design(alpha, n_grid, x.T)[0]
+    g = _fit_pairs(x.T[None], float(alpha), int(n_grid))[0]
 
     keep = g > 0.0
     if not np.any(keep):
-        raise NumericalError("projection-method fit collapsed to the zero measure")
+        raise NumericalError(_COLLAPSED)
     return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
 
 
@@ -313,23 +374,55 @@ def cv_phase_matrix_spectral(
     :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
     matrix families describe the same observations.
 
+    The pair fits run in blocks of at most ``_BLOCK_ELEMENTS`` projection
+    values: one matrix product, one in-place sort and one quartile read
+    per block, then one NNLS per pair.  Each entry equals
+    :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d` on
+    its pair up to rounding.  At lag 0 the diagonal needs no pair fit:
+    entry (r, r) is ``(IQR(x_r)/c)^alpha K(alpha, n_grid)`` (see
+    :func:`_diagonal_cv_constant`), so an m-component phase matrix fits
+    m(m-1) pairs at lag 0 and m^2 at other lags.
+
     Raises
     ------
+    ValueError
+        If a phase sub-sample holds fewer than 100 observations or a
+        non-finite value, or if alpha or n_grid is out of range.
     NumericalError
-        If a pair fit collapses to the zero measure; the message names
-        the phase, the lag and the 1-based entry (r, l).
+        If a pair fit collapses to the zero measure (at the lag-0
+        diagonal: the component's interquartile range is zero); the
+        message names the phase, the lag and the first such 1-based
+        entry (r, l) in row-major order.
+
+    Warns
+    -----
+    UserWarning
+        Once per call when the projection-scale system is rank-deficient
+        (alpha = 2).
     """
     cur, lagged = _phase_samples(traj, T, v, h)
-    m = cur.shape[0]
+    dirs, _, c, _ = _checked_design(alpha, n_grid, cur, lagged)
+    alpha, n_grid = float(alpha), int(n_grid)
+    m, n = cur.shape
     out = np.empty((m, m))
-    for r in range(m):
-        for l in range(m):
-            pair = np.column_stack([cur[r], lagged[l]])
-            try:
-                measure = estimate_spectral_measure_2d(pair, alpha, n_grid)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"phase {v}, lag {h}, entry ({r + 1}, {l + 1}): {exc}"
-                ) from None
-            out[r, l] = cv_from_spectral(measure, alpha)
+    collapsed = np.zeros((m, m), dtype=bool)
+
+    entries = [(r, l) for r in range(m) for l in range(m) if h != 0 or r != l]
+    per_block = max(1, _BLOCK_ELEMENTS // (dirs.shape[0] * n))
+    cv_weights = _cv_weights(dirs, alpha)
+    for start in range(0, len(entries), per_block):
+        rs, ls = np.array(entries[start : start + per_block]).T
+        g = _fit_pairs(np.stack([cur[rs], lagged[ls]], axis=1), alpha, n_grid)
+        out[rs, ls] = np.sum(g * cv_weights, axis=1)
+        collapsed[rs, ls] = ~np.any(g > 0.0, axis=1)
+    if h == 0:
+        q25, q75 = sorted_quantiles(np.sort(cur, axis=1), (0.25, 0.75))
+        iqr = np.maximum(q75 - q25, 0.0)
+        diag = np.arange(m)
+        out[diag, diag] = (iqr / c) ** alpha * _diagonal_cv_constant(alpha, n_grid)
+        collapsed[diag, diag] = iqr == 0.0
+
+    if np.any(collapsed):
+        r, l = np.argwhere(collapsed)[0] + 1
+        raise NumericalError(f"phase {v}, lag {h}, entry ({r}, {l}): {_COLLAPSED}")
     return PhaseCovMatrix(period=T, phase=v, lag=h, values=out, kind="spectral")

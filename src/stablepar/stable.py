@@ -245,6 +245,35 @@ def empirical_char_function(sample: np.ndarray, theta) -> np.ndarray:
 # Quantile-based parameter estimation
 # ---------------------------------------------------------------------------
 
+def sorted_quantiles(x_sorted: np.ndarray, qs) -> list:
+    """Quantiles of samples already sorted along the last axis.
+
+    Returns one entry per level in ``qs``, each of shape
+    ``x_sorted.shape[:-1]``.  The order statistics are read by index
+    arithmetic with numpy's ``linear`` rule: with virtual index
+    ``i = (n-1) q``, ``lo = floor(i)``, ``t = i - lo`` and
+    ``d = x[lo+1] - x[lo]``, the quantile is ``x[lo] + d t``, or
+    ``x[lo+1] - d (1-t)`` when ``t >= 0.5``.  Every value therefore equals
+    ``np.quantile(x, q, axis=-1)`` exactly, with no axis move and no
+    partition.  A sample holding a NaN (sorted to its end) gives NaN, as
+    ``np.quantile`` does.
+    """
+    n = x_sorted.shape[-1]
+    out = []
+    for q in qs:
+        i = (n - 1) * float(q)
+        lo = math.floor(i)
+        t = i - lo
+        a = x_sorted[..., lo]
+        b = x_sorted[..., min(lo + 1, n - 1)]
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    has_nan = np.isnan(x_sorted[..., -1])
+    if np.any(has_nan):
+        out = [np.where(has_nan, np.nan, v) for v in out]
+    return out
+
+
 def mcculloch_estimate(sample) -> StableParams:
     """Estimate (alpha, scale) of a symmetric stable sample from its
     empirical 0.05/0.25/0.75/0.95 quantiles.
@@ -265,12 +294,12 @@ def mcculloch_estimate(sample) -> StableParams:
         If the quantile ratio falls outside the tabulated range (heavier
         tails than alpha = 0.6) or the interquartile range vanishes.
     """
-    x = np.asarray(sample, dtype=float).ravel()
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
     if x.size < 100:
         raise DataError(
             f"need at least 100 observations for quantile estimation, got {x.size}"
         )
-    q05, q25, q75, q95 = np.quantile(x, [0.05, 0.25, 0.75, 0.95])
+    q05, q25, q75, q95 = sorted_quantiles(x, (0.05, 0.25, 0.75, 0.95))
     iqr = q75 - q25
     if iqr <= 0.0:
         raise TableRangeError("interquartile range is zero; degenerate sample")
@@ -485,9 +514,8 @@ def _cdf_table() -> _CdfInterpolator:
 # Goodness of fit
 # ---------------------------------------------------------------------------
 
-def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
-    """Anderson-Darling statistic of a sample against the fitted law."""
-    x = np.sort(np.asarray(sample, dtype=float))
+def _ad_statistic(x: np.ndarray, params: StableParams) -> float:
+    """Anderson-Darling statistic of a sorted sample against the fitted law."""
     n = x.size
     u = _cdf_table().cdf(x, params)
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
@@ -519,11 +547,14 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
         raise DataError(f"need at least 100 observations, got {x.size}")
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
+    # Each sample is sorted once: the quantile fit and the statistic both
+    # read the sorted array.
+    x = np.sort(x)
     params = mcculloch_estimate(x)
     observed = _ad_statistic(x, params)
     exceed = 0
     for k in range(n_sims):
-        sim = sample_sas_1d(params, x.size, rng.substream(k))
+        sim = np.sort(sample_sas_1d(params, x.size, rng.substream(k)))
         sim_params = mcculloch_estimate(sim)
         if _ad_statistic(sim, sim_params) >= observed:
             exceed += 1

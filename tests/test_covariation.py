@@ -1,6 +1,7 @@
 """Dependence measures for heavy-tailed series: normalized covariation
 estimators, per-phase matrices, and the projection-method spectral fit."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stablepar.covariation as covariation
 from stablepar._mcculloch import ALPHA_GRID, C_TABLE
 from stablepar.covariation import (
+    _phase_samples,
     _projection_design,
     cv_from_spectral,
     cv_phase_matrix_spectral,
@@ -20,7 +23,7 @@ from stablepar.covariation import (
     ncv_phase_matrix,
 )
 from stablepar.exceptions import DegenerateSeriesError, NumericalError
-from stablepar.par_model import MultiTrajectory
+from stablepar.par_model import MultiTrajectory, simulate_par1
 from stablepar.rng import RandomStream
 from stablepar.stable import (
     DiscreteSpectralMeasure,
@@ -290,3 +293,74 @@ class TestSpectralPhaseMatrix:
         traj = MultiTrajectory(values=np.ones((2, 5)))
         with pytest.raises(ValueError):
             cv_phase_matrix_spectral(traj, T=3, v=1, h=1, alpha=1.5)
+
+    @staticmethod
+    def _reference_matrix(traj, T, v, h, alpha):
+        """One :func:`estimate_spectral_measure_2d` per entry, read off
+        with :func:`cv_from_spectral`: the per-pair formulation."""
+        cur, lagged = _phase_samples(traj, T, v, h)
+        m = cur.shape[0]
+        return np.array([
+            [
+                cv_from_spectral(
+                    estimate_spectral_measure_2d(
+                        np.column_stack([cur[r], lagged[l]]), alpha
+                    ),
+                    alpha,
+                )
+                for l in range(m)
+            ]
+            for r in range(m)
+        ])
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_matches_per_pair_fits(self, request, preset, alpha):
+        """The block fit and the closed-form lag-0 diagonal agree with a
+        separate fit per entry at every phase and lag 0 and 1."""
+        model = dataclasses.replace(request.getfixturevalue(preset), alpha=alpha)
+        T = model.period
+        traj = simulate_par1(model, 1200, RandomStream(39))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for v in range(T + 1):
+                for h in (0, 1):
+                    got = cv_phase_matrix_spectral(traj, T, v, h, alpha).values
+                    ref = self._reference_matrix(traj, T, v, h, alpha)
+                    scale = np.abs(ref).max()
+                    assert np.abs(got - ref).max() <= 1e-13 * scale, (v, h)
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_block_size_does_not_change_the_matrix(self, model2, monkeypatch, h):
+        """One pair per block gives the same matrix as all pairs in one."""
+        traj = simulate_par1(model2, 1200, RandomStream(40))
+        whole = cv_phase_matrix_spectral(traj, 2, 1, h, 1.8).values
+        monkeypatch.setattr(covariation, "_BLOCK_ELEMENTS", 1)
+        single = cv_phase_matrix_spectral(traj, 2, 1, h, 1.8).values
+        assert np.array_equal(single, whole)
+
+    def test_zero_component_names_its_lag0_diagonal_entry(self):
+        """At lag 0 the diagonal is read from the component's own
+        interquartile range; a vanishing one is reported like a
+        collapsed pair fit."""
+        vals = RandomStream(38).generator().normal(size=(3, 600))
+        vals[1] = 0.0
+        traj = MultiTrajectory(values=vals)
+        with pytest.raises(
+            NumericalError, match=r"^phase 1, lag 0, entry \(2, 2\): .*zero measure"
+        ):
+            cv_phase_matrix_spectral(traj, T=2, v=1, h=0, alpha=1.5)
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_rejects_non_finite_phase_sample(self, h):
+        vals = RandomStream(38).generator().normal(size=(2, 600))
+        vals[1, 300] = np.nan  # 1-based time 301: phase 1 of period 2
+        with pytest.raises(ValueError, match="non-finite entries"):
+            cv_phase_matrix_spectral(vals, T=2, v=1, h=h, alpha=1.5)
+
+    def test_warns_rank_deficient_on_every_call_at_alpha_2(self):
+        z = RandomStream(33).generator().normal(size=(2, 600))
+        traj = MultiTrajectory(values=z)
+        for h in (0, 1, 0):
+            with pytest.warns(UserWarning, match="rank-deficient"):
+                cv_phase_matrix_spectral(traj, T=2, v=1, h=h, alpha=2.0)

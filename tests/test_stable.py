@@ -18,6 +18,7 @@ from stablepar.stable import (
     sample_sas_1d,
     sample_stable_vector,
     signed_power,
+    sorted_quantiles,
     stable_cdf,
     stable_quantile,
 )
@@ -164,7 +165,40 @@ class TestCharFunctions:
         assert np.max(dev) < 0.02
 
 
+class TestSortedQuantiles:
+    LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+    @pytest.mark.parametrize("n", [100, 101, 500, 50_000])
+    def test_equals_numpy_linear_quantile_1d(self, n):
+        x = RandomStream(40).generator().standard_cauchy(n)
+        got = sorted_quantiles(np.sort(x), self.LEVELS)
+        ref = np.quantile(x, self.LEVELS, method="linear")
+        assert np.array_equal(got, ref)
+        assert all(type(q) is np.float64 for q in got)
+
+    @pytest.mark.parametrize("n", [100, 101, 500])
+    def test_equals_numpy_linear_quantile_3d_with_ties(self, n):
+        """Rounding to one decimal leaves many tied values in every row."""
+        x = np.round(RandomStream(41).generator().standard_cauchy((3, 20, n)), 1)
+        got = sorted_quantiles(np.sort(x, axis=-1), self.LEVELS)
+        ref = np.quantile(x, self.LEVELS, axis=-1, method="linear")
+        assert np.array_equal(got, ref)
+
+    def test_nan_row_gives_nan(self):
+        x = RandomStream(42).generator().normal(size=(4, 200))
+        x[2, 17] = np.nan
+        got = sorted_quantiles(np.sort(x, axis=-1), self.LEVELS)
+        ref = np.quantile(x, self.LEVELS, axis=-1)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.isnan(np.asarray(got)[:, 2]).all()
+
+
 class TestMcculloch:
+    def test_ignores_sample_order(self):
+        x = sample_sas_1d(StableParams(1.41, 1.0), 3000, RandomStream(123).substream(6))
+        assert mcculloch_estimate(np.sort(x)) == mcculloch_estimate(x)
+        assert mcculloch_estimate(x[::-1]) == mcculloch_estimate(x)
+
     def test_recovers_alpha_and_scale(self):
         x = sample_sas_1d(StableParams(1.41, 1.0), 10**5, RandomStream(123).substream(6))
         p = mcculloch_estimate(x)
