@@ -428,7 +428,6 @@ def cv_phase_matrix_spectral(
     m = cur.shape[0]
     out = np.empty((m, m))
     collapsed = np.zeros((m, m), dtype=bool)
-
     fitted = np.ones((m, m), dtype=bool)
     if h == 0:
         np.fill_diagonal(fitted, False)

@@ -547,8 +547,8 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
         raise DataError(f"need at least 100 observations, got {x.size}")
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
-    # Each sample is sorted once: the quantile fit and the statistic both
-    # read the sorted array.
+    # The statistic reads each sample sorted; the quantile fit is handed
+    # the same sorted array.
     x = np.sort(x)
     params = mcculloch_estimate(x)
     observed = _ad_statistic(x, params)
