@@ -181,9 +181,9 @@ def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
 
 
 #: Most projection values one sort handles at once (128 KB of float64).
-#: Short pairs share a block; a long pair's directions are split over
-#: several.  Larger blocks raised the peak resident memory (by 8 MB on a
-#: 10^5-row model2 estimate at 2^20) for no measurable speed gain there.
+#: A long pair's directions are split over several blocks.  Larger blocks
+#: raised the peak resident memory (by 8 MB on a 10^5-row model2
+#: estimate at 2^20) for no measurable speed gain there.
 _BLOCK_ELEMENTS = 1 << 14
 
 _COLLAPSED = "projection-method fit collapsed to the zero measure"
@@ -288,31 +288,28 @@ def _fit_pairs(
 
     ``x`` and ``y`` are ``(m, n)`` sample stacks; the result is
     ``(P, n_grid/2)``, one NNLS weight per grid direction (and its mirror
-    image) for each of the P pairs.  The projections are built block by
-    block, each block one matrix product of at most ``_BLOCK_ELEMENTS``
-    values (or one projection, if that is longer), sorted in place along
-    the observations; the quartiles are read from the sorted rows.
+    image) for each of the P pairs.  Each pair's projections are built
+    block by block, each block one matrix product of at most
+    ``_BLOCK_ELEMENTS`` values (or one projection, if that is longer),
+    sorted in place along the observations; the quartiles are read from
+    the sorted rows.
     """
     dirs, a_aug, c, _ = _projection_design(alpha, n_grid)
     half, n = dirs.shape[0], x.shape[1]
-    n_pairs = max(1, min(len(rs), _BLOCK_ELEMENTS // (half * n)))
     n_dirs = min(half, max(1, _BLOCK_ELEMENTS // n))
     # One pair buffer and one projection buffer serve every block: fresh
     # arrays per block raised the peak resident memory of a 10^5-row
     # estimate by about 1 MB.
-    pairs_buf, proj_buf = np.empty((n_pairs, 2, n)), np.empty((n_pairs, n_dirs, n))
+    pair, proj_buf = np.empty((2, n)), np.empty((n_dirs, n))
     iqr = np.empty((len(rs), half))
-    for p in range(0, len(rs), n_pairs):
-        block = list(zip(rs[p : p + n_pairs], ls[p : p + n_pairs]))
-        pairs = pairs_buf[: len(block)]
-        for i, (r, l) in enumerate(block):
-            pairs[i, 0], pairs[i, 1] = x[r], y[l]
+    for p, (r, l) in enumerate(zip(rs, ls)):
+        pair[0], pair[1] = x[r], y[l]
         for k in range(0, half, n_dirs):
             d = dirs[k : k + n_dirs]
-            proj = np.matmul(d, pairs, out=proj_buf[: len(block), : len(d)])
+            proj = np.matmul(d, pair, out=proj_buf[: len(d)])
             proj.sort(axis=-1)
             q25, q75 = sorted_quantiles(proj, (0.25, 0.75))
-            iqr[p : p + len(block), k : k + len(d)] = q75 - q25
+            iqr[p, k : k + len(d)] = q75 - q25
     return _nnls_weights(a_aug, (np.maximum(iqr, 0.0) / c) ** alpha)
 
 

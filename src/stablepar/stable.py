@@ -514,8 +514,9 @@ def _cdf_table() -> _CdfInterpolator:
 # Goodness of fit
 # ---------------------------------------------------------------------------
 
-def _ad_statistic(x: np.ndarray, params: StableParams) -> float:
-    """Anderson-Darling statistic of a sorted sample against the fitted law."""
+def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
+    """Anderson-Darling statistic of a sample against the fitted law."""
+    x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     u = _cdf_table().cdf(x, params)
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
@@ -547,14 +548,11 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
         raise DataError(f"need at least 100 observations, got {x.size}")
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
-    # The statistic reads each sample sorted; the quantile fit is handed
-    # the same sorted array.
-    x = np.sort(x)
     params = mcculloch_estimate(x)
     observed = _ad_statistic(x, params)
     exceed = 0
     for k in range(n_sims):
-        sim = np.sort(sample_sas_1d(params, x.size, rng.substream(k)))
+        sim = sample_sas_1d(params, x.size, rng.substream(k))
         sim_params = mcculloch_estimate(sim)
         if _ad_statistic(sim, sim_params) >= observed:
             exceed += 1
