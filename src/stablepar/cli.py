@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
@@ -41,6 +42,8 @@ CONFIG_DEFAULTS = {
     "quantiles": (0.1, 0.5, 0.9),
     "h_max": 10,
     "n_sims": 1000,
+    "alphas": (),
+    "methods": ("YW-CV", "YW-T"),
 }
 
 
@@ -66,13 +69,28 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, config: dict, key: str, flag_value=None):
-    """Flag > config > default resolution for one setting."""
-    if flag_value is not None:
-        return flag_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return CONFIG_DEFAULTS.get(key)
+def _setting(config: dict, key: str, kind, flag=None, required: bool = False):
+    """Flag > config > default resolution for one setting, read by ``kind``.
+
+    A key whose default is a tuple takes a list, read item by item.  A
+    missing required setting, or a value of the wrong type, is a
+    ``DataError`` that names the key.
+    """
+    value = flag if flag is not None else config.get(key)
+    if value is None:
+        value = CONFIG_DEFAULTS.get(key)
+    if value is None:
+        if required:
+            raise DataError(f"setting {key!r} is required (flag or config)")
+        return None
+    try:
+        if not isinstance(CONFIG_DEFAULTS.get(key), tuple):
+            return kind(value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(kind, value))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"config key {key!r}: {exc}") from None
 
 
 # The one trajectory reader; every command reads through this name.
@@ -87,11 +105,8 @@ def model_from_config(config: dict) -> ParModel:
                 f"unknown preset {config['preset']!r}; choose from {sorted(PRESETS)}"
             )
         model = PRESETS[name]()
-        if config.get("alpha") is not None:
-            from dataclasses import replace
-
-            model = replace(model, alpha=float(config["alpha"]))
-        return model
+        alpha = _setting(config, "alpha", float)
+        return model if alpha is None else replace(model, alpha=alpha)
     if "model" in config:
         try:
             return ParModel.from_dict(config["model"])
@@ -100,14 +115,8 @@ def model_from_config(config: dict) -> ParModel:
     raise DataError("config must provide either 'preset' or 'model'")
 
 
-def _require(value, what: str):
-    if value is None:
-        raise DataError(f"{what} is required (flag or config)")
-    return value
-
-
-def _method_key(method: str) -> str:
-    key = method.strip().lower().replace("_", "-")
+def _method_key(method) -> str:
+    key = str(method).strip().lower().replace("_", "-")
     if key not in ("yw-cv", "yw-t"):
         raise DataError(f"unknown method {method!r}; use yw-cv or yw-t")
     return key
@@ -115,30 +124,22 @@ def _method_key(method: str) -> str:
 
 def cmd_simulate(args, config: dict) -> int:
     model = model_from_config(config)
-    L = int(_require(config.get("L"), "trajectory length L (config key 'L')"))
-    seed = int(_setting(args, config, "seed", args.seed))
-    burn_in = config.get("burn_in")
-    traj = simulate_par1(
-        model, L, RandomStream(seed),
-        burn_in=None if burn_in is None else int(burn_in),
-    )
-    traj.to_csv(_require(args.out, "--out"))
+    L = _setting(config, "L", int, required=True)
+    seed = _setting(config, "seed", int, args.seed)
+    burn_in = _setting(config, "burn_in", int)
+    traj = simulate_par1(model, L, RandomStream(seed), burn_in=burn_in)
+    traj.to_csv(args.out)
     print(f"wrote {traj.dim}x{traj.length} trajectory to {args.out}")
     return 0
 
 
 def cmd_estimate(args, config: dict) -> int:
-    traj = load_trajectory(args.input, args.columns)
-    T = int(_require(_setting(args, config, "period", args.period), "--period"))
-    method = _method_key(_setting(args, config, "method", args.method))
+    traj, T, method, alpha = _fit_inputs(args, config)
     if method == "yw-cv":
         result = yw_cv_estimate(traj, T)
     else:
-        alpha = config.get("alpha")
-        result = yw_t_estimate(
-            traj, T, alpha=None if alpha is None else float(alpha)
-        )
-    result.to_csv(_require(args.out, "--out"))
+        result = yw_t_estimate(traj, T, alpha=alpha)
+    result.to_csv(args.out)
     extra = f" (alpha {result.alpha_used:.4f})" if result.alpha_used else ""
     print(f"wrote {T * traj.dim * traj.dim} coefficients to {args.out}{extra}")
     return 0
@@ -148,15 +149,15 @@ def cmd_mc_study(args, config: dict) -> int:
     model = model_from_config(config)
     cfg = McConfig(
         model=model,
-        L=int(_require(config.get("L"), "config key 'L'")),
-        M=int(_require(config.get("M"), "config key 'M'")),
-        alphas=tuple(config.get("alphas", ())),
-        methods=tuple(config.get("methods", ("YW-CV", "YW-T"))),
-        seed=int(_setting(args, config, "seed", args.seed)),
-        burn_in=None if config.get("burn_in") is None else int(config["burn_in"]),
+        L=_setting(config, "L", int, required=True),
+        M=_setting(config, "M", int, required=True),
+        alphas=_setting(config, "alphas", float),
+        methods=_setting(config, "methods", str),
+        seed=_setting(config, "seed", int, args.seed),
+        burn_in=_setting(config, "burn_in", int),
     )
     report = run_mc_study(cfg)
-    report.to_csv(_require(args.out, "--out"))
+    report.to_csv(args.out)
     n_fail = sum(report.failures.values())
     print(
         f"wrote {len(report.cells)} cells to {args.out}"
@@ -166,27 +167,23 @@ def cmd_mc_study(args, config: dict) -> int:
 
 
 def _fit_inputs(args, config: dict):
-    """Trajectory plus the model-fit arguments shared by the fit trio."""
+    """Trajectory plus the model-fit arguments of every command that reads one."""
     traj = load_trajectory(args.input, args.columns)
-    T = int(_require(_setting(args, config, "period", args.period), "--period"))
-    method = _method_key(_setting(args, config, "method", args.method))
-    alpha = config.get("alpha")
-    return traj, T, method, None if alpha is None else float(alpha)
+    T = _setting(config, "period", int, args.period, required=True)
+    method = _setting(config, "method", _method_key, args.method)
+    return traj, T, method, _setting(config, "alpha", float)
 
 
 def cmd_fit(args, config: dict) -> int:
     traj, T, method, alpha = _fit_inputs(args, config)
-    seed = int(_setting(args, config, "seed", args.seed))
+    seed = _setting(config, "seed", int, args.seed)
     fit = fit_par1(
-        traj,
-        T,
-        method=method,
-        alpha=alpha,
-        h_max=int(_setting(args, config, "h_max")),
-        n_sims=int(_setting(args, config, "n_sims")),
+        traj, T, method=method, alpha=alpha,
+        h_max=_setting(config, "h_max", int),
+        n_sims=_setting(config, "n_sims", int),
         rng=RandomStream(seed, (101,)),
     )
-    out_dir = Path(_require(args.out, "--out"))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fit.estimate.to_csv(out_dir / "coefficients.csv")
     fit.diagnostics.to_csv(out_dir / "diagnostics.csv")
@@ -204,29 +201,22 @@ def cmd_fit(args, config: dict) -> int:
 
 def cmd_quantile_lines(args, config: dict) -> int:
     traj, T, method, alpha = _fit_inputs(args, config)
+    q_list = _setting(config, "quantiles", float)
     fit = fit_model(traj, T, method=method, alpha=alpha)
     lines = simulate_quantile_lines(
-        fit.model,
-        fit.deterministic,
-        q_list=tuple(_setting(args, config, "quantiles")),
-        L=traj.length,
-        t0=traj.t0,
+        fit.model, fit.deterministic, q_list=q_list, L=traj.length, t0=traj.t0
     )
-    lines.to_csv(_require(args.out, "--out"))
+    lines.to_csv(args.out)
     print(f"wrote quantile lines ({lines.quantiles}) to {args.out}")
     return 0
 
 
 def cmd_one_step(args, config: dict) -> int:
     traj, T, method, alpha = _fit_inputs(args, config)
+    q_list = _setting(config, "quantiles", float)
     fit = fit_model(traj, T, method=method, alpha=alpha)
-    lines = one_step_quantiles(
-        fit.model,
-        fit.deterministic,
-        traj,
-        q_list=tuple(_setting(args, config, "quantiles")),
-    )
-    lines.to_csv(_require(args.out, "--out"))
+    lines = one_step_quantiles(fit.model, fit.deterministic, traj, q_list=q_list)
+    lines.to_csv(args.out)
     print(f"wrote one-step quantiles ({lines.quantiles}) to {args.out}")
     return 0
 
@@ -261,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--method", choices=["yw-cv", "yw-t"], help="estimation method"
         )
         p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--out", help="output file (or directory for fit)")
+        p.add_argument("--out", required=True, help="output file (or directory for fit)")
         p.add_argument("--config", help="JSON or YAML config file")
 
     common(sub.add_parser("simulate", help="model config -> trajectory CSV"), False)

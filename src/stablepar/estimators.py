@@ -24,13 +24,14 @@ is why the normalized and unnormalized routes solve the same system.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix
 from .exceptions import DataError, DegenerateSeriesError
-from .par_model import MultiTrajectory
+from .par_model import MultiTrajectory, _read_csv
 from .solvers import SolveReport, solve_yw
 from .stable import mcculloch_estimate
 
@@ -89,21 +90,20 @@ class EstimationResult:
 
     @classmethod
     def from_csv(cls, path, method: str = "YW-CV") -> "EstimationResult":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "v":
-                raise ValueError(f"{path}: expected header 'v,theta_11,...'")
-            m = int(round(np.sqrt(len(header) - 1)))
-            if m * m != len(header) - 1:
-                raise ValueError(f"{path}: {len(header) - 1} coefficient columns "
-                                 "do not form a square matrix")
-            mats = [
-                np.array([float(c) for c in row[1:]]).reshape(m, m)
-                for row in reader
-                if row
-            ]
-        return cls(theta_hat=tuple(mats), method=method)
+        """Read a :meth:`to_csv` file; malformed input raises :class:`DataError`."""
+
+        def select(header):
+            n = len(header) - 1
+            if header[0] != "v":
+                raise DataError(f"{path}: expected header 'v,theta_11,...'")
+            if n < 1 or math.isqrt(n) ** 2 != n:
+                raise DataError(f"{path}: {n} coefficient columns "
+                                "do not form a square matrix")
+            return range(n + 1)
+
+        data, _ = _read_csv(path, select)
+        m = math.isqrt(data.shape[1] - 1)
+        return cls(theta_hat=tuple(data[:, 1:].reshape(-1, m, m)), method=method)
 
 
 def _check_traj(traj: MultiTrajectory, T: int) -> None:

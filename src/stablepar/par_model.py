@@ -26,6 +26,7 @@ diagonal closed form is kept apart as an independent oracle.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,79 +182,82 @@ class MultiTrajectory:
         Default layout is ``t,x1,...,xm``.  ``columns`` maps other layouts:
         a comma-separated list naming the time column first and the value
         columns in component order (e.g. ``timestamp,price,volume``).  A
-        numeric time column must hold consecutive integers; a non-numeric
-        one is replaced by row order, indexed from 1.
+        numeric time column must hold consecutive integers; one whose
+        first cell is not a number is replaced by row order, indexed from 1.
 
         Raises
         ------
         DataError
             On a missing or empty file, an unknown layout, a missing,
-            non-numeric or non-finite value cell, or a numeric time column
+            short, non-numeric or non-finite cell, or a numeric time column
             that is not consecutive integers.
         """
-        if not Path(path).is_file():
-            raise DataError(f"input file not found: {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            rows = [row for row in reader if "".join(row).strip()]
-        if not rows:
-            raise DataError(f"{path}: no data rows")
+        names = [c.strip() for c in columns.split(",")] if columns else None
 
-        if columns:
-            names = [c.strip() for c in columns.split(",")]
+        def select(header):
+            if names is None:
+                if header[0] != "t":
+                    raise DataError(
+                        f"{path}: expected header 't,x1,...,xm' (got {header}); "
+                        "map other layouts with columns (CLI: --columns)"
+                    )
+                return range(len(header))
             if len(names) < 2:
                 raise DataError(
                     "columns needs a time column and at least one value column"
                 )
             try:
-                idx = [header.index(n) for n in names]
+                return [header.index(n) for n in names]
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}; header is {header}") from None
-        else:
-            if header[0] != "t":
-                raise DataError(
-                    f"{path}: expected header 't,x1,...,xm' (got {header}); "
-                    "map other layouts with columns (CLI: --columns)"
-                )
-            idx = list(range(len(header)))
 
-        width = max(idx) + 1
-        bad = [r for r, row in enumerate(rows) if len(row) < width]
-        if not bad:
-            cols = [[row[c].strip() for row in rows] for c in idx]
-            bad = [col.index("") for col in cols if "" in col]
-        if bad:
-            raise DataError(f"{path}: missing cell in data row {min(bad) + 2}")
+        data, labels = _read_csv(path, select)
+        t = data[:, 0]
+        if not (labels or (np.all(t == np.round(t)) and np.all(np.diff(t) == 1.0))):
+            name = names[0] if names else "t"
+            raise DataError(f"{path}: time column {name!r} is not consecutive integers")
+        return cls(values=data[:, 1:].T, t0=1 if labels else int(t[0]))
+
+
+# A row holding only these characters has all of its cells blank.
+_BLANK = ' \t\n\r\v\f,"'
+
+
+def _read_csv(path, select) -> tuple[np.ndarray, bool]:
+    """The one CSV reader: the columns ``select(header)`` names, as floats.
+
+    ``select`` gets the stripped header names and returns column indices,
+    key column first, or raises :class:`DataError`.  All-blank rows are
+    skipped; one :func:`numpy.loadtxt` call parses the rest.  A key column
+    whose first cell is not a number holds non-blank labels, read as 0, and
+    the returned flag is True.  Every other cell must be a finite number.
+    """
+    if not Path(path).is_file():
+        raise DataError(f"input file not found: {path}")
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        usecols = select([h.strip() for h in header])
+        key = usecols[0]
+        rows = (line for line in fh if line.strip(_BLANK))
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
         try:
-            data = np.column_stack([_parse_floats(col) for col in cols[1:]])
+            float(next(csv.reader([first]))[key])
+            converters = None
+        except (ValueError, IndexError):
+            # a blank label fails float(), so loadtxt rejects it
+            converters = {key: lambda cell: float(cell) if not cell.strip() else 0.0}
+        try:
+            data = np.loadtxt(itertools.chain([first], rows), delimiter=",", quotechar='"',
+                              comments=None, usecols=usecols, converters=converters, ndmin=2)
         except ValueError as exc:
-            raise DataError(f"{path}: non-numeric value cell ({exc})") from None
-        if not np.all(np.isfinite(data)):
-            raise DataError(f"{path}: non-finite values present")
-        return cls(values=data.T, t0=_start_time(path, header[idx[0]], cols[0]))
-
-
-def _parse_floats(cells: list) -> np.ndarray:
-    return np.fromiter(map(float, cells), dtype=float, count=len(cells))
-
-
-def _start_time(path, name: str, cells: list) -> int:
-    """First index of a time column whose numeric cells must count up by one."""
-    try:
-        float(cells[0])
-    except ValueError:
-        return 1  # non-numeric timestamps: keep row order, index from 1
-    try:
-        t = _parse_floats(cells)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric time cell ({exc})") from None
-    if not (np.all(t == np.round(t)) and np.all(np.diff(t) == 1.0)):
-        raise DataError(f"{path}: time column {name!r} is not consecutive integers")
-    return int(t[0])
+            raise DataError(f"{path}: malformed data row ({exc})") from None
+    if not np.all(np.isfinite(data)):
+        raise DataError(f"{path}: non-finite values present")
+    return data, converters is not None
 
 
 @dataclass

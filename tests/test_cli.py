@@ -51,6 +51,27 @@ class TestConfigLoading:
         with pytest.raises(DataError):
             load_config(str(scalar))
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("simulate", "preset: model1\nL: 60\nburn_in: [1]\n", "burn_in"),
+            ("mc-study", "preset: model1\nL: 60\nM: 2\nalphas: 1.5\n", "alphas"),
+            ("mc-study", "preset: model1\nL: 60\nM: 2\nmethods: YW-CV\n", "methods"),
+            ("quantile-lines", "quantiles: 0.5\n", "quantiles"),
+        ],
+        ids=["burn_in", "alphas", "methods", "quantiles"],
+    )
+    def test_wrong_type_config_value_names_key(
+        self, sim_csv, tmp_path, capsys, command, config, key
+    ):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(config)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        if command == "quantile-lines":
+            argv += [str(sim_csv), "--period", "3"]
+        assert main(argv) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
 
 class TestModelFromConfig:
     def test_preset_with_alpha_override(self):
@@ -118,6 +139,33 @@ class TestLoadTrajectory:
         mixed_time.write_text("t,x1\n1,1.0\ntwo,2.0\n")
         with pytest.raises(DataError):
             load_trajectory(str(mixed_time))
+        for name, text in [
+            ("short.csv", "t,x1,x2\n1,1.0,2.0\n2,1.5\n"),
+            ("nan.csv", "t,x1\n1,1.0\n2,nan\n"),
+            ("inf.csv", "t,x1\n1,inf\n2,1.0\n"),
+            ("blank_label.csv", "t,x1\nday1,1.0\n,2.0\n"),
+            ("comment.csv", "t,x1\n1,1.0\n# note\n2,2.0\n"),
+        ]:
+            (tmp_path / name).write_text(text)
+            with pytest.raises(DataError):
+                load_trajectory(str(tmp_path / name))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"t,x1,x2\n\n1,1.0,-2.0\n   \n,,\n \t, ,\n2,0.5,3.0\n\n",
+            b'"t","x1","x2"\n"1","1.0"," -2.0 "\n"2","0.5","3.0"\n',
+            b"t,x1,x2\r\n1,1.0,-2.0\r\n2,0.5,3.0\r\n",
+            b"t,x1,x2\n1,1.0,-2.0,7\n2,0.5,3.0,8,9\n",
+        ],
+        ids=["blank-rows", "quoted", "crlf", "extra-cells"],
+    )
+    def test_accepted_layouts(self, tmp_path, raw):
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        traj = load_trajectory(str(path))
+        assert traj.t0 == 1
+        assert np.array_equal(traj.values, [[1.0, 0.5], [-2.0, 3.0]])
 
 
 class TestSimulateCommand:

@@ -52,7 +52,22 @@ class TestEstimationResult:
     def test_from_csv_rejects_non_square_layout(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v,theta_11,theta_12\n1,0.5,0.2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="square"):
+            EstimationResult.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phase,theta_11\n1,0.5\n",
+            "v,theta_11,theta_12,theta_21,theta_22\n1,0.5,0.1,oops,0.3\n",
+            "v,theta_11,theta_12,theta_21,theta_22\n1,0.5,0.1,0.2,0.3\n2,0.5,0.1\n",
+        ],
+        ids=["header", "text-cell", "short-row"],
+    )
+    def test_from_csv_malformed_is_data_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError):
             EstimationResult.from_csv(path)
 
 

@@ -93,6 +93,7 @@ class TestMultiTrajectory:
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         vals = RandomStream(8).generator().normal(size=(3, 17))
+        vals[0, 3], vals[2, 9] = 1e-320, 1e300  # subnormal and near-overflow
         traj = MultiTrajectory(values=vals, t0=5)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
