@@ -73,8 +73,9 @@ def _setting(config: dict, key: str, kind, flag=None, required: bool = False):
     """Flag > config > default resolution for one setting, read by ``kind``.
 
     A key whose default is a tuple takes a list, read item by item.  A
-    missing required setting, or a value of the wrong type, is a
-    ``DataError`` that names the key.
+    missing required setting, or a value of the wrong type (a fractional
+    integer included: ``int`` would truncate it), is a ``DataError`` that
+    names the key.
     """
     value = flag if flag is not None else config.get(key)
     if value is None:
@@ -85,6 +86,8 @@ def _setting(config: dict, key: str, kind, flag=None, required: bool = False):
         return None
     try:
         if not isinstance(CONFIG_DEFAULTS.get(key), tuple):
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"expected an integer, got {value!r}")
             return kind(value)
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")

@@ -101,7 +101,9 @@ class EstimationResult:
                                 "do not form a square matrix")
             return range(n + 1)
 
-        data, _ = _read_csv(path, select)
+        data, labeled = _read_csv(path, select)
+        if labeled or not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
+            raise DataError(f"{path}: column 'v' must read 1..T in file order")
         m = math.isqrt(data.shape[1] - 1)
         return cls(theta_hat=tuple(data[:, 1:].reshape(-1, m, m)), method=method)
 

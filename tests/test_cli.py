@@ -72,6 +72,35 @@ class TestConfigLoading:
         assert main(argv) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("simulate", "preset: model1\nL: 100.7\n", "L"),
+            ("fit", "period: 3\nn_sims: 200.5\n", "n_sims"),
+        ],
+        ids=["L", "n_sims"],
+    )
+    def test_fractional_integer_setting_names_key(
+        self, sim_csv, tmp_path, capsys, command, config, key
+    ):
+        """An integer setting is never truncated: 100.7 rows is an error."""
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "fit":
+            argv.insert(1, str(sim_csv))
+        assert main(argv) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_setting_is_accepted(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("preset: model1\nL: 60.0\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert MultiTrajectory.from_csv(out).length == 60
+
 
 class TestModelFromConfig:
     def test_preset_with_alpha_override(self):
@@ -368,14 +397,34 @@ class TestFitFamily:
         assert rc == 2
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported on first use only, so starting the CLI does not
-    pay for it."""
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
     src = str(Path(stablepar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported on first use only, so starting the CLI does not
+    pay for it."""
     code = ("import sys, stablepar.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_cdf_quantile_and_gof_load_no_scipy_integrate():
+    """The distribution function, its quantiles and the goodness-of-fit
+    table all run on the package's own inversion rule."""
+    code = (
+        "import sys, numpy as np\n"
+        "from stablepar import (RandomStream, StableParams, ad_stable_test,\n"
+        "                       stable_cdf, stable_quantile)\n"
+        "p = StableParams(1.5, 1.0)\n"
+        "stable_cdf(p, np.linspace(-60.0, 60.0, 11)); stable_quantile(p, 0.9)\n"
+        "x = np.random.default_rng(0).standard_cauchy(200)\n"
+        "ad_stable_test(x, n_sims=100, rng=RandomStream(1))\n"
+        "print('scipy.integrate' in sys.modules)"
+    )
+    assert _fresh_python(code) == "False"

@@ -56,6 +56,17 @@ class TestEstimationResult:
             EstimationResult.from_csv(path)
 
     @pytest.mark.parametrize(
+        "rows", ["2,0.5\n1,0.25\n", "1,0.5\n3,0.25\n", "0,0.5\n", "x,0.5\n"],
+        ids=["swapped", "gap", "zero", "label"],
+    )
+    def test_from_csv_requires_phases_in_order(self, tmp_path, rows):
+        """Rows are never reassigned to phases: ``v`` must read 1..T."""
+        path = tmp_path / "coef.csv"
+        path.write_text("v,theta_11\n" + rows)
+        with pytest.raises(DataError, match="coef.csv.*'v'"):
+            EstimationResult.from_csv(path)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "phase,theta_11\n1,0.5\n",

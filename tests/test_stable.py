@@ -1,6 +1,8 @@
 """Stable-law building blocks: signed powers, samplers, characteristic
 functions, quantile parameter fits, CDF evaluation, goodness of fit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from stablepar.rng import RandomStream
 from stablepar.stable import (
     DiscreteSpectralMeasure,
     StableParams,
+    _cdf_table,
+    _inversion,
     ad_stable_test,
     char_function,
     empirical_char_function,
@@ -250,6 +254,52 @@ class TestStableCdf:
         p = StableParams(1.5, 1.0)
         upper = 1.0 - stable_cdf(p, 10.0)
         assert 0.005 < upper < 0.05
+
+
+def _quad_inversion(z: float, alpha: float, density: bool = False) -> float:
+    """Test-only oracle: G(z) or the density of the standard law by
+    adaptive quadrature of the inversion integral over [0, 37]."""
+    from scipy.integrate import quad
+
+    if density:
+        def integrand(u):
+            return math.cos(z * u) * math.exp(-(u ** alpha))
+    else:
+        def integrand(u):
+            return (math.sin(z * u) / u if u else z) * math.exp(-(u ** alpha))
+    val, _ = quad(integrand, 0.0, 37.0, limit=1000, epsabs=1e-13, epsrel=0.0)
+    return val / math.pi
+
+
+class TestInversionKernel:
+    @pytest.mark.parametrize("alpha", [1.0001, 1.05, 1.1, 1.5, 1.8, 2.0])
+    def test_matches_quadrature(self, alpha):
+        z = np.linspace(0.0, 50.0, 26)
+        g = [_quad_inversion(zi, alpha) for zi in z]
+        f = [_quad_inversion(zi, alpha, density=True) for zi in z]
+        np.testing.assert_allclose(_inversion(z, alpha)[0], g, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_inversion(z, alpha, density=True)[0], f,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5])
+    def test_table_nodes_match_quadrature(self, alpha):
+        """The goodness-of-fit table holds the same G as the kernel: every
+        8th node agrees with quadrature, far out in z at small alpha too."""
+        table = _cdf_table()
+        ia = int(np.argmin(np.abs(table.alphas - alpha)))
+        assert table.alphas[ia] == pytest.approx(alpha, abs=1e-12)
+        for j in range(0, table.z.size, 8):
+            assert table.table[ia, j] == pytest.approx(
+                _quad_inversion(table.z[j], alpha), abs=1e-9)
+
+    def test_cdf_blocks_agree_with_pointwise_calls(self):
+        """Inputs longer than one kernel block, tails and signed zeros
+        included, give the values of one-point calls."""
+        p = StableParams(1.3, 0.5)
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 597), [0.0, -0.0, 1e3]])
+        pointwise = np.array([stable_cdf(p, x) for x in xs])
+        np.testing.assert_allclose(stable_cdf(p, xs), pointwise, rtol=0, atol=1e-15)
+        assert stable_cdf(p, -0.0) == 0.5
 
 
 class TestStableQuantile:
