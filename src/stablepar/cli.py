@@ -73,9 +73,8 @@ def _setting(config: dict, key: str, kind, flag=None, required: bool = False):
     """Flag > config > default resolution for one setting, read by ``kind``.
 
     A key whose default is a tuple takes a list, read item by item.  A
-    missing required setting, or a value of the wrong type (a fractional
-    integer included: ``int`` would truncate it), is a ``DataError`` that
-    names the key.
+    missing required setting, or a value of the wrong type, is a
+    ``DataError`` that names the key.
     """
     value = flag if flag is not None else config.get(key)
     if value is None:
@@ -86,14 +85,23 @@ def _setting(config: dict, key: str, kind, flag=None, required: bool = False):
         return None
     try:
         if not isinstance(CONFIG_DEFAULTS.get(key), tuple):
-            if kind is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"expected an integer, got {value!r}")
-            return kind(value)
+            return _read_value(value, kind)
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
-        return tuple(map(kind, value))
+        return tuple(_read_value(v, kind) for v in value)
     except (TypeError, ValueError) as exc:
         raise DataError(f"config key {key!r}: {exc}") from None
+
+
+def _read_value(value, kind):
+    """One value read by ``kind``, refusing what ``kind`` would silently
+    coerce: a boolean (``int(True)`` is 1) and a fractional integer
+    (``int`` would truncate it)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number or a name, got the boolean {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 # The one trajectory reader; every command reads through this name.

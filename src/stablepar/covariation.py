@@ -29,8 +29,12 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateSeriesError, NumericalError
-from .stable import DiscreteSpectralMeasure, signed_power, sorted_quantiles
-from ._mcculloch import ALPHA_GRID, C_TABLE
+from .stable import (
+    DiscreteSpectralMeasure,
+    iqr_constant,
+    signed_power,
+    sorted_quantiles,
+)
 
 __all__ = [
     "PhaseCovMatrix",
@@ -197,7 +201,7 @@ def _projection_design(
 
     Returns ``(dirs, a_aug, c, rank_deficient)``: the ``n_grid/2`` grid
     directions on the upper half-circle as rows, the ridge-augmented NNLS
-    matrix, the tabulated interquartile range ``c`` of the standard
+    matrix, the interquartile range ``c`` of the standard
     symmetric alpha-stable law, and whether the projection-scale kernel
     is numerically rank-deficient.  Both arrays are read-only because
     every caller shares them.
@@ -217,7 +221,7 @@ def _projection_design(
     svals = np.linalg.svd(A, compute_uv=False)
     rank_deficient = bool(svals[-1] < 1e-8 * svals[0])
     a_aug = np.vstack([A, 1e-6 * svals[0] * np.eye(half)])
-    c = float(np.interp(alpha, ALPHA_GRID, C_TABLE))
+    c = iqr_constant(alpha)
     dirs.flags.writeable = False
     a_aug.flags.writeable = False
     return dirs, a_aug, c, rank_deficient

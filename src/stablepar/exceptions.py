@@ -30,8 +30,9 @@ class DegenerateSeriesError(NumericalError):
 
 
 class TableRangeError(NumericalError):
-    """A quantile statistic fell outside the range of the embedded
-    lookup tables, so parameter estimation cannot proceed."""
+    """A quantile statistic fell outside the range the quantile-based
+    estimator inverts (tails heavier than alpha = 0.6, or a vanishing
+    interquartile range), so parameter estimation cannot proceed."""
 
 
 class SolverError(NumericalError):

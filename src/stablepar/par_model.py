@@ -42,7 +42,6 @@ __all__ = [
     "BoundednessReport",
     "simulate_par1",
     "simulate_replicates",
-    "simulate_paths",
     "g_product",
     "check_boundedness",
     "theoretical_cv",
@@ -375,50 +374,14 @@ def simulate_replicates(
     buf = np.empty((n_steps, len(streams), model.dim))
     for i, rng in enumerate(streams):
         buf[:, i] = sample_stable_vector(model.noise, model.alpha, n_steps, rng)
-    _recurse(model, buf, 1 - burn_in, np.zeros(model.dim))
+    # In place over time from the zero state: buf[k] holds Z(1 - burn_in + k)
+    # of every replicate, then its X.  np.matvec takes one matrix-vector
+    # product per replicate, so each row's arithmetic does not depend on
+    # how many replicates share the buffer (a matrix-matrix product may
+    # round differently by batch size).
+    for k in range(1, n_steps):
+        buf[k] += np.matvec(model.theta[(k - burn_in) % model.period], buf[k - 1])
     return buf[burn_in:].transpose(1, 2, 0)
-
-
-def _recurse(model: ParModel, buf: np.ndarray, t_first: int, x: np.ndarray) -> None:
-    """Run the recursion in place over ``buf`` of shape ``(n_steps, M, m)``.
-
-    On entry ``buf[k]`` holds the noise ``Z(t_first + k)`` of every
-    replicate, on exit the state ``X(t_first + k)``; ``x`` is the state
-    at ``t_first - 1``, shared by all replicates when it is one vector.
-    ``np.matvec`` takes one matrix-vector product per replicate, so each
-    row's arithmetic does not depend on how many replicates share the
-    buffer (a matrix-matrix product may round differently by batch size).
-    """
-    T = model.period
-    for k in range(buf.shape[0]):
-        buf[k] += np.matvec(model.theta[(t_first - 1 + k) % T], x)
-        x = buf[k]
-
-
-def simulate_paths(
-    model: ParModel,
-    x0: np.ndarray,
-    t_start: int,
-    n_steps: int,
-    n_paths: int,
-    rng: RandomStream,
-) -> np.ndarray:
-    """Batch-simulate ``n_paths`` forward paths from a common state.
-
-    All paths start at ``x0`` (time ``t_start``) and receive independent
-    noise; the result has shape ``(n_paths, m, n_steps)`` with entry
-    ``[.., .., k]`` holding ``X(t_start + 1 + k)``.  Noise at step ``k``
-    comes from ``rng.substream(k)``, so path counts can change without
-    reshuffling other steps.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,):
-        raise ValueError(f"x0 must have shape ({model.dim},), got {x0.shape}")
-    buf = np.empty((n_steps, n_paths, model.dim))
-    for k in range(n_steps):
-        buf[k] = sample_stable_vector(model.noise, model.alpha, n_paths, rng.substream(k))
-    _recurse(model, buf, t_start + 1, x0)
-    return buf.transpose(1, 2, 0)
 
 
 #: Cap on the periods the covariation series may take to converge.

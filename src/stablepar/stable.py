@@ -5,9 +5,11 @@ builds on: one-dimensional and multivariate symmetric alpha-stable (SaS)
 sampling, the characteristic function of a discretely-supported spectral
 measure, quantile-based parameter estimation, numerical evaluation of the
 1-D distribution function, and a Monte Carlo goodness-of-fit test.
-The CDF, quantile and goodness-of-fit code share one kernel,
-:func:`_inversion`, a fixed Gauss-Legendre rule for the inversion integrals
-(Samorodnitsky & Taqqu 1994, ch. 1; Nolan 1997); no scipy is used.
+The CDF, quantile, goodness-of-fit and quantile-estimation code share one
+kernel, :func:`_inversion`, a fixed Gauss-Legendre rule for the inversion
+integrals (Samorodnitsky & Taqqu 1994, ch. 1; Nolan 1997); no scipy is
+used.  McCulloch's (1986) quantile functionals nu(alpha) and c(alpha) are
+derived from it on first use (:func:`_quantile_functionals`), not stored.
 
 Conventions used throughout:
 
@@ -28,8 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from ._mcculloch import ALPHA_GRID, C_TABLE, NU_TABLE
-from .exceptions import DataError, TableRangeError
+from .exceptions import DataError, NumericalError, TableRangeError
 from .rng import RandomStream
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "char_function",
     "empirical_char_function",
     "mcculloch_estimate",
+    "iqr_constant",
     "stable_cdf",
     "stable_quantile",
     "ad_stable_test",
@@ -48,6 +50,11 @@ __all__ = [
 
 #: smallest stability index an estimate is allowed to take
 ALPHA_FLOOR = 1.0001
+
+#: nu(0.6) of the standard law, the heaviest tail an estimate accepts.  The
+#: inversion rule is accurate only for alpha >= 1, so nu is derived on
+#: [1, 2] only; a ratio between nu(1) and this bound clips to ALPHA_FLOOR.
+NU_MAX = 23.6121892334
 
 
 @dataclass(frozen=True)
@@ -280,23 +287,25 @@ def sorted_quantiles(x_sorted: np.ndarray, qs) -> list:
 
 def mcculloch_estimate(sample) -> StableParams:
     """Estimate (alpha, scale) of a symmetric stable sample from its
-    empirical 0.05/0.25/0.75/0.95 quantiles.
+    empirical 0.05/0.25/0.75/0.95 quantiles (McCulloch 1986).
 
     The tail statistic ``nu = (q95 - q05) / (q75 - q25)`` is inverted
-    through a precomputed table of the standard law's quantile ratios
-    (symmetric case, so the skewness dimension of the classical lookup
-    collapses and the interpolation is one-dimensional); the scale comes
-    from the interquartile range divided by the tabulated ``c(alpha)``.
+    through the standard law's nu(alpha) (symmetric case, so the skewness
+    dimension of the classical lookup collapses and the inversion is
+    one-dimensional); the scale is the interquartile range divided by
+    :func:`iqr_constant` at the estimate.  Both are linear reads of
+    :func:`_quantile_functionals`: from the kernel's exact nu, alpha-hat is
+    within 1e-7, and c within 1e-9 relative.
 
-    Estimates of ``alpha`` are clipped to ``(1.0001, 2]``.
+    Estimates of ``alpha`` are clipped to ``[1.0001, 2]``.
 
     Raises
     ------
     DataError
         If the sample is shorter than 100 observations.
     TableRangeError
-        If the quantile ratio falls outside the tabulated range (heavier
-        tails than alpha = 0.6) or the interquartile range vanishes.
+        If the quantile ratio exceeds ``NU_MAX`` (heavier tails than
+        alpha = 0.6) or the interquartile range vanishes.
     """
     x = np.sort(np.asarray(sample, dtype=float).ravel())
     if x.size < 100:
@@ -308,22 +317,23 @@ def mcculloch_estimate(sample) -> StableParams:
     if iqr <= 0.0:
         raise TableRangeError("interquartile range is zero; degenerate sample")
     nu = (q95 - q05) / iqr
-
-    # NU_TABLE decreases in alpha; np.interp needs ascending abscissae.
-    nu_asc = NU_TABLE[::-1]
-    alpha_desc = ALPHA_GRID[::-1]
-    if nu > nu_asc[-1]:
+    if nu > NU_MAX:
         raise TableRangeError(
-            f"quantile ratio {nu:.3f} beyond tabulated range "
-            f"(max {nu_asc[-1]:.3f}); tails too heavy to invert"
+            f"quantile ratio {nu:.3f} beyond nu(0.6) = {NU_MAX:.3f}; "
+            "tails too heavy to invert"
         )
-    if nu <= nu_asc[0]:
-        alpha_hat = 2.0  # lighter-tailed than Gaussian: boundary estimate
-    else:
-        alpha_hat = float(np.interp(nu, nu_asc, alpha_desc))
-    alpha_hat = min(max(alpha_hat, ALPHA_FLOOR), 2.0)
-    c = float(np.interp(alpha_hat, ALPHA_GRID, C_TABLE))
-    return StableParams(alpha=alpha_hat, scale=iqr / c)
+    # np.interp clamps: nu <= nu(2) reads 2, and nu >= nu(1) reads 1,
+    # which the floor lifts.
+    _, _, nu_rising, alpha_falling = _quantile_functionals()
+    alpha_hat = max(float(np.interp(nu, nu_rising, alpha_falling)), ALPHA_FLOOR)
+    return StableParams(alpha=alpha_hat, scale=float(iqr) / iqr_constant(alpha_hat))
+
+
+def iqr_constant(alpha: float) -> float:
+    """c(alpha) = (q75 - q25) / sigma of SaS(alpha, sigma), for alpha in
+    [1, 2]; within 1e-9 relative of the inversion kernel's quantiles."""
+    alpha_grid, c, _, _ = _quantile_functionals()
+    return float(np.interp(alpha, alpha_grid, c))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +380,26 @@ def _inversion_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), (half * w / np.pi).ravel()
 
 
+def _damping(alpha) -> np.ndarray:
+    """Rows ``exp(-u**alpha) w`` of the inversion rule, one per alpha."""
+    u, w = _inversion_nodes()
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    return np.exp(-(u ** alpha[:, None])) * w
+
+
+def _oscillation(z, density: bool = False) -> np.ndarray:
+    """Columns ``sin(z u)/u``, or with ``density`` ``cos(z u)``, of the
+    inversion rule, one per z."""
+    u, _ = _inversion_nodes()
+    zu = np.multiply.outer(u, np.atleast_1d(np.asarray(z, dtype=float)))
+    if density:
+        np.cos(zu, out=zu)
+    else:
+        np.sin(zu, out=zu)
+        zu /= u[:, None]
+    return zu
+
+
 #: z values per kernel call in stable_cdf: a (1968, 256) matrix, 4 MB
 _CDF_BLOCK = 256
 
@@ -381,16 +411,72 @@ def _inversion(z, alpha, density: bool = False) -> np.ndarray:
     1-D arrays or scalars ``alpha`` and ``z >= 0``.  On alpha in [1, 2] and z
     in [0, 50] both agree with converged adaptive quadrature within 1e-13.
     """
-    u, w = _inversion_nodes()
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    damp = np.exp(-(u ** alpha[:, None])) * w
-    zu = np.multiply.outer(u, np.atleast_1d(np.asarray(z, dtype=float)))
-    if density:
-        np.cos(zu, out=zu)
-    else:
-        np.sin(zu, out=zu)
-        zu /= u[:, None]
-    return damp @ zu
+    return _damping(alpha) @ _oscillation(z, density)
+
+
+def _solve_half_cdf(g, alpha, z) -> np.ndarray:
+    """Solve G(z_k) = g_k of the standard law with index alpha_k, for 1-D
+    arrays of equal length, by Newton's method on the kernel's G and
+    density from the starts ``z``.
+
+    G is concave on z >= 0, so the iterates rise monotonically to the root
+    once they are below it (at once from z = 0).  Each root stops when its
+    step falls below 1e-8 of max(z, 1): by quadratic convergence the error
+    left is then below 1e-15 of it.
+    """
+    g = np.asarray(g, dtype=float)
+    z = np.array(z, dtype=float)
+    alphas, row = np.unique(alpha, return_inverse=True)
+    damp = _damping(alphas)[row]
+    todo = np.arange(z.size)
+    for _ in range(100):
+        rows, zt = damp[todo], z[todo]
+        step = (g[todo] - np.einsum("kj,jk->k", rows, _oscillation(zt))) / (
+            np.einsum("kj,jk->k", rows, _oscillation(zt, True))
+        )
+        z[todo] = zt + step
+        todo = todo[np.abs(step) > 1e-8 * np.maximum(z[todo], 1.0)]
+        if todo.size == 0:
+            return z
+    raise NumericalError("Newton's method for a stable quantile did not converge")
+
+
+#: alpha values tabulated by _quantile_functionals, h = 1/16384 apart: a
+#: linear read of c(alpha) errs by at most h^2 max|c''| / (8 c) = 3.1e-10
+#: relative
+_FUNCTIONAL_POINTS = 16385
+
+
+@cache
+def _quantile_functionals() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """McCulloch's functionals of the standard law for alpha in [1, 2]:
+    nu(alpha) = (q95 - q05) / (q75 - q25) = q95 / q75 and
+    c(alpha) = q75 - q25 = 2 q75.
+
+    :func:`_solve_half_cdf` finds q75 and q95 at the 17 Chebyshev-Lobatto
+    nodes of [1, 2].  Its starts join the closed forms at alpha = 1
+    (Cauchy: 1 and tan(0.45 pi)) and at alpha = 2 (Gaussian of variance 2:
+    sqrt(2) Phi^-1(0.75) and sqrt(2) Phi^-1(0.95)), linearly for q75 and
+    log-linearly in 1/alpha for q95, so Newton takes 3 and 4 steps.  The
+    degree-16 Chebyshev interpolants of nu and c, within 7e-8 and 6e-11
+    relative of the kernel's quantiles, are tabulated on
+    ``_FUNCTIONAL_POINTS`` evenly spaced alpha.
+
+    Returns ``(alpha, c, nu, alpha_by_nu)``: alpha rising with its c, and
+    nu rising with its alpha, as ``np.interp`` reads them.  Built on first
+    use, in about 15 ms.
+    """
+    x = np.cos(np.pi * np.arange(16, -1, -1) / 16)
+    a = 1.5 + 0.5 * x
+    q75 = 1.0 + (0.9539 - 1.0) * (a - 1.0)
+    q95 = 6.3138 * (2.3262 / 6.3138) ** (2.0 - 2.0 / a)
+    q = _solve_half_cdf(
+        np.repeat([0.25, 0.45], a.size), np.tile(a, 2), np.concatenate([q75, q95])
+    ).reshape(2, a.size)
+    coef = np.polynomial.chebyshev.chebfit(x, np.stack([q[1] / q[0], 2.0 * q[0]], 1), 16)
+    alpha = np.linspace(1.0, 2.0, _FUNCTIONAL_POINTS)
+    nu, c = np.polynomial.chebyshev.chebval(2.0 * alpha - 3.0, coef)
+    return alpha, c, nu[::-1].copy(), alpha[::-1].copy()
 
 
 def stable_cdf(params: StableParams, x):
@@ -422,10 +508,9 @@ def stable_quantile(params: StableParams, q: float) -> float:
 
     Orders whose quantile lies past ``_TAIL_Z``, where :func:`stable_cdf`
     switches to the power-tail series, are inverted by bisection on that
-    series.  Below it, Newton's method runs on the inversion kernel's G
-    and density from z = 0: G is concave on z >= 0, so the iterates rise
-    monotonically to the root (4 to 11 steps for orders 0.55 to 0.99).
-    Symmetry gives the lower half.
+    series.  Below it, :func:`_solve_half_cdf` runs Newton's method from
+    z = 0 (3 to 11 steps for orders 0.55 to 0.99).  Symmetry gives the
+    lower half.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"quantile order must lie strictly in (0, 1), got {q}")
@@ -443,12 +528,7 @@ def stable_quantile(params: StableParams, q: float) -> float:
                 hi = mid
         z = 0.5 * (lo + hi)
     else:
-        z = 0.0
-        for _ in range(100):
-            step = (g - _inversion(z, a)[0, 0]) / _inversion(z, a, True)[0, 0]
-            z += step
-            if step <= 1e-12 * max(z, 1.0):
-                break
+        z = float(_solve_half_cdf([g], [a], [0.0])[0])
     return math.copysign(params.scale * z, q - 0.5)
 
 

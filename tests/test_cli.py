@@ -94,6 +94,30 @@ class TestConfigLoading:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("simulate", "preset: model1\nL: 60\nseed: true\n", "seed"),
+            ("simulate", "preset: model1\nL: 60\nalpha: no\n", "alpha"),
+            ("quantile-lines", "quantiles: [0.5, true]\n", "quantiles"),
+        ],
+        ids=["seed", "alpha", "quantiles-item"],
+    )
+    def test_boolean_setting_names_key(
+        self, sim_csv, tmp_path, capsys, command, config, key
+    ):
+        """A YAML boolean is not read as 0 or 1: ``seed: true`` is an error,
+        for a scalar key and for a list item alike."""
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "quantile-lines":
+            argv += [str(sim_csv), "--period", "3"]
+        assert main(argv) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_setting_is_accepted(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("preset: model1\nL: 60.0\n")
@@ -428,3 +452,16 @@ def test_cdf_quantile_and_gof_load_no_scipy_integrate():
         "print('scipy.integrate' in sys.modules)"
     )
     assert _fresh_python(code) == "False"
+
+
+def test_quantile_functionals_loads_no_scipy():
+    """nu(alpha) and c(alpha) are built from the package's own inversion
+    rule: building them and fitting a sample imports no scipy module."""
+    code = (
+        "import sys, numpy as np\n"
+        "from stablepar.stable import _quantile_functionals, mcculloch_estimate\n"
+        "_quantile_functionals()\n"
+        "mcculloch_estimate(np.random.default_rng(0).standard_cauchy(200))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(code) == "[]"

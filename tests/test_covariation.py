@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stablepar.covariation as covariation
-from stablepar._mcculloch import ALPHA_GRID, C_TABLE
 from stablepar.covariation import (
     _phase_samples,
     _projection_design,
@@ -28,6 +27,7 @@ from stablepar.rng import RandomStream
 from stablepar.stable import (
     DiscreteSpectralMeasure,
     StableParams,
+    iqr_constant,
     sample_sas_1d,
     sample_stable_vector,
 )
@@ -223,7 +223,7 @@ class TestProjectionMethod:
         phi = np.pi * np.arange(half) / half
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
         proj = x @ dirs.T
-        c = float(np.interp(alpha, ALPHA_GRID, C_TABLE))
+        c = iqr_constant(alpha)
         b = np.empty(half)
         for k in range(half):
             q25, q75 = np.quantile(proj[:, k], [0.25, 0.75])

@@ -144,6 +144,20 @@ class TestYwCvEstimate:
                 res_sw.theta_hat[v], p @ res.theta_hat[v] @ p.T, atol=1e-10
             )
 
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_diagonal_scaling_equivariance(self, preset, request):
+        """Scaling the components by D maps the estimate to D Theta D^-1,
+        exact to rounding (Kruczek et al. 2017)."""
+        model = request.getfixturevalue(preset)
+        traj = simulate_par1(model, 3000, RandomStream(18))
+        d = np.array([0.01, 250.0, 3.0])[: model.dim]
+        scaled = MultiTrajectory(values=d[:, None] * traj.values, t0=traj.t0)
+        res = yw_cv_estimate(traj, model.period)
+        res_sc = yw_cv_estimate(scaled, model.period)
+        for v in range(model.period):
+            expected = d[:, None] * res.theta_hat[v] / d[None, :]
+            np.testing.assert_allclose(res_sc.theta_hat[v], expected, rtol=1e-12, atol=0)
+
     def test_recovers_model1_on_moderate_sample(self, model1):
         traj = simulate_par1(model1, 10**4, RandomStream(16))
         res = yw_cv_estimate(traj, 3)

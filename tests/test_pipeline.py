@@ -11,7 +11,6 @@ from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
     simulate_par1,
-    simulate_paths,
     theoretical_cv,
 )
 from stablepar.pipeline import (
@@ -35,6 +34,8 @@ from stablepar.stable import (
     sample_stable_vector,
     stable_quantile,
 )
+
+from path_oracle import simulate_paths
 
 
 def _zero_det(model):
@@ -391,8 +392,9 @@ class TestSimulateQuantileLines:
 
     @pytest.mark.parametrize("preset, seed", [("model1", 61), ("model2", 62)])
     def test_agrees_with_simulated_paths(self, preset, seed, request):
-        """20 000 stationary paths from ``simulate_paths`` fall below each
-        exact line at its order's rate, within 4 binomial standard errors."""
+        """20 000 stationary paths from the test-only ``simulate_paths``
+        oracle fall below each exact line at its order's rate, within 4
+        binomial standard errors."""
         model = request.getfixturevalue(preset)
         T, q_arr = model.period, [0.05, 0.1, 0.5, 0.9, 0.95]
         burn_in = 60 * T

@@ -9,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from stablepar.exceptions import TableRangeError
 from stablepar.rng import RandomStream
 from stablepar.stable import (
+    ALPHA_FLOOR,
+    NU_MAX,
     DiscreteSpectralMeasure,
     StableParams,
     _cdf_table,
     _inversion,
+    _quantile_functionals,
     ad_stable_test,
     char_function,
     empirical_char_function,
+    iqr_constant,
     mcculloch_estimate,
     sample_sas_1d,
     sample_stable_vector,
@@ -203,6 +208,13 @@ class TestMcculloch:
         assert mcculloch_estimate(np.sort(x)) == mcculloch_estimate(x)
         assert mcculloch_estimate(x[::-1]) == mcculloch_estimate(x)
 
+    def test_returns_python_floats(self):
+        """Both estimates are floats, so CSV cells written with ``repr``
+        read as numbers."""
+        x = sample_sas_1d(StableParams(1.41, 1.0), 3000, RandomStream(123).substream(6))
+        p = mcculloch_estimate(x)
+        assert type(p.alpha) is float and type(p.scale) is float
+
     def test_recovers_alpha_and_scale(self):
         x = sample_sas_1d(StableParams(1.41, 1.0), 10**5, RandomStream(123).substream(6))
         p = mcculloch_estimate(x)
@@ -300,6 +312,79 @@ class TestInversionKernel:
         pointwise = np.array([stable_cdf(p, x) for x in xs])
         np.testing.assert_allclose(stable_cdf(p, xs), pointwise, rtol=0, atol=1e-15)
         assert stable_cdf(p, -0.0) == 0.5
+
+
+def _quad_quantile(p: float, alpha: float) -> float:
+    """Test-only oracle: the standard law's quantile of order ``p > 1/2``
+    by root-finding on the quadrature G."""
+    from scipy.optimize import brentq
+
+    return brentq(lambda z: _quad_inversion(z, alpha) - (p - 0.5), 0.1, 20.0,
+                  xtol=1e-14, rtol=1e-14)
+
+
+def _sample_with_quartiles(q75: float, q95: float) -> np.ndarray:
+    """101 points whose empirical 0.05/0.25/0.75/0.95 quantiles are exactly
+    -q95, -q75, q75 and q95: with n - 1 = 100 each order is one point."""
+    return np.interp(np.arange(101), [0, 5, 25, 75, 95, 100],
+                     [-2.0 * q95, -q95, -q75, q75, q95, 2.0 * q95])
+
+
+def _nu_at(alpha):
+    """nu(alpha) read from the tabulated functionals."""
+    _, _, nu, alpha_by_nu = _quantile_functionals()
+    return np.interp(alpha, alpha_by_nu[::-1], nu[::-1])
+
+
+class TestMccullochFunctionals:
+    # Off the build's Chebyshev nodes and off the table's 1/16384 grid.
+    ALPHAS = np.round(np.arange(1.0125, 1.99, 0.025), 4)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """(alpha, q75, q95) of the standard law by quadrature."""
+        return [(a, _quad_quantile(0.75, a), _quad_quantile(0.95, a)) for a in self.ALPHAS]
+
+    def test_nu_and_c_match_quadrature(self, oracle):
+        for a, q75, q95 in oracle:
+            assert iqr_constant(a) == pytest.approx(2.0 * q75, rel=1e-9, abs=0)
+            assert _nu_at(a) == pytest.approx(q95 / q75, rel=2e-7, abs=0)
+
+    def test_alpha_recovered_from_exact_quantiles(self, oracle):
+        """A sample whose quantiles are the law's own gives back alpha
+        within 1e-6 and unit scale."""
+        for a, q75, q95 in oracle:
+            p = mcculloch_estimate(_sample_with_quartiles(q75, q95))
+            assert p.alpha == pytest.approx(a, abs=1e-6)
+            assert p.scale == pytest.approx(1.0, abs=1e-7)
+
+    def test_closed_form_anchors(self):
+        """Cauchy at alpha = 1, Gaussian of variance 2 at alpha = 2."""
+        assert iqr_constant(1.0) == pytest.approx(2.0, rel=1e-12)
+        assert _nu_at(1.0) == pytest.approx(math.tan(0.45 * math.pi), rel=1e-12)
+        assert iqr_constant(2.0) == pytest.approx(
+            2.0 * math.sqrt(2.0) * norm.ppf(0.75), rel=1e-12)
+        assert _nu_at(2.0) == pytest.approx(norm.ppf(0.95) / norm.ppf(0.75), rel=1e-12)
+
+    def test_table_is_monotone(self):
+        alpha, c, nu, alpha_by_nu = _quantile_functionals()
+        assert alpha[0] == 1.0 and alpha[-1] == 2.0
+        assert np.all(np.diff(c) < 0) and np.all(np.diff(nu) > 0)
+        assert np.array_equal(alpha_by_nu, alpha[::-1])
+
+    def test_range_below_one_and_above_two(self):
+        """A ratio between nu(1) and nu(0.6) clips alpha-hat to the floor,
+        one beyond nu(0.6) is an error, one below nu(2) reads 2."""
+        nu1 = math.tan(0.45 * math.pi)
+        for nu in (nu1 * (1 + 1e-9), 10.0, NU_MAX):
+            p = mcculloch_estimate(_sample_with_quartiles(1.0, nu))
+            assert p.alpha == ALPHA_FLOOR
+            assert p.scale == 2.0 / iqr_constant(ALPHA_FLOOR)
+        with pytest.raises(TableRangeError, match="too heavy"):
+            mcculloch_estimate(_sample_with_quartiles(1.0, NU_MAX * (1 + 1e-9)))
+        p = mcculloch_estimate(_sample_with_quartiles(1.0, 2.0))
+        assert p.alpha == 2.0
+        assert p.scale == 2.0 / iqr_constant(2.0)
 
 
 class TestStableQuantile:
