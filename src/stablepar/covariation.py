@@ -41,6 +41,7 @@ __all__ = [
     "ncv_auto",
     "ncv_cross",
     "ncv_phase_matrix",
+    "ncv_phase_stack",
     "cv_from_spectral",
     "estimate_spectral_measure_2d",
     "cv_phase_matrix_spectral",
@@ -128,17 +129,47 @@ def _phase_samples(traj, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarray
     ``n*T + v - h``, with n running from n0 to N-1, N = floor(L/T).  The
     starting counter n0 is 0 exactly when both v and v - h are positive
     (otherwise 1, which shifts the sub-sample one period forward instead
-    of wrapping around).
+    of wrapping around).  Time is the last axis, so a ``(M, m, L)`` block
+    of replicates gives ``(M, m, n_obs)`` sub-samples.
     """
     values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    L = values.shape[1]
+    L = values.shape[-1]
     if L < 2 * T:
         raise ValueError(f"need at least two full periods (L >= {2 * T}), got {L}")
     if not (0 <= v <= T):
         raise ValueError(f"phase must lie in 0..{T}, got {v}")
     n0 = 0 if (v > 0 and v - h > 0) else 1
     idx = np.arange(n0, L // T) * T + v
-    return values[:, idx - 1], values[:, idx - 1 - h]
+    return values[..., idx - 1], values[..., idx - 1 - h]
+
+
+def ncv_phase_stack(values, T: int, v: int, h: int) -> tuple[np.ndarray, dict]:
+    """:func:`ncv_phase_matrix` for a ``(M, m, L)`` block of replicates.
+
+    Returns the ``(M, m, m)`` matrices and a dict that maps each replicate
+    whose phase sub-sample has an identically zero conditioning component
+    to its :class:`DegenerateSeriesError`; that replicate's matrix is not
+    finite.  One matmul call forms every ``cur @ sign(lagged_l)`` as its
+    own matrix-vector product, so a replicate's matrix is the same bits
+    whatever block it rides in (a matrix-matrix product may round
+    differently).
+    """
+    cur, lagged = _phase_samples(values, T, v, h)
+    M, m = cur.shape[:2]
+    den = np.sum(np.abs(lagged), axis=-1)  # (M, m): per conditioning component l
+    # (M, 1, m, n) @ (M, m, n, 1): entry [k, l, r] = cur[k, r] . sign(lagged[k, l])
+    prod = (cur[:, None] @ np.sign(lagged)[..., None])[..., 0]
+    out = np.empty((M, m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(prod.transpose(0, 2, 1), den[:, None, :], out=out)
+    if h == 0:
+        out[:, range(m), range(m)] = 1.0
+    failed = {}
+    for k, l in zip(*np.nonzero(den == 0.0)):
+        failed.setdefault(int(k), DegenerateSeriesError(
+            f"phase-{v} sub-sample of component {l + 1} is identically zero"
+        ))
+    return out, failed
 
 
 def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
@@ -151,25 +182,17 @@ def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
         sum_n x_r(nT+v) sign(x_l(nT+v-h))  /  sum_n |x_l(nT+v-h)|,
 
     over the sub-samples of :func:`_phase_samples`.  The special value
-    v = 0 addresses the phase preceding v = 1.
+    v = 0 addresses the phase preceding v = 1.  This is the one-replicate
+    case of :func:`ncv_phase_stack`.
 
     Equivalent to the stationary estimator applied to the two phase
     sub-samples.  At h = 0 the diagonal is exactly 1.
     """
-    cur, lagged = _phase_samples(traj, T, v, h)
-    m = cur.shape[0]
-    out = np.empty((m, m))
-    den = np.sum(np.abs(lagged), axis=1)  # per conditioning component l
-    sign_lagged = np.sign(lagged)
-    for l in range(m):
-        if den[l] == 0.0:
-            raise DegenerateSeriesError(
-                f"phase-{v} sub-sample of component {l + 1} is identically zero"
-            )
-        out[:, l] = cur @ sign_lagged[l] / den[l]
-    if h == 0:
-        np.fill_diagonal(out, 1.0)
-    return PhaseCovMatrix(period=T, phase=v, lag=h, values=out, kind="normalized-moment")
+    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
+    out, failed = ncv_phase_stack(values[None], T, v, h)
+    if failed:
+        raise failed[0]
+    return PhaseCovMatrix(period=T, phase=v, lag=h, values=out[0], kind="normalized-moment")
 
 
 def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:

@@ -19,6 +19,14 @@ estimators:
 Both share the solve step, so on *exact* input matrices they return the
 exact coefficients; per-column rescalings of both matrices cancel, which
 is why the normalized and unnormalized routes solve the same system.
+
+The YW-CV core, :func:`yw_cv_block`, estimates a ``(M, m, L)`` block of
+Monte Carlo replicates at once: one matmul per (phase, lag) for the
+matrices and one stacked direct solve for every phase of every
+replicate.  ``yw_cv_estimate`` is its one-replicate case.  Failures stay
+per replicate: a vanishing conditioning component fails only its
+replicate, and an ill-conditioned phase takes the iterative fallback
+only for its replicate and phase.
 """
 
 from __future__ import annotations
@@ -29,14 +37,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix
-from .exceptions import DataError, DegenerateSeriesError
+from .covariation import cv_phase_matrix_spectral, ncv_phase_stack
+from .covariation import ncv_phase_matrix  # unused here; the benchmark tracer patches this name
+from .exceptions import DataError, DegenerateSeriesError, SolverError
 from .par_model import MultiTrajectory, _read_csv
-from .solvers import SolveReport, solve_yw
+from .solvers import solve_direct, solve_yw
 from .stable import mcculloch_estimate
 
 __all__ = [
     "EstimationResult",
+    "YwCvBlock",
+    "yw_cv_block",
     "yw_cv_estimate",
     "yw_t_estimate",
     "theta_from_cov_matrices",
@@ -108,15 +119,47 @@ class EstimationResult:
         return cls(theta_hat=tuple(data[:, 1:].reshape(-1, m, m)), method=method)
 
 
-def _check_traj(traj: MultiTrajectory, T: int) -> None:
+def _check_shape(m: int, L: int, T: int) -> None:
     if T < 1:
         raise ValueError(f"period must be >= 1, got {T}")
-    if traj.dim < 1:
+    if m < 1:
         raise ValueError("trajectory must have at least one component")
-    if traj.length < 4 * T:
-        raise DataError(
-            f"need at least four full periods (L >= {4 * T}), got {traj.length}"
-        )
+    if L < 4 * T:
+        raise DataError(f"need at least four full periods (L >= {4 * T}), got {L}")
+
+
+def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
+    """Solve the ``(M, T, m, m)`` systems of every replicate not in ``failures``.
+
+    One :func:`solve_direct` call serves all of them; a system it leaves
+    to the fallback goes through :func:`solve_yw` on its own.  A replicate
+    stops at its first phase whose fallback raises, and that error enters
+    ``failures`` as ``(phase, error)``.  Returns ``theta`` (``NaN`` for
+    failed replicates) and each replicate's list of per-phase reports
+    (empty for failed ones).
+    """
+    M, T, m = m0.shape[:3]
+    # Both solve routes return Theta as the transpose of a C-ordered array;
+    # storing Theta^T keeps that layout, so later products with a
+    # Theta(v) round exactly as they did on the per-phase solution.
+    theta_t = np.full(m0.shape, np.nan)
+    reports = [[] for _ in range(M)]
+    keep = [k for k in range(M) if k not in failures]
+    direct = solve_direct(m0[keep].reshape(-1, m, m), m1[keep].reshape(-1, m, m))
+    for i, k in enumerate(keep):
+        for v in range(T):
+            rep = direct[i * T + v]
+            if rep is None:
+                try:
+                    rep = solve_yw(m0[k, v], m1[k, v])
+                except (SolverError, np.linalg.LinAlgError) as exc:
+                    failures[k] = (v + 1, exc)
+                    theta_t[k] = np.nan
+                    reports[k] = []
+                    break
+            theta_t[k, v] = rep.solution.T
+            reports[k].append(rep)
+    return theta_t.transpose(0, 1, 3, 2), reports
 
 
 def theta_from_cov_matrices(
@@ -126,26 +169,85 @@ def theta_from_cov_matrices(
 
     ``m0s[v-1]`` and ``m1s[v-1]`` are the lag-0 and lag-1 dependence
     matrices of phase ``v``; inputs may be plain arrays or the matrix
-    containers produced by the covariation routines.  This is the shared
-    back end of both estimators and the entry point for feeding exact
-    (theoretical) matrices.
+    containers produced by the covariation routines.  This is the entry
+    point for feeding exact (theoretical) matrices, and the back end of
+    :func:`yw_t_estimate`; it solves as :func:`yw_cv_block` does.
     """
     if len(m0s) != len(m1s) or not m0s:
         raise ValueError("need equally many lag-0 and lag-1 matrices, at least one")
-    thetas = []
-    reports = []
-    for v, (m0, m1) in enumerate(zip(m0s, m1s), start=1):
-        a0 = m0.values if hasattr(m0, "values") else np.asarray(m0, dtype=float)
-        a1 = m1.values if hasattr(m1, "values") else np.asarray(m1, dtype=float)
-        rep = solve_yw(a0, a1)
-        thetas.append(rep.solution)
-        reports.append(rep)
+
+    def stack(mats):
+        return np.stack([
+            mat.values if hasattr(mat, "values") else np.asarray(mat, dtype=float)
+            for mat in mats
+        ])[None]
+
+    failures = {}
+    theta, reports = _solve_phases(stack(m0s), stack(m1s), failures)
+    if failures:
+        raise failures[0][1]
     return EstimationResult(
-        theta_hat=tuple(thetas),
+        theta_hat=tuple(theta[0]),
         method=method,
         alpha_used=alpha_used,
-        solve_reports=reports,
+        solve_reports=reports[0],
     )
+
+
+@dataclass
+class YwCvBlock:
+    """YW-CV estimates of a block of replicates, from :func:`yw_cv_block`.
+
+    ``theta[k, v-1]`` is replicate k's Theta(v), all ``NaN`` when the
+    replicate failed; ``solve_reports[k]`` holds its T per-phase
+    :class:`SolveReport` (empty when it failed); ``failures`` maps each
+    failed replicate to ``(phase, error)``, the error being what
+    :func:`yw_cv_estimate` raises on that replicate alone.
+    """
+
+    theta: np.ndarray
+    solve_reports: list
+    failures: dict
+
+
+def yw_cv_block(values, T: int) -> YwCvBlock:
+    """YW-CV for a ``(M, m, L)`` block of replicates at once.
+
+    For each (phase, lag) one :func:`ncv_phase_stack` call builds the
+    normalized covariation matrices of every replicate, and one stacked
+    condition estimate and solve (:func:`solve_direct`) covers every
+    phase of every replicate.  Each replicate's result is the same bits
+    as :func:`yw_cv_estimate` on it alone, and its failures stay its own:
+
+    * a conditioning component that is identically zero on a phase
+      sub-sample fails that replicate with :class:`DegenerateSeriesError`
+      at the first phase where it occurs;
+    * a phase whose ``m0`` is not finite or whose condition estimate
+      exceeds ``COND_LIMIT`` takes the BiCGSTAB fallback
+      (:func:`~stablepar.solvers.solution1`) for that replicate and phase
+      only; if the fallback raises, the replicate fails at that phase.
+
+    The other replicates are estimated as if the failed ones were absent.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise ValueError(f"need a (M, m, L) block, got shape {values.shape}")
+    M, m, L = values.shape
+    _check_shape(m, L, T)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("trajectory contains missing or non-finite entries")
+    m0 = np.empty((M, T, m, m))
+    m1 = np.empty((M, T, m, m))
+    failures = {}
+    for v in range(1, T + 1):
+        # The lag-0 family at phase v - 1 conditions on the same lagged
+        # vector as the lag-1 family at v; phase 0 is the wrapped phase T.
+        for mats, phase, h in ((m1, v, 1), (m0, v - 1, 0)):
+            mats[:, v - 1], failed = ncv_phase_stack(values, T, phase, h)
+            for k, exc in failed.items():
+                failures.setdefault(k, (v, DegenerateSeriesError(f"phase {v}: {exc}")))
+    theta, reports = _solve_phases(m0, m1, failures)
+    return YwCvBlock(theta=theta, solve_reports=reports, failures=failures)
 
 
 def yw_cv_estimate(traj: MultiTrajectory, T: int) -> EstimationResult:
@@ -159,19 +261,19 @@ def yw_cv_estimate(traj: MultiTrajectory, T: int) -> EstimationResult:
     keeps the two matrices of each system on literally the same
     sub-sample.
 
-    Solve failures are carried in the result's reports; a phase whose
-    conditioning component is identically zero aborts with a diagnostic.
+    This is the one-replicate case of :func:`yw_cv_block`.  A phase whose
+    conditioning component is identically zero raises
+    :class:`DegenerateSeriesError` naming the phase; a fallback solve
+    that fails raises its error.
     """
-    _check_traj(traj, T)
-    m0s, m1s = [], []
-    for v in range(1, T + 1):
-        try:
-            m1s.append(ncv_phase_matrix(traj, T, v, 1))
-            m0s.append(ncv_phase_matrix(traj, T, v - 1, 0))
-        except DegenerateSeriesError as exc:
-            raise DegenerateSeriesError(f"phase {v}: {exc}") from None
-    result = theta_from_cov_matrices(m0s, m1s, method="YW-CV")
-    return result
+    block = yw_cv_block(traj.values[None], T)
+    if block.failures:
+        raise block.failures[0][1]
+    return EstimationResult(
+        theta_hat=tuple(block.theta[0]),
+        method="YW-CV",
+        solve_reports=block.solve_reports[0],
+    )
 
 
 def estimate_alpha(traj: MultiTrajectory) -> float:
@@ -193,7 +295,7 @@ def yw_t_estimate(
     cancel in the solve).  ``alpha`` defaults to the median of the
     per-component quantile estimates on the full series.
     """
-    _check_traj(traj, T)
+    _check_shape(traj.dim, traj.length, T)
     if alpha is None:
         alpha = estimate_alpha(traj)
     if not (1.0 < alpha <= 2.0):

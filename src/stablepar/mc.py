@@ -18,17 +18,22 @@ Replicates are simulated together, in blocks of at most
 (:func:`~stablepar.par_model.simulate_replicates`); replicate ``i``
 still draws from ``substream(k, i)`` and its trajectory equals
 ``simulate_par1`` on that stream.  Boundedness is checked once per
-alpha, on the first block.
+alpha, on the first block.  YW-CV estimates each block in one call
+(:func:`~stablepar.estimators.yw_cv_block`), whose result for every
+replicate is bit-identical to ``yw_cv_estimate`` on it alone and whose
+failures stay per replicate; YW-T runs replicate by replicate.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .estimators import yw_cv_estimate, yw_t_estimate
+from .estimators import yw_cv_block, yw_t_estimate
+from .estimators import yw_cv_estimate  # unused here; the benchmark tracer patches this name
 from .exceptions import NumericalError, StableParError
 from .par_model import MultiTrajectory, ParModel, simulate_replicates
 from .par_model import simulate_par1  # unused here; the benchmark tracer patches this name
@@ -135,11 +140,17 @@ class McCell:
 
 @dataclass
 class McReport:
-    """Long-format study results plus per-(method, alpha) failure counts."""
+    """Long-format study results plus per-(method, alpha) failure counts.
+
+    ``failure_causes[(method, alpha)]`` splits that count by cause: it
+    maps ``(exception class name, phase)`` to a count, the phase being
+    ``None`` where the estimator does not report it (YW-T).
+    """
 
     cells: list
     failures: dict
     config: McConfig = field(repr=False, default=None)
+    failure_causes: dict = field(default_factory=dict)
 
     def select(self, **criteria) -> list:
         """Cells matching all given field values, e.g. ``method="YW-CV"``."""
@@ -231,12 +242,6 @@ def model2_preset() -> ParModel:
     )
 
 
-def _estimate(method: str, traj, T: int, alpha: float):
-    if method == "YW-CV":
-        return yw_cv_estimate(traj, T)
-    return yw_t_estimate(traj, T, alpha=alpha)
-
-
 def run_mc_study(config: McConfig) -> McReport:
     """Execute the study described by ``config``.
 
@@ -244,7 +249,8 @@ def run_mc_study(config: McConfig) -> McReport:
     simulated (block by block, see the module notes) and handed to each
     requested method.  Replicates whose estimation raises a
     numerical/data error are excluded from the aggregates and counted
-    per (method, alpha); the study aborts when
+    per (method, alpha), and by exception class and phase in
+    ``failure_causes``; the study aborts when
     more than 20% of replicates fail for any such pair, since medians
     over a heavily censored sample would be misleading.
     """
@@ -253,10 +259,11 @@ def run_mc_study(config: McConfig) -> McReport:
     m = config.model.dim
     cells = []
     failures = {}
+    failure_causes = {}
     for k, alpha in enumerate(config.alphas):
         model = dc_replace(config.model, alpha=float(alpha))
         estimates = {meth: [] for meth in config.methods}
-        n_failed = {meth: 0 for meth in config.methods}
+        causes = {meth: Counter() for meth in config.methods}
         if config.replicate_seeds is not None:
             streams = [RandomStream(seed) for seed in config.replicate_seeds]
         else:
@@ -269,23 +276,31 @@ def run_mc_study(config: McConfig) -> McReport:
                 burn_in=config.burn_in,
                 allow_unbounded=start > 0,  # the first block checked this model
             )
-            for values in paths:
-                traj = MultiTrajectory(values=values)
-                for meth in config.methods:
+            if "YW-CV" in config.methods:
+                block = yw_cv_block(paths, T)
+                estimates["YW-CV"].append(np.delete(block.theta, list(block.failures), axis=0))
+                causes["YW-CV"].update(
+                    (type(exc).__name__, phase) for phase, exc in block.failures.values()
+                )
+            if "YW-T" in config.methods:
+                for values in paths:
+                    traj = MultiTrajectory(values=values)
                     try:
-                        result = _estimate(meth, traj, T, float(alpha))
-                    except (StableParError, np.linalg.LinAlgError):
-                        n_failed[meth] += 1
+                        result = yw_t_estimate(traj, T, alpha=float(alpha))
+                    except (StableParError, np.linalg.LinAlgError) as exc:
+                        causes["YW-T"][(type(exc).__name__, None)] += 1
                         continue
-                    estimates[meth].append(np.stack(result.theta_hat))
+                    estimates["YW-T"].append(np.stack(result.theta_hat)[None])
         for meth in config.methods:
-            failures[(meth, float(alpha))] = n_failed[meth]
-            if n_failed[meth] > 0.2 * config.M:
+            n_failed = sum(causes[meth].values())
+            failures[(meth, float(alpha))] = n_failed
+            failure_causes[(meth, float(alpha))] = dict(causes[meth])
+            if n_failed > 0.2 * config.M:
                 raise NumericalError(
-                    f"{meth} failed on {n_failed[meth]} of {config.M} "
+                    f"{meth} failed on {n_failed} of {config.M} "
                     f"replicates at alpha={alpha}; study aborted"
                 )
-            stack = np.stack(estimates[meth])  # (kept, T, m, m)
+            stack = np.concatenate(estimates[meth])  # (kept, T, m, m)
             med = np.median(stack, axis=0)
             # np.quantile's default is linear interpolation of order
             # statistics, matching the aggregation convention here.
@@ -311,4 +326,6 @@ def run_mc_study(config: McConfig) -> McReport:
                                 q75=float(q75[idx]),
                             )
                         )
-    return McReport(cells=cells, failures=failures, config=config)
+    return McReport(
+        cells=cells, failures=failures, config=config, failure_causes=failure_causes
+    )

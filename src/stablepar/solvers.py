@@ -20,6 +20,7 @@ __all__ = [
     "SolveReport",
     "bicgstab",
     "solution1",
+    "solve_direct",
     "solve_yw",
     "COND_LIMIT",
 ]
@@ -183,6 +184,49 @@ def solution1(
     )
 
 
+def _fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, by the same dot product
+    ``np.linalg.norm(matrix, "fro")`` takes of one raveled matrix."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def solve_direct(m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10) -> list:
+    """The direct half of :func:`solve_yw` for a stack of systems.
+
+    ``m0`` and ``m1`` are ``(K, m, m)``.  One condition estimate and one
+    factorized solve serve every system whose ``m0`` is finite with a
+    condition estimate of at most ``COND_LIMIT``.  Entry k of the result
+    is system k's :class:`SolveReport`, or ``None`` where
+    :func:`solve_yw` would take its iterative fallback.  Each system is
+    solved, and its residual taken, exactly as on its own.
+    """
+    cond = np.full(len(m0), np.inf)
+    finite = np.isfinite(m0).all(axis=(1, 2))
+    if finite.any():
+        cond[finite] = np.linalg.cond(m0[finite])
+    direct = cond <= COND_LIMIT  # False for inf and NaN
+    reports = [None] * len(m0)
+    if not direct.any():
+        return reports
+    a0, a1 = m0[direct], m1[direct]
+    theta = np.linalg.solve(a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)).transpose(0, 2, 1)
+    residual = _fro_norms(theta @ a0 - a1)
+    scale = _fro_norms(a1)
+    for k, th, res, sc, c in zip(
+        np.flatnonzero(direct), theta, residual, scale, cond[direct]
+    ):
+        reports[k] = SolveReport(
+            solution=th,
+            method="direct",
+            iterations=0,
+            residual_norm=float(res),
+            converged=bool(res <= tol * max(sc, 1e-300)),
+            detail=f"condition estimate {c:.3g}",
+        )
+    return reports
+
+
 def solve_yw(
     m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10, maxit: int = 1000
 ) -> SolveReport:
@@ -190,8 +234,9 @@ def solve_yw(
 
     The direct path computes ``m1 m0^-1`` through a factorized solve and
     is used whenever the condition estimate of ``m0`` stays below
-    ``COND_LIMIT``; beyond that the column-wise iterative procedure takes
-    over, which degrades gracefully on consistent singular systems.
+    ``COND_LIMIT`` (the one-system case of :func:`solve_direct`); beyond
+    that the column-wise iterative procedure takes over, which degrades
+    gracefully on consistent singular systems.
 
     Raises
     ------
@@ -200,20 +245,10 @@ def solve_yw(
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
+    report = solve_direct(m0[None], m1[None], tol)[0]
+    if report is not None:
+        return report
     cond = np.linalg.cond(m0) if np.all(np.isfinite(m0)) else np.inf
-    if np.isfinite(cond) and cond <= COND_LIMIT:
-        theta = np.linalg.solve(m0.T, m1.T).T
-        residual = float(np.linalg.norm(theta @ m0 - m1, "fro"))
-        return SolveReport(
-            solution=theta,
-            method="direct",
-            iterations=0,
-            residual_norm=residual,
-            converged=bool(
-                residual <= tol * max(np.linalg.norm(m1, "fro"), 1e-300)
-            ),
-            detail=f"condition estimate {cond:.3g}",
-        )
     report = solution1(m0, m1, tol=tol, maxit=maxit)
     if not np.all(np.isfinite(report.solution)):
         raise SolverError(

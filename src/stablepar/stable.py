@@ -307,7 +307,11 @@ def mcculloch_estimate(sample) -> StableParams:
         If the quantile ratio exceeds ``NU_MAX`` (heavier tails than
         alpha = 0.6) or the interquartile range vanishes.
     """
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    return _mcculloch_sorted(np.sort(np.asarray(sample, dtype=float).ravel()))
+
+
+def _mcculloch_sorted(x: np.ndarray) -> StableParams:
+    """:func:`mcculloch_estimate` of a sorted 1-D float sample."""
     if x.size < 100:
         raise DataError(
             f"need at least 100 observations for quantile estimation, got {x.size}"
@@ -588,7 +592,11 @@ def _cdf_table() -> _CdfInterpolator:
 
 def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
     """Anderson-Darling statistic of a sample against the fitted law."""
-    x = np.sort(np.asarray(sample, dtype=float))
+    return _ad_sorted(np.sort(np.asarray(sample, dtype=float)), params)
+
+
+def _ad_sorted(x: np.ndarray, params: StableParams) -> float:
+    """:func:`_ad_statistic` of a sorted sample."""
     n = x.size
     u = _cdf_table().cdf(x, params)
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
@@ -620,12 +628,14 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
         raise DataError(f"need at least 100 observations, got {x.size}")
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
-    params = mcculloch_estimate(x)
-    observed = _ad_statistic(x, params)
+    # Each sample is sorted once and shared by its quantile fit and its
+    # statistic.
+    x = np.sort(x)
+    params = _mcculloch_sorted(x)
+    observed = _ad_sorted(x, params)
     exceed = 0
     for k in range(n_sims):
-        sim = sample_sas_1d(params, x.size, rng.substream(k))
-        sim_params = mcculloch_estimate(sim)
-        if _ad_statistic(sim, sim_params) >= observed:
+        sim = np.sort(sample_sas_1d(params, x.size, rng.substream(k)))
+        if _ad_sorted(sim, _mcculloch_sorted(sim)) >= observed:
             exceed += 1
     return exceed / n_sims

@@ -1,6 +1,8 @@
 """Coefficient estimation: exact recovery from exact matrices, invariances,
 both estimation routes on simulated data, and the result container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,17 @@ from stablepar.estimators import (
     EstimationResult,
     estimate_alpha,
     theta_from_cov_matrices,
+    yw_cv_block,
     yw_cv_estimate,
     yw_t_estimate,
 )
 from stablepar.exceptions import DataError, DegenerateSeriesError
+from stablepar.mc import REPLICATE_BLOCK
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
     simulate_par1,
+    simulate_replicates,
     theoretical_phase_matrix,
 )
 from stablepar.rng import RandomStream
@@ -178,6 +183,62 @@ class TestYwCvEstimate:
         vals[0, ::2] = 0.0
         with pytest.raises(DegenerateSeriesError, match="phase"):
             yw_cv_estimate(MultiTrajectory(values=vals), 2)
+
+
+def _block(model, M, L=300, seed=23):
+    return simulate_replicates(model, L, [RandomStream(seed).substream(i) for i in range(M)])
+
+
+class TestYwCvBlock:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_bit_identical_to_per_replicate_estimate(self, preset, alpha, request):
+        model = replace(request.getfixturevalue(preset), alpha=alpha)
+        values = _block(model, REPLICATE_BLOCK + 3)
+        block = yw_cv_block(values, model.period)
+        assert block.failures == {}
+        for k, row in enumerate(values):
+            single = yw_cv_estimate(MultiTrajectory(values=row), model.period)
+            assert np.array_equal(block.theta[k], np.stack(single.theta_hat)), k
+            assert [(r.method, r.residual_norm, r.detail) for r in block.solve_reports[k]] == [
+                (r.method, r.residual_norm, r.detail) for r in single.solve_reports
+            ]
+
+    def test_zero_component_fails_only_its_replicate(self, model1):
+        values = _block(model1, 6)
+        clean = yw_cv_block(values, 3)
+        # component 1 of replicate 4 vanishes on phase 1 (t = 1, 4, 7, ...),
+        # which conditions the lag-1 system of phase 2
+        values[4, 0, ::3] = 0.0
+        block = yw_cv_block(values, 3)
+        assert list(block.failures) == [4]
+        phase, exc = block.failures[4]
+        assert phase == 2 and isinstance(exc, DegenerateSeriesError)
+        assert str(exc).startswith("phase 2:")
+        with pytest.raises(DegenerateSeriesError, match="^phase 2: "):
+            yw_cv_estimate(MultiTrajectory(values=values[4]), 3)
+        assert np.all(np.isnan(block.theta[4])) and block.solve_reports[4] == []
+        others = [0, 1, 2, 3, 5]
+        assert np.array_equal(block.theta[others], clean.theta[others])
+
+    def test_singular_replicate_alone_takes_the_fallback(self, model1):
+        values = _block(model1, 5)
+        values[2, 1] = values[2, 0]  # component 2 = component 1: m0 is singular
+        block = yw_cv_block(values, 3)
+        assert block.failures == {}
+        for k, reports in enumerate(block.solve_reports):
+            expected = "bicgstab" if k == 2 else "direct"
+            assert [r.method for r in reports] == [expected] * 3, k
+        single = yw_cv_estimate(MultiTrajectory(values=values[2]), 3)
+        assert np.array_equal(block.theta[2], np.stack(single.theta_hat))
+
+    def test_rejects_non_finite_and_short_blocks(self, model1):
+        values = _block(model1, 3)
+        with pytest.raises(DataError):
+            yw_cv_block(values[:, :, :11], 3)
+        values[1, 0, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            yw_cv_block(values, 3)
 
 
 class TestYwTEstimate:

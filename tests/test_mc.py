@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import stablepar.mc as mc
-from stablepar.exceptions import NumericalError, UnboundedModelError
+from stablepar.estimators import EstimationResult
+from stablepar.exceptions import NumericalError, SolverError, UnboundedModelError
 from stablepar.mc import (
     DEFAULT_ALPHA_SWEEP,
     REPLICATE_BLOCK,
@@ -155,16 +156,48 @@ class TestRunMcStudy:
             run_mc_study(cfg)
 
 
+    def test_failures_kept_by_class_and_phase(self, monkeypatch):
+        """A replicate whose component 1 vanishes on phase 1 fails YW-CV at
+        phase 2 (the system that phase conditions); a YW-T failure has no
+        phase.  Each is one failure of its method, the others aggregate."""
+        original = mc.simulate_replicates
+
+        def degenerate(*args, **kwargs):
+            values = original(*args, **kwargs)
+            values[1, 0, ::3] = 0.0
+            return values
+
+        calls = []
+
+        def yw_t_stub(traj, T, alpha):
+            calls.append(alpha)
+            if len(calls) == 3:
+                raise SolverError("stub")
+            return EstimationResult(theta_hat=model1_preset().theta, method="YW-T")
+
+        monkeypatch.setattr(mc, "simulate_replicates", degenerate)
+        monkeypatch.setattr(mc, "yw_t_estimate", yw_t_stub)
+        cfg = McConfig(model=model1_preset(), L=120, M=5, seed=2)
+        rep = run_mc_study(cfg)
+        assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}
+        assert rep.failure_causes == {
+            ("YW-CV", 1.8): {("DegenerateSeriesError", 2): 1},
+            ("YW-T", 1.8): {("SolverError", None): 1},
+        }
+        assert len(rep.cells) == 2 * 12
+
+
 def _record_trajectories(monkeypatch):
-    """Capture the trajectory every YW-CV estimate of a study receives."""
+    """Capture the trajectory of every replicate in the blocks the study's
+    YW-CV estimator receives, in replicate order."""
     seen = []
-    original = mc.yw_cv_estimate
+    original = mc.yw_cv_block
 
-    def recording(traj, T):
-        seen.append(np.array(traj.values))
-        return original(traj, T)
+    def recording(values, T):
+        seen.extend(np.array(row) for row in values)
+        return original(values, T)
 
-    monkeypatch.setattr(mc, "yw_cv_estimate", recording)
+    monkeypatch.setattr(mc, "yw_cv_block", recording)
     return seen
 
 

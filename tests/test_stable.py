@@ -16,6 +16,7 @@ from stablepar.stable import (
     NU_MAX,
     DiscreteSpectralMeasure,
     StableParams,
+    _ad_statistic,
     _cdf_table,
     _inversion,
     _quantile_functionals,
@@ -422,6 +423,20 @@ class TestAdTest:
         p2 = ad_stable_test(x, n_sims=100, rng=RandomStream(123).substream(10))
         assert 0.0 <= p1 <= 1.0
         assert p1 == p2
+
+    def test_p_value_is_the_public_fit_and_statistic_per_replicate(self):
+        """Sorting each sample once changes no bootstrap statistic: the
+        p-value equals the count from ``mcculloch_estimate`` and
+        ``_ad_statistic`` on every unsorted replicate."""
+        x = sample_sas_1d(StableParams(1.3, 2.0), 400, RandomStream(31).substream(0))
+        rng = RandomStream(31).substream(1)
+        params = mcculloch_estimate(x)
+        observed = _ad_statistic(x, params)
+        exceed = 0
+        for k in range(100):
+            sim = sample_sas_1d(params, x.size, rng.substream(k))
+            exceed += _ad_statistic(sim, mcculloch_estimate(sim)) >= observed
+        assert ad_stable_test(x, n_sims=100, rng=rng) == exceed / 100
 
     def test_rejects_clearly_non_stable_data(self):
         # uniform on [0, 1] is nowhere near any symmetric stable law
