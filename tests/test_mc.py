@@ -155,7 +155,6 @@ class TestRunMcStudy:
         with pytest.raises(NumericalError):
             run_mc_study(cfg)
 
-
     def test_failures_kept_by_class_and_phase(self, monkeypatch):
         """A replicate whose component 1 vanishes on phase 1 fails YW-CV at
         phase 2 (the system that phase conditions); a YW-T failure has no
