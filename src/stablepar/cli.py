@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .estimators import yw_cv_estimate, yw_t_estimate
@@ -169,12 +170,27 @@ def cmd_mc_study(args, config: dict) -> int:
     )
     report = run_mc_study(cfg)
     report.to_csv(args.out)
+    _print_mc_summary(report)
     n_fail = sum(report.failures.values())
     print(
         f"wrote {len(report.cells)} cells to {args.out}"
         + (f" ({n_fail} failed replicates excluded)" if n_fail else "")
     )
     return 0
+
+
+def _print_mc_summary(report) -> None:
+    """One row per (method, alpha): the worst |median - true| and the mean
+    interquartile range over all coefficients, and the failed replicates."""
+    print(f"{'method':8s} {'alpha':>5s} {'worst |median-true|':>20s} "
+          f"{'mean IQR':>9s} {'failures':>8s}")
+    for method in report.config.methods:
+        for alpha in map(float, report.config.alphas):
+            cells = report.select(method=method, alpha=alpha)
+            worst = max(abs(c.median - c.true_value) for c in cells)
+            mean_iqr = np.mean([c.iqr for c in cells])
+            print(f"{method:8s} {alpha:5.1f} {worst:20.4f} {mean_iqr:9.4f} "
+                  f"{report.failures[(method, alpha)]:8d}")
 
 
 def _fit_inputs(args, config: dict):

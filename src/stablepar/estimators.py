@@ -31,7 +31,6 @@ only for its replicate and phase.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ import numpy as np
 from .covariation import cv_phase_matrix_spectral, ncv_phase_stack
 from .covariation import ncv_phase_matrix  # unused here; the benchmark tracer patches this name
 from .exceptions import DataError, DegenerateSeriesError, SolverError
-from .par_model import MultiTrajectory, _read_csv
+from .par_model import MultiTrajectory, _read_csv, _write_csv
 from .solvers import solve_direct, solve_yw
 from .stable import mcculloch_estimate
 
@@ -93,11 +92,9 @@ class EstimationResult:
         header = ["v"] + [
             f"theta_{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)
         ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for v, th in enumerate(self.theta_hat, start=1):
-                writer.writerow([v] + [repr(float(x)) for x in th.ravel()])
+        rows = ([v] + [repr(float(x)) for x in th.ravel()]
+                for v, th in enumerate(self.theta_hat, start=1))
+        _write_csv(path, header, rows)
 
     @classmethod
     def from_csv(cls, path, method: str = "YW-CV") -> "EstimationResult":

@@ -26,7 +26,6 @@ failures stay per replicate; YW-T runs replicate by replicate.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
@@ -35,7 +34,7 @@ import numpy as np
 from .estimators import yw_cv_block, yw_t_estimate
 from .estimators import yw_cv_estimate  # unused here; the benchmark tracer patches this name
 from .exceptions import NumericalError, StableParError
-from .par_model import MultiTrajectory, ParModel, simulate_replicates
+from .par_model import MultiTrajectory, ParModel, _write_csv, simulate_replicates
 from .par_model import simulate_par1  # unused here; the benchmark tracer patches this name
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure
@@ -172,17 +171,14 @@ class McReport:
 
     def to_csv(self, path) -> None:
         """One row per cell: ``method,alpha,L,v,i,j,median,q05,q95,true_value``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["method", "alpha", "L", "v", "i", "j",
-                 "median", "q05", "q95", "true_value"]
-            )
-            for c in self.cells:
-                writer.writerow(
-                    [c.method, c.alpha, c.L, c.v, c.i, c.j,
-                     repr(c.median), repr(c.q05), repr(c.q95), repr(c.true_value)]
-                )
+        _write_csv(
+            path,
+            ["method", "alpha", "L", "v", "i", "j",
+             "median", "q05", "q95", "true_value"],
+            ([c.method, c.alpha, c.L, c.v, c.i, c.j,
+              repr(c.median), repr(c.q05), repr(c.q95), repr(c.true_value)]
+             for c in self.cells),
+        )
 
 
 def model1_preset() -> ParModel:

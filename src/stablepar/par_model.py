@@ -100,11 +100,9 @@ class ParModel:
         """Coefficient matrix at integer time ``t`` (any sign), by periodicity."""
         return self.theta[(t - 1) % self.period]
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        """True when every coefficient matrix is diagonal (within ``tol``)."""
-        return all(
-            np.all(np.abs(th - np.diag(np.diag(th))) <= tol) for th in self.theta
-        )
+    def is_diagonal(self) -> bool:
+        """True when every coefficient matrix is exactly diagonal."""
+        return all(np.all(th == np.diag(np.diag(th))) for th in self.theta)
 
     def period_products(self) -> np.ndarray:
         """Diagonal per-component products ``P_r = theta_rr(1)...theta_rr(T)``.
@@ -166,13 +164,9 @@ class MultiTrajectory:
 
     def to_csv(self, path) -> None:
         """Write ``t,x1,...,xm`` rows at full precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i}" for i in range(1, self.dim + 1)])
-            writer.writerows(
-                [t, *map(repr, row.tolist())]
-                for t, row in zip(range(self.t0, self.t0 + self.length), self.values.T)
-            )
+        times = range(self.t0, self.t0 + self.length)
+        rows = ([t, *map(repr, row.tolist())] for t, row in zip(times, self.values.T))
+        _write_csv(path, ["t"] + [f"x{i}" for i in range(1, self.dim + 1)], rows)
 
     @classmethod
     def from_csv(cls, path, columns: str | None = None) -> "MultiTrajectory":
@@ -216,6 +210,19 @@ class MultiTrajectory:
             name = names[0] if names else "t"
             raise DataError(f"{path}: time column {name!r} is not consecutive integers")
         return cls(values=data[:, 1:].T, t0=1 if labels else int(t[0]))
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: ``header`` then ``rows``, cells already formatted.
+
+    :mod:`csv` dialect ``excel``: ``\\r\\n`` line ends, and a cell holding a
+    comma, quote or line break is quoted.  ``rows`` may be a generator, so
+    a long table is never held as strings all at once.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # A row holding only these characters has all of its cells blank.
@@ -278,18 +285,21 @@ def g_product(model: ParModel, t: int, j: int) -> np.ndarray:
     return out
 
 
-def check_boundedness(model: ParModel, tol: float = 1e-8) -> BoundednessReport:
+# Margin below one that the monodromy spectral radius of a non-diagonal
+# model must keep.
+_BOUNDEDNESS_TOL = 1e-8
+
+
+def check_boundedness(model: ParModel) -> BoundednessReport:
     """Decide whether the causal solution of the recursion exists.
 
     Diagonal models admit an exact criterion: the per-component one-cycle
     products must satisfy ``|P_r| < 1``.  Otherwise the spectral radius of
-    the one-period monodromy product is tested against ``1 - tol``; a
+    the one-period monodromy product must stay below ``1 - 1e-8``; a
     radius below one makes the g-products decay geometrically, which is
     sufficient for the absolute convergence of the moving-average
     solution.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if model.is_diagonal():
         p = model.period_products()
         ok = bool(np.all(np.abs(p) < 1.0))
@@ -301,11 +311,11 @@ def check_boundedness(model: ParModel, tol: float = 1e-8) -> BoundednessReport:
         )
     monodromy = g_product(model, model.period, model.period)
     rho = float(np.max(np.abs(np.linalg.eigvals(monodromy))))
-    ok = rho < 1.0 - tol
+    limit = 1.0 - _BOUNDEDNESS_TOL
     return BoundednessReport(
-        bounded=ok,
+        bounded=rho < limit,
         diagonal=False,
-        detail=f"monodromy spectral radius {rho:.6g} (need < {1.0 - tol:.6g})",
+        detail=f"monodromy spectral radius {rho:.6g} (need < {limit:.6g})",
         spectral_radius=rho,
     )
 

@@ -27,7 +27,6 @@ Stages
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ from .covariation import (
 )
 from .estimators import EstimationResult, yw_cv_estimate, yw_t_estimate
 from .exceptions import DataError
-from .par_model import MultiTrajectory, ParModel, _covariation_stack
+from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
 from .stable import (
     DiscreteSpectralMeasure,
@@ -212,26 +211,24 @@ class DiagnosticsReport:
         ]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["component", "alpha_hat", "sigma_hat", "ad_p_value"])
-            for c in self.components:
-                writer.writerow(
-                    [c.name, repr(c.params.alpha), repr(c.params.scale),
-                     repr(c.ad_p_value)]
-                )
+        _write_csv(
+            path,
+            ["component", "alpha_hat", "sigma_hat", "ad_p_value"],
+            ([c.name, repr(c.params.alpha), repr(c.params.scale), repr(c.ad_p_value)]
+             for c in self.components),
+        )
 
     def ncv_to_csv(self, path) -> None:
         """Long-format dependence curves: ``kind,i,j,lag,value``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "i", "j", "lag", "value"])
-            for i, curve in self.auto_ncv.items():
-                for h, val in zip(self.lags, curve):
-                    writer.writerow(["auto", i + 1, i + 1, h, repr(float(val))])
-            for (i, j), curve in self.cross_ncv.items():
-                for h, val in zip(self.lags, curve):
-                    writer.writerow(["cross", i + 1, j + 1, h, repr(float(val))])
+        curves = [("auto", i, i, curve) for i, curve in self.auto_ncv.items()]
+        curves += [("cross", i, j, curve) for (i, j), curve in self.cross_ncv.items()]
+        _write_csv(
+            path,
+            ["kind", "i", "j", "lag", "value"],
+            ([kind, i + 1, j + 1, h, repr(float(val))]
+             for kind, i, j, curve in curves
+             for h, val in zip(self.lags, curve)),
+        )
 
 
 def diagnose_residuals(
@@ -452,13 +449,9 @@ class QuantilePaths:
         # (L, m * n_q), component-major like the header; one row of
         # Python floats at a time keeps memory flat in L
         values = self.lines.transpose(2, 1, 0).reshape(self.length, -1)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(
-                [t, *map(repr, row.tolist())]
-                for t, row in zip(range(self.t0, self.t0 + self.length), values)
-            )
+        times = range(self.t0, self.t0 + self.length)
+        rows = ([t, *map(repr, row.tolist())] for t, row in zip(times, values))
+        _write_csv(path, header, rows)
 
 
 def _quantile_orders(q_list) -> np.ndarray:

@@ -25,7 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -99,7 +99,6 @@ class DiscreteSpectralMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    symmetrized: bool = field(default=False)
 
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -123,9 +122,7 @@ class DiscreteSpectralMeasure:
         mirrored to ``-s`` with the same weight."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float).ravel()
-        return cls(
-            np.vstack([pts, -pts]), np.concatenate([w, w]), symmetrized=True
-        )
+        return cls(np.vstack([pts, -pts]), np.concatenate([w, w]))
 
     @property
     def dim(self) -> int:
@@ -346,15 +343,17 @@ def iqr_constant(alpha: float) -> float:
 
 #: |z| from which the distribution function uses the power-tail series
 _TAIL_Z = 50.0
+#: terms of that series summed
+_TAIL_TERMS = 10
 
 
-def _tail_upper_prob(z, alpha: float, kmax: int = 10):
+def _tail_upper_prob(z, alpha: float):
     """Asymptotic series for P(X > z) of the standard law, valid for large
     positive z.  Terms: (1/pi) * (-1)^(k+1) Gamma(alpha k)/k! *
     sin(k pi alpha / 2) * z^(-alpha k)."""
     z = np.asarray(z, dtype=float)
     total = np.zeros_like(z)
-    for k in range(1, kmax + 1):
+    for k in range(1, _TAIL_TERMS + 1):
         term = (
             (-1.0) ** (k + 1)
             / math.pi

@@ -14,7 +14,7 @@ import stablepar
 from stablepar.cli import load_config, load_trajectory, main, model_from_config
 from stablepar.estimators import EstimationResult
 from stablepar.exceptions import DataError
-from stablepar.mc import model1_preset
+from stablepar.mc import McConfig, model1_preset, model2_preset, run_mc_study
 from stablepar.par_model import MultiTrajectory, simulate_par1
 from stablepar.rng import RandomStream
 
@@ -338,6 +338,31 @@ class TestMcStudyCommand:
             rows = list(csv.reader(fh))
         assert rows[0][:4] == ["method", "alpha", "L", "v"]
         assert len(rows) == 1 + 12
+
+    def test_matches_the_library_study_and_prints_its_summary(self, tmp_path, capsys):
+        # YW-T needs 100 observations per phase: L >= 202 on model2
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text("preset: model2\nL: 202\nM: 3\nalphas: [1.5, 1.8]\nseed: 5\n")
+        out = tmp_path / "study.csv"
+        assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 0
+        report = run_mc_study(McConfig(model2_preset(), 202, 3, alphas=(1.5, 1.8), seed=5))
+        report.to_csv(tmp_path / "library.csv")
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == [
+            "method", "alpha", "worst", "|median-true|", "mean", "IQR", "failures"
+        ]
+        assert lines[-1].startswith("wrote 72 cells")
+        rows = [line.split() for line in lines[1:-1]]
+        expected = [(meth, alpha) for meth in ("YW-CV", "YW-T") for alpha in (1.5, 1.8)]
+        assert [(r[0], float(r[1])) for r in rows] == expected
+        for (meth, alpha), row in zip(expected, rows):
+            cells = report.select(method=meth, alpha=alpha)
+            worst = max(abs(c.median - c.true_value) for c in cells)
+            assert float(row[2]) == pytest.approx(worst, abs=5e-5)
+            assert float(row[3]) == pytest.approx(np.mean([c.iqr for c in cells]), abs=5e-5)
+            assert int(row[4]) == report.failures[(meth, alpha)]
 
 
 @pytest.fixture(scope="module")

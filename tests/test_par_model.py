@@ -12,6 +12,7 @@ from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
+    _write_csv,
     check_boundedness,
     g_product,
     simulate_par1,
@@ -101,6 +102,15 @@ class TestMultiTrajectory:
         back = MultiTrajectory.from_csv(path)
         assert back.t0 == 5
         assert np.array_equal(back.values, vals)
+
+    def test_csv_dialect_of_the_one_writer(self, tmp_path):
+        path = tmp_path / "labeled.csv"
+        _write_csv(path, ["date", "x1"], [["Jan 1, 2020", "0.5"], ["Jan 2, 2020", "-1.5"]])
+        assert path.read_bytes() == (
+            b'date,x1\r\n"Jan 1, 2020",0.5\r\n"Jan 2, 2020",-1.5\r\n'
+        )
+        back = MultiTrajectory.from_csv(path, columns="date,x1")
+        assert np.array_equal(back.values, [[0.5, -1.5]])
 
     def test_from_csv_rejects_non_consecutive_time(self, tmp_path):
         path = tmp_path / "gapped.csv"
