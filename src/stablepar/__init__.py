@@ -5,7 +5,6 @@ benchmarking, and a fitting pipeline for seasonal heavy-tailed series.
 """
 
 from .covariation import (
-    PhaseCovMatrix,
     cv_from_spectral,
     cv_phase_matrix_spectral,
     estimate_spectral_measure_2d,

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .estimators import yw_cv_estimate, yw_t_estimate
+from .estimators import METHODS, estimate, method_name
+from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError, NumericalError, StableParError
 from .mc import McConfig, model1_preset, model2_preset, run_mc_study
 from .par_model import MultiTrajectory, ParModel, simulate_par1
@@ -44,7 +45,7 @@ CONFIG_DEFAULTS = {
     "h_max": 10,
     "n_sims": 1000,
     "alphas": (),
-    "methods": ("YW-CV", "YW-T"),
+    "methods": METHODS,
 }
 
 
@@ -127,13 +128,6 @@ def model_from_config(config: dict) -> ParModel:
     raise DataError("config must provide either 'preset' or 'model'")
 
 
-def _method_key(method) -> str:
-    key = str(method).strip().lower().replace("_", "-")
-    if key not in ("yw-cv", "yw-t"):
-        raise DataError(f"unknown method {method!r}; use yw-cv or yw-t")
-    return key
-
-
 def cmd_simulate(args, config: dict) -> int:
     model = model_from_config(config)
     L = _setting(config, "L", int, required=True)
@@ -147,10 +141,7 @@ def cmd_simulate(args, config: dict) -> int:
 
 def cmd_estimate(args, config: dict) -> int:
     traj, T, method, alpha = _fit_inputs(args, config)
-    if method == "yw-cv":
-        result = yw_cv_estimate(traj, T)
-    else:
-        result = yw_t_estimate(traj, T, alpha=alpha)
+    result = estimate(traj, T, method, alpha=alpha)
     result.to_csv(args.out)
     extra = f" (alpha {result.alpha_used:.4f})" if result.alpha_used else ""
     print(f"wrote {T * traj.dim * traj.dim} coefficients to {args.out}{extra}")
@@ -164,7 +155,7 @@ def cmd_mc_study(args, config: dict) -> int:
         L=_setting(config, "L", int, required=True),
         M=_setting(config, "M", int, required=True),
         alphas=_setting(config, "alphas", float),
-        methods=_setting(config, "methods", str),
+        methods=_setting(config, "methods", method_name),
         seed=_setting(config, "seed", int, args.seed),
         burn_in=_setting(config, "burn_in", int),
     )
@@ -189,7 +180,7 @@ def _print_mc_summary(report) -> None:
             cells = report.select(method=method, alpha=alpha)
             worst = max(abs(c.median - c.true_value) for c in cells)
             mean_iqr = np.mean([c.iqr for c in cells])
-            print(f"{method:8s} {alpha:5.1f} {worst:20.4f} {mean_iqr:9.4f} "
+            print(f"{method:8s} {str(alpha):>5s} {worst:20.4f} {mean_iqr:9.4f} "
                   f"{report.failures[(method, alpha)]:8d}")
 
 
@@ -197,7 +188,7 @@ def _fit_inputs(args, config: dict):
     """Trajectory plus the model-fit arguments of every command that reads one."""
     traj = load_trajectory(args.input, args.columns)
     T = _setting(config, "period", int, args.period, required=True)
-    method = _setting(config, "method", _method_key, args.method)
+    method = _setting(config, "method", method_name, args.method)
     return traj, T, method, _setting(config, "alpha", float)
 
 

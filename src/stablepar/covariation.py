@@ -23,7 +23,6 @@ sub-sample of one phase of the period.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +36,6 @@ from .stable import (
 )
 
 __all__ = [
-    "PhaseCovMatrix",
     "ncv_auto",
     "ncv_cross",
     "ncv_phase_matrix",
@@ -46,32 +44,6 @@ __all__ = [
     "estimate_spectral_measure_2d",
     "cv_phase_matrix_spectral",
 ]
-
-
-@dataclass
-class PhaseCovMatrix:
-    """An m-by-m matrix of per-phase dependence values at one lag.
-
-    Attributes
-    ----------
-    period : int
-        Period T of the underlying series.
-    phase : int
-        Phase index v; 0 stands for the wrapped phase preceding v = 1.
-    lag : int
-        Lag h (0 or 1 for the estimation systems).
-    values : ndarray
-        The matrix; entry (r, l) measures component r against the lagged
-        component l.
-    kind : str
-        ``"normalized-moment"`` or ``"spectral"``.
-    """
-
-    period: int
-    phase: int
-    lag: int
-    values: np.ndarray
-    kind: str
 
 
 def _check_lag(n: int, h: int) -> None:
@@ -172,7 +144,7 @@ def ncv_phase_stack(values, T: int, v: int, h: int) -> tuple[np.ndarray, dict]:
     return out, failed
 
 
-def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
+def ncv_phase_matrix(traj, T: int, v: int, h: int) -> np.ndarray:
     """Per-phase normalized covariation matrix of a periodic trajectory.
 
     Entry (r, l) estimates the normalized covariation of ``X_r`` at phase
@@ -192,7 +164,7 @@ def ncv_phase_matrix(traj, T: int, v: int, h: int) -> PhaseCovMatrix:
     out, failed = ncv_phase_stack(values[None], T, v, h)
     if failed:
         raise failed[0]
-    return PhaseCovMatrix(period=T, phase=v, lag=h, values=out[0], kind="normalized-moment")
+    return out[0]
 
 
 def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
@@ -408,7 +380,7 @@ def estimate_spectral_measure_2d(
 
 def cv_phase_matrix_spectral(
     traj, T: int, v: int, h: int, alpha: float, n_grid: int = 40
-) -> PhaseCovMatrix:
+) -> np.ndarray:
     """Per-phase covariation matrix via estimated pair spectral measures.
 
     Entry (r, l) pairs the phase-v sub-sample of component r with the
@@ -469,4 +441,4 @@ def cv_phase_matrix_spectral(
     if np.any(collapsed):
         r, l = np.argwhere(collapsed)[0] + 1
         raise NumericalError(f"phase {v}, lag {h}, entry ({r}, {l}): {_COLLAPSED}")
-    return PhaseCovMatrix(period=T, phase=v, lag=h, values=out, kind="spectral")
+    return out

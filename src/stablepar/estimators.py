@@ -27,6 +27,10 @@ replicate.  ``yw_cv_estimate`` is its one-replicate case.  Failures stay
 per replicate: a vanishing conditioning component fails only its
 replicate, and an ill-conditioned phase takes the iterative fallback
 only for its replicate and phase.
+
+This module alone reads a method name (:func:`method_name`) and picks
+the estimator: :func:`estimate` for one series, :func:`estimate_block`
+for a block of replicates.
 """
 
 from __future__ import annotations
@@ -38,12 +42,16 @@ import numpy as np
 
 from .covariation import cv_phase_matrix_spectral, ncv_phase_stack
 from .covariation import ncv_phase_matrix  # unused here; the benchmark tracer patches this name
-from .exceptions import DataError, DegenerateSeriesError, SolverError
+from .exceptions import DataError, DegenerateSeriesError, SolverError, StableParError
 from .par_model import MultiTrajectory, _read_csv, _write_csv
 from .solvers import solve_direct, solve_yw
 from .stable import mcculloch_estimate
 
 __all__ = [
+    "METHODS",
+    "method_name",
+    "estimate",
+    "estimate_block",
     "EstimationResult",
     "YwCvBlock",
     "yw_cv_block",
@@ -52,6 +60,17 @@ __all__ = [
     "theta_from_cov_matrices",
     "estimate_alpha",
 ]
+
+METHODS = ("YW-CV", "YW-T")
+
+
+def method_name(name) -> str:
+    """The :data:`METHODS` spelling of ``name``: case, ``_`` for ``-`` and
+    surrounding blanks do not matter.  Any other name is a ``ValueError``."""
+    key = str(name).strip().upper().replace("_", "-")
+    if key not in METHODS:
+        raise ValueError(f"unknown method {name!r}; choose from {METHODS}")
+    return key
 
 
 @dataclass
@@ -165,22 +184,16 @@ def theta_from_cov_matrices(
     """Solve the per-phase systems for explicitly supplied matrix pairs.
 
     ``m0s[v-1]`` and ``m1s[v-1]`` are the lag-0 and lag-1 dependence
-    matrices of phase ``v``; inputs may be plain arrays or the matrix
-    containers produced by the covariation routines.  This is the entry
-    point for feeding exact (theoretical) matrices, and the back end of
-    :func:`yw_t_estimate`; it solves as :func:`yw_cv_block` does.
+    matrices of phase ``v``.  This is the entry point for feeding exact
+    (theoretical) matrices, and the back end of :func:`yw_t_estimate`;
+    it solves as :func:`yw_cv_block` does.
     """
     if len(m0s) != len(m1s) or not m0s:
         raise ValueError("need equally many lag-0 and lag-1 matrices, at least one")
-
-    def stack(mats):
-        return np.stack([
-            mat.values if hasattr(mat, "values") else np.asarray(mat, dtype=float)
-            for mat in mats
-        ])[None]
-
     failures = {}
-    theta, reports = _solve_phases(stack(m0s), stack(m1s), failures)
+    theta, reports = _solve_phases(
+        np.asarray(m0s, dtype=float)[None], np.asarray(m1s, dtype=float)[None], failures
+    )
     if failures:
         raise failures[0][1]
     return EstimationResult(
@@ -193,13 +206,14 @@ def theta_from_cov_matrices(
 
 @dataclass
 class YwCvBlock:
-    """YW-CV estimates of a block of replicates, from :func:`yw_cv_block`.
+    """Estimates of a block of replicates, from :func:`estimate_block`.
 
     ``theta[k, v-1]`` is replicate k's Theta(v), all ``NaN`` when the
     replicate failed; ``solve_reports[k]`` holds its T per-phase
     :class:`SolveReport` (empty when it failed); ``failures`` maps each
-    failed replicate to ``(phase, error)``, the error being what
-    :func:`yw_cv_estimate` raises on that replicate alone.
+    failed replicate to ``(phase, error)``, the error being what the
+    one-series estimator raises on that replicate alone and the phase
+    ``None`` where the estimator does not report it (YW-T).
     """
 
     theta: np.ndarray
@@ -304,3 +318,36 @@ def yw_t_estimate(
     return theta_from_cov_matrices(
         m0s, m1s, method="YW-T", alpha_used=float(alpha)
     )
+
+
+def estimate(
+    traj: MultiTrajectory, T: int, method, alpha: float | None = None
+) -> EstimationResult:
+    """One series by the named method; ``alpha`` reaches YW-T only."""
+    if method_name(method) == "YW-CV":
+        return yw_cv_estimate(traj, T)
+    return yw_t_estimate(traj, T, alpha=alpha)
+
+
+def estimate_block(values, T: int, method, alpha: float | None = None) -> YwCvBlock:
+    """A ``(M, m, L)`` block of replicates by the named method.
+
+    YW-CV is :func:`yw_cv_block`.  YW-T runs :func:`yw_t_estimate` on each
+    replicate; a :class:`StableParError` or ``LinAlgError`` fails only
+    that replicate, at phase ``None``.
+    """
+    if method_name(method) == "YW-CV":
+        return yw_cv_block(values, T)
+    M, m, _ = np.shape(values)
+    theta = np.full((M, T, m, m), np.nan)
+    reports, failures = [], {}
+    for k, row in enumerate(values):
+        try:
+            result = yw_t_estimate(MultiTrajectory(values=row), T, alpha=alpha)
+        except (StableParError, np.linalg.LinAlgError) as exc:
+            failures[k] = (None, exc)
+            reports.append([])
+            continue
+        theta[k] = result.theta_hat
+        reports.append(result.solve_reports)
+    return YwCvBlock(theta=theta, solve_reports=reports, failures=failures)

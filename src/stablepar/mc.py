@@ -18,10 +18,9 @@ Replicates are simulated together, in blocks of at most
 (:func:`~stablepar.par_model.simulate_replicates`); replicate ``i``
 still draws from ``substream(k, i)`` and its trajectory equals
 ``simulate_par1`` on that stream.  Boundedness is checked once per
-alpha, on the first block.  YW-CV estimates each block in one call
-(:func:`~stablepar.estimators.yw_cv_block`), whose result for every
-replicate is bit-identical to ``yw_cv_estimate`` on it alone and whose
-failures stay per replicate; YW-T runs replicate by replicate.
+alpha, on the first block.  Each method estimates each block in one
+:func:`~stablepar.estimators.estimate_block` call, whose failures stay
+per replicate.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .estimators import yw_cv_block, yw_t_estimate
-from .estimators import yw_cv_estimate  # unused here; the benchmark tracer patches this name
-from .exceptions import NumericalError, StableParError
-from .par_model import MultiTrajectory, ParModel, _write_csv, simulate_replicates
+from .estimators import METHODS, estimate_block, method_name
+from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
+from .exceptions import NumericalError
+from .par_model import ParModel, _write_csv, simulate_replicates
 from .par_model import simulate_par1  # unused here; the benchmark tracer patches this name
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure
@@ -52,8 +51,6 @@ __all__ = [
 # Default stability-index sweep for width-vs-alpha studies.
 DEFAULT_ALPHA_SWEEP = tuple(round(0.1 * k, 1) for k in range(11, 20))
 
-METHODS = ("YW-CV", "YW-T")
-
 # Replicates simulated in one batch: memory stays O(REPLICATE_BLOCK * L * m)
 # however large M is.
 REPLICATE_BLOCK = 64
@@ -65,7 +62,8 @@ class McConfig:
 
     ``alphas`` defaults to the model's own index (no sweep); each swept
     alpha replaces the noise index while keeping coefficients and noise
-    geometry.  ``methods`` is any subset of {"YW-CV", "YW-T"}.  The
+    geometry.  ``methods`` is any subset of ``METHODS``, each name read
+    by :func:`~stablepar.estimators.method_name`.  The
     spectral-measure method receives the current alpha as known — the
     study setting is simulation, where it is.  ``replicate_seeds``
     optionally overrides the per-replicate streams (it must have length
@@ -89,10 +87,7 @@ class McConfig:
                 f"need L >= {4 * self.model.period} (four periods), got {self.L}"
             )
         object.__setattr__(self, "alphas", tuple(self.alphas) or (self.model.alpha,))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        for meth in self.methods:
-            if meth not in METHODS:
-                raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
+        object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")
         if self.replicate_seeds is not None:
@@ -272,21 +267,12 @@ def run_mc_study(config: McConfig) -> McReport:
                 burn_in=config.burn_in,
                 allow_unbounded=start > 0,  # the first block checked this model
             )
-            if "YW-CV" in config.methods:
-                block = yw_cv_block(paths, T)
-                estimates["YW-CV"].append(np.delete(block.theta, list(block.failures), axis=0))
-                causes["YW-CV"].update(
+            for meth in config.methods:
+                block = estimate_block(paths, T, meth, alpha=float(alpha))
+                estimates[meth].append(np.delete(block.theta, list(block.failures), axis=0))
+                causes[meth].update(
                     (type(exc).__name__, phase) for phase, exc in block.failures.values()
                 )
-            if "YW-T" in config.methods:
-                for values in paths:
-                    traj = MultiTrajectory(values=values)
-                    try:
-                        result = yw_t_estimate(traj, T, alpha=float(alpha))
-                    except (StableParError, np.linalg.LinAlgError) as exc:
-                        causes["YW-T"][(type(exc).__name__, None)] += 1
-                        continue
-                    estimates["YW-T"].append(np.stack(result.theta_hat)[None])
         for meth in config.methods:
             n_failed = sum(causes[meth].values())
             failures[(meth, float(alpha))] = n_failed

@@ -36,7 +36,8 @@ from .covariation import (
     ncv_auto,
     ncv_cross,
 )
-from .estimators import EstimationResult, yw_cv_estimate, yw_t_estimate
+from .estimators import EstimationResult, estimate
+from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError
 from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
@@ -361,28 +362,22 @@ def fit_model(
     """Deterministic split, coefficient fit, residuals and predictive
     model, without the residual diagnostics.
 
-    ``method`` selects the estimator ("yw-cv" or "yw-t", case
-    insensitive); ``alpha`` optionally fixes the index for the
+    ``method`` names the estimator (see
+    :func:`~stablepar.estimators.method_name`); ``alpha`` optionally fixes the index for the
     spectral-measure method instead of estimating it.  This is all the
     predictive operations need; the result has ``diagnostics=None``.
     """
     det, detrended = fit_deterministic(traj, T)
-    key = method.strip().lower().replace("_", "-")
-    if key == "yw-cv":
-        estimate = yw_cv_estimate(detrended, T)
-    elif key == "yw-t":
-        estimate = yw_t_estimate(detrended, T, alpha=alpha)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'yw-cv' or 'yw-t'")
-    residuals = residuals_from_estimate(detrended, estimate)
+    result = estimate(detrended, T, method, alpha=alpha)
+    residuals = residuals_from_estimate(detrended, result)
     marginals = [mcculloch_estimate(x) for x in residuals.values]
     return FitResult(
         deterministic=det,
-        estimate=estimate,
+        estimate=result,
         diagnostics=None,
         detrended=detrended,
         residuals=residuals,
-        model=build_predictive_model(residuals, marginals, estimate),
+        model=build_predictive_model(residuals, marginals, result),
     )
 
 

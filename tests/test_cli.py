@@ -58,8 +58,9 @@ class TestConfigLoading:
             ("mc-study", "preset: model1\nL: 60\nM: 2\nalphas: 1.5\n", "alphas"),
             ("mc-study", "preset: model1\nL: 60\nM: 2\nmethods: YW-CV\n", "methods"),
             ("quantile-lines", "quantiles: 0.5\n", "quantiles"),
+            ("mc-study", "preset: model1\nL: 60\nM: 2\nmethods: [nope]\n", "methods"),
         ],
-        ids=["burn_in", "alphas", "methods", "quantiles"],
+        ids=["burn_in", "alphas", "methods", "quantiles", "methods-item"],
     )
     def test_wrong_type_config_value_names_key(
         self, sim_csv, tmp_path, capsys, command, config, key
@@ -339,13 +340,31 @@ class TestMcStudyCommand:
         assert rows[0][:4] == ["method", "alpha", "L", "v"]
         assert len(rows) == 1 + 12
 
-    def test_matches_the_library_study_and_prints_its_summary(self, tmp_path, capsys):
-        # YW-T needs 100 observations per phase: L >= 202 on model2
+    @pytest.mark.parametrize(
+        "text, library, n_cells",
+        [
+            # YW-T needs 100 observations per phase: L >= 202 on model2
+            ("preset: model2\nL: 202\nM: 3\nalphas: [1.5, 1.8]\nseed: 5\n",
+             McConfig(model2_preset(), 202, 3, alphas=(1.5, 1.8), seed=5), 72),
+            # alphas that agree to one decimal place keep their own labels
+            ("preset: model1\nL: 120\nM: 3\nalphas: [1.15, 1.2, 1.25]\n"
+             "methods: [YW-CV]\nseed: 5\n",
+             McConfig(model1_preset(), 120, 3, alphas=(1.15, 1.2, 1.25),
+                      methods=("YW-CV",), seed=5), 36),
+            # method names in either spelling; YW-T needs L >= 303 on model1
+            ("preset: model1\nL: 303\nM: 2\nmethods: [yw-cv, yw_t]\nseed: 4\n",
+             McConfig(model1_preset(), 303, 2, methods=("YW-CV", "YW-T"), seed=4), 24),
+        ],
+        ids=["model2", "two-decimal-alphas", "method-spellings"],
+    )
+    def test_matches_the_library_study_and_prints_its_summary(
+        self, tmp_path, capsys, text, library, n_cells
+    ):
         cfg = tmp_path / "mc.yaml"
-        cfg.write_text("preset: model2\nL: 202\nM: 3\nalphas: [1.5, 1.8]\nseed: 5\n")
+        cfg.write_text(text)
         out = tmp_path / "study.csv"
         assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 0
-        report = run_mc_study(McConfig(model2_preset(), 202, 3, alphas=(1.5, 1.8), seed=5))
+        report = run_mc_study(library)
         report.to_csv(tmp_path / "library.csv")
         assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
@@ -353,9 +372,9 @@ class TestMcStudyCommand:
         assert lines[0].split() == [
             "method", "alpha", "worst", "|median-true|", "mean", "IQR", "failures"
         ]
-        assert lines[-1].startswith("wrote 72 cells")
+        assert lines[-1].startswith(f"wrote {n_cells} cells")
         rows = [line.split() for line in lines[1:-1]]
-        expected = [(meth, alpha) for meth in ("YW-CV", "YW-T") for alpha in (1.5, 1.8)]
+        expected = [(meth, alpha) for meth in library.methods for alpha in library.alphas]
         assert [(r[0], float(r[1])) for r in rows] == expected
         for (meth, alpha), row in zip(expected, rows):
             cells = report.select(method=meth, alpha=alpha)

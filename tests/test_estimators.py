@@ -12,12 +12,14 @@ from stablepar.covariation import ncv_auto, ncv_phase_matrix
 from stablepar.estimators import (
     EstimationResult,
     estimate_alpha,
+    estimate_block,
+    method_name,
     theta_from_cov_matrices,
     yw_cv_block,
     yw_cv_estimate,
     yw_t_estimate,
 )
-from stablepar.exceptions import DataError, DegenerateSeriesError
+from stablepar.exceptions import DataError, DegenerateSeriesError, NumericalError
 from stablepar.mc import REPLICATE_BLOCK
 from stablepar.par_model import (
     MultiTrajectory,
@@ -132,8 +134,8 @@ class TestYwCvEstimate:
         traj = simulate_par1(model, 4000, RandomStream(14))
         res = yw_cv_estimate(traj, 2)
         for v in (1, 2):
-            num = ncv_phase_matrix(traj, 2, v, 1).values[0, 0]
-            den = ncv_phase_matrix(traj, 2, v - 1, 0).values[0, 0]
+            num = ncv_phase_matrix(traj, 2, v, 1)[0, 0]
+            den = ncv_phase_matrix(traj, 2, v - 1, 0)[0, 0]
             assert res.theta_hat[v - 1][0, 0] == pytest.approx(num / den, rel=1e-10)
 
     def test_permutation_equivariance(self, model1):
@@ -260,6 +262,61 @@ class TestYwTEstimate:
         traj = simulate_par1(model1, 500, RandomStream(19))
         with pytest.raises(ValueError):
             yw_t_estimate(traj, 3, alpha=0.8)
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_permutation_equivariance(self, preset, request):
+        """Relabeling the components permutes the estimate's rows and
+        columns accordingly, exact to rounding."""
+        model = request.getfixturevalue(preset)
+        traj = simulate_par1(model, 3000, RandomStream(15))
+        perm = np.roll(np.arange(model.dim), 1)
+        permuted = MultiTrajectory(values=traj.values[perm], t0=traj.t0)
+        res = np.stack(yw_t_estimate(traj, model.period, alpha=1.8).theta_hat)
+        res_p = np.stack(yw_t_estimate(permuted, model.period, alpha=1.8).theta_hat)
+        expected = res[:, perm][:, :, perm]
+        assert np.abs(res_p - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_common_scaling_invariance(self, preset, request):
+        """Scaling the whole series by one factor scales every covariation
+        by the same power of it, which the solve cancels."""
+        model = request.getfixturevalue(preset)
+        traj = simulate_par1(model, 3000, RandomStream(18))
+        res = np.stack(yw_t_estimate(traj, model.period, alpha=1.8).theta_hat)
+        for c in (0.01, 250.0):
+            scaled = MultiTrajectory(values=c * traj.values, t0=traj.t0)
+            res_sc = np.stack(yw_t_estimate(scaled, model.period, alpha=1.8).theta_hat)
+            assert np.abs(res_sc - res).max() <= 1e-12 * np.abs(res).max(), c
+
+
+class TestMethodDispatch:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("YW-CV", "YW-CV"), ("yw-cv", "YW-CV"), ("YW_CV", "YW-CV"),
+         (" yw_t ", "YW-T"), ("Yw-T", "YW-T")],
+    )
+    def test_method_name_spellings(self, name, expected):
+        assert method_name(name) == expected
+
+    @pytest.mark.parametrize("name", ["nope", "ywcv", "", "YW CV", 3])
+    def test_unknown_method_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match="unknown method"):
+            method_name(name)
+
+    def test_yw_t_block_fails_only_the_failing_replicate(self, model1):
+        """YW-T over a block is yw_t_estimate per replicate; a replicate
+        whose component vanishes fails alone, with no phase."""
+        values = _block(model1, 4, L=303)  # 100 observations per phase
+        values[2, 1] = 0.0
+        block = estimate_block(values, 3, "YW-T", alpha=1.8)
+        assert list(block.failures) == [2]
+        phase, exc = block.failures[2]
+        assert phase is None and isinstance(exc, NumericalError)
+        assert np.all(np.isnan(block.theta[2])) and block.solve_reports[2] == []
+        for k in (0, 1, 3):
+            single = yw_t_estimate(MultiTrajectory(values=values[k]), 3, alpha=1.8)
+            assert np.array_equal(block.theta[k], np.stack(single.theta_hat)), k
+            assert len(block.solve_reports[k]) == 3
 
 
 class TestEstimateAlpha:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stablepar.estimators as estimators
 import stablepar.mc as mc
 from stablepar.estimators import EstimationResult
 from stablepar.exceptions import NumericalError, SolverError, UnboundedModelError
@@ -175,7 +176,7 @@ class TestRunMcStudy:
             return EstimationResult(theta_hat=model1_preset().theta, method="YW-T")
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
-        monkeypatch.setattr(mc, "yw_t_estimate", yw_t_stub)
+        monkeypatch.setattr(estimators, "yw_t_estimate", yw_t_stub)
         cfg = McConfig(model=model1_preset(), L=120, M=5, seed=2)
         rep = run_mc_study(cfg)
         assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}
@@ -190,13 +191,14 @@ def _record_trajectories(monkeypatch):
     """Capture the trajectory of every replicate in the blocks the study's
     YW-CV estimator receives, in replicate order."""
     seen = []
-    original = mc.yw_cv_block
+    original = mc.estimate_block
 
-    def recording(values, T):
-        seen.extend(np.array(row) for row in values)
-        return original(values, T)
+    def recording(values, T, method, alpha=None):
+        if method == "YW-CV":
+            seen.extend(np.array(row) for row in values)
+        return original(values, T, method, alpha=alpha)
 
-    monkeypatch.setattr(mc, "yw_cv_block", recording)
+    monkeypatch.setattr(mc, "estimate_block", recording)
     return seen
 
 
