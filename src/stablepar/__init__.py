@@ -16,7 +16,6 @@ from .estimators import (
     EstimationResult,
     estimate_alpha,
     theta_from_cov_matrices,
-    yw_cv_block,
     yw_cv_estimate,
     yw_t_estimate,
 )

@@ -264,10 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="map a different CSV layout: time column first, then "
                 "value columns in order (e.g. timestamp,price,volume)",
             )
-        p.add_argument("--period", type=int, help="period T of the model")
-        p.add_argument(
-            "--method", choices=["yw-cv", "yw-t"], help="estimation method"
-        )
+            p.add_argument("--period", type=int, help="period T of the model")
+            p.add_argument("--method", help="estimation method: yw-cv or yw-t")
         p.add_argument("--seed", type=int, help="base random seed")
         p.add_argument("--out", required=True, help="output file (or directory for fit)")
         p.add_argument("--config", help="JSON or YAML config file")

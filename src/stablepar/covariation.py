@@ -42,6 +42,7 @@ __all__ = [
     "ncv_phase_stack",
     "cv_from_spectral",
     "estimate_spectral_measure_2d",
+    "cv_phase_stack_spectral",
     "cv_phase_matrix_spectral",
 ]
 
@@ -185,23 +186,26 @@ def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
 #: estimate at 2^20) for no measurable speed gain there.
 _BLOCK_ELEMENTS = 1 << 14
 
+#: Equally spaced directions of the projection-method grid on the full
+#: circle; mirror pairs share a weight, so a fit reads N_GRID/2
+#: projection scales.
+N_GRID = 40
+
 _COLLAPSED = "projection-method fit collapsed to the zero measure"
 
 
 @lru_cache(maxsize=16)
-def _projection_design(
-    alpha: float, n_grid: int
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """The data-free half of the projection method for one (alpha, n_grid).
+def _projection_design(alpha: float) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The data-free half of the projection method for one alpha.
 
-    Returns ``(dirs, a_aug, c, rank_deficient)``: the ``n_grid/2`` grid
+    Returns ``(dirs, a_aug, c, rank_deficient)``: the ``N_GRID/2`` grid
     directions on the upper half-circle as rows, the ridge-augmented NNLS
     matrix, the interquartile range ``c`` of the standard
     symmetric alpha-stable law, and whether the projection-scale kernel
     is numerically rank-deficient.  Both arrays are read-only because
     every caller shares them.
     """
-    half = n_grid // 2
+    half = N_GRID // 2
     phi = np.pi * np.arange(half) / half
     dirs = np.column_stack([np.cos(phi), np.sin(phi)])
 
@@ -241,7 +245,7 @@ def _cv_weights(dirs: np.ndarray, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _diagonal_cv_constant(alpha: float, n_grid: int) -> float:
+def _diagonal_cv_constant(alpha: float) -> float:
     """Covariation K of the fit to the pair (x, x) of a unit-IQR sample.
 
     Every projection of (x, x) is (cos phi + sin phi) x, so its scale row
@@ -249,14 +253,14 @@ def _diagonal_cv_constant(alpha: float, n_grid: int) -> float:
     NNLS is positively homogeneous: the lag-0 diagonal entry of a phase
     matrix is (IQR(x)/c)^alpha K, with no pair fit.
     """
-    dirs, a_aug, _, _ = _projection_design(alpha, n_grid)
+    dirs, a_aug, _, _ = _projection_design(alpha)
     b = np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha
     g = _nnls_weights(a_aug, b[None])[0]
     return float(np.sum(_cv_weights(dirs, alpha) * g))
 
 
-def _checked_design(alpha: float, n_grid: int, *samples: np.ndarray) -> tuple:
-    """Validate a fit's options and samples (observations along the last
+def _checked_design(alpha: float, *samples: np.ndarray) -> tuple:
+    """Validate a fit's alpha and samples (observations along the last
     axis), warn if the design is rank-deficient, and return the cached
     :func:`_projection_design`."""
     n = samples[0].shape[-1]
@@ -267,9 +271,7 @@ def _checked_design(alpha: float, n_grid: int, *samples: np.ndarray) -> tuple:
         raise ValueError(f"sample contains {n_bad} non-finite entries")
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    if n_grid < 4 or n_grid % 2:
-        raise ValueError("n_grid must be an even number >= 4")
-    design = _projection_design(float(alpha), int(n_grid))
+    design = _projection_design(float(alpha))
     if design[3]:
         warnings.warn(
             "projection-scale system is rank-deficient: the direction "
@@ -280,20 +282,18 @@ def _checked_design(alpha: float, n_grid: int, *samples: np.ndarray) -> tuple:
     return design
 
 
-def _fit_pairs(
-    x: np.ndarray, y: np.ndarray, rs, ls, alpha: float, n_grid: int
-) -> np.ndarray:
+def _fit_pairs(x: np.ndarray, y: np.ndarray, rs, ls, alpha: float) -> np.ndarray:
     """Projection-method weights of the pairs ``(x[rs[p]], y[ls[p]])``.
 
     ``x`` and ``y`` are ``(m, n)`` sample stacks; the result is
-    ``(P, n_grid/2)``, one NNLS weight per grid direction (and its mirror
+    ``(P, N_GRID/2)``, one NNLS weight per grid direction (and its mirror
     image) for each of the P pairs.  Each pair's projections are built
     block by block, each block one matrix product of at most
     ``_BLOCK_ELEMENTS`` values (or one projection, if that is longer),
     sorted in place along the observations; the quartiles are read from
     the sorted rows.
     """
-    dirs, a_aug, c, _ = _projection_design(alpha, n_grid)
+    dirs, a_aug, c, _ = _projection_design(alpha)
     half, n = dirs.shape[0], x.shape[1]
     n_dirs = min(half, max(1, _BLOCK_ELEMENTS // n))
     # One pair buffer and one projection buffer serve every block: fresh
@@ -312,9 +312,7 @@ def _fit_pairs(
     return _nnls_weights(a_aug, (np.maximum(iqr, 0.0) / c) ** alpha)
 
 
-def estimate_spectral_measure_2d(
-    sample, alpha: float, n_grid: int = 40
-) -> DiscreteSpectralMeasure:
+def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasure:
     """Estimate a discrete 2-D spectral measure by the projection method.
 
     The scale of every one-dimensional projection of a stable vector is a
@@ -322,9 +320,9 @@ def estimate_spectral_measure_2d(
 
         sigma(theta)^alpha = sum_j |<theta, s_j>|^alpha gamma_j.
 
-    Estimating the left side for ``n_grid/2`` directions on the upper
+    Estimating the left side for ``N_GRID/2`` directions on the upper
     half-circle (quantile-based scale with the supplied alpha) gives a
-    linear system for nonnegative weights sitting on ``n_grid`` equally
+    linear system for nonnegative weights sitting on ``N_GRID`` equally
     spaced directions; symmetric pairs share one unknown.  The weights
     solve a nonnegative least-squares problem with a tiny ridge term
     that selects the minimum-norm solution whenever the fit alone does
@@ -336,9 +334,9 @@ def estimate_spectral_measure_2d(
 
     Everything that does not depend on the sample (the grid, the design
     matrix with its ridge rows, the rank check and the IQR constant) is
-    built once per ``(alpha, n_grid)`` and cached, so many pair fits pay
-    for it once.  This is the one-pair case of the block fit that
-    :func:`cv_phase_matrix_spectral` runs: the projections are sorted and
+    built once per alpha and cached, so many pair fits pay for it once.
+    This is the one-pair case of the block fit that
+    :func:`cv_phase_stack_spectral` runs: the projections are sorted and
     their quartiles read by index.
 
     Parameters
@@ -347,14 +345,12 @@ def estimate_spectral_measure_2d(
         Finite observations; at least 100 are required.
     alpha : float
         Stability index in (1, 2].
-    n_grid : int
-        Even number of grid directions on the full circle.
 
     Raises
     ------
     ValueError
         If the sample has the wrong shape, too few rows or a non-finite
-        entry, or if alpha or n_grid is out of range.
+        entry, or if alpha is out of range.
     NumericalError
         If every fitted weight is zero (nothing to build a measure from).
 
@@ -369,8 +365,8 @@ def estimate_spectral_measure_2d(
     x = np.asarray(sample, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError("sample must be an (n, 2) array")
-    dirs = _checked_design(alpha, n_grid, x.T)[0]
-    g = _fit_pairs(x.T[:1], x.T[1:], [0], [0], float(alpha), int(n_grid))[0]
+    dirs = _checked_design(alpha, x.T)[0]
+    g = _fit_pairs(x.T[:1], x.T[1:], [0], [0], float(alpha))[0]
 
     keep = g > 0.0
     if not np.any(keep):
@@ -378,9 +374,55 @@ def estimate_spectral_measure_2d(
     return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
 
 
-def cv_phase_matrix_spectral(
-    traj, T: int, v: int, h: int, alpha: float, n_grid: int = 40
-) -> np.ndarray:
+def cv_phase_stack_spectral(
+    values, T: int, v: int, h: int, alpha: float
+) -> tuple[np.ndarray, dict]:
+    """:func:`cv_phase_matrix_spectral` for a ``(M, m, L)`` block of replicates.
+
+    Returns the ``(M, m, m)`` matrices and a dict that maps each replicate
+    with a collapsed pair fit to its :class:`NumericalError`; that
+    replicate's matrix holds no usable estimate.  One :func:`_fit_pairs`
+    call fits the pairs of every replicate and one sort of the phase
+    block gives every lag-0 diagonal, so a replicate's matrix is the same
+    bits whatever block it rides in.  A phase sub-sample with fewer than
+    100 observations, a non-finite value anywhere in the block or an
+    alpha out of range is a ``ValueError`` for the whole block.  Warns
+    once per call when the projection-scale system is rank-deficient
+    (alpha = 2).
+    """
+    cur, lagged = _phase_samples(values, T, v, h)
+    # At lag 0 both stacks hold the same observations: count them once.
+    samples = (cur,) if h == 0 else (cur, lagged)
+    dirs, _, c, _ = _checked_design(alpha, *samples)
+    alpha = float(alpha)
+    M, m, n = cur.shape
+    fitted = np.ones((m, m), dtype=bool)
+    if h == 0:
+        np.fill_diagonal(fitted, False)
+    rs, ls = np.nonzero(fitted)  # row-major entry order
+    # Replicate k's components are rows k*m .. k*m + m-1 of the stacks.
+    first = np.repeat(np.arange(M) * m, len(rs))
+    g = _fit_pairs(cur.reshape(-1, n), lagged.reshape(-1, n),
+                   first + np.tile(rs, M), first + np.tile(ls, M), alpha)
+    out = np.empty((M, m, m))
+    collapsed = np.zeros((M, m, m), dtype=bool)
+    out[:, rs, ls] = np.sum(g * _cv_weights(dirs, alpha), axis=1).reshape(M, -1)
+    collapsed[:, rs, ls] = ~np.any(g > 0.0, axis=1).reshape(M, -1)
+    if h == 0:
+        q25, q75 = sorted_quantiles(np.sort(cur, axis=-1), (0.25, 0.75))
+        iqr = np.maximum(q75 - q25, 0.0)
+        diag = np.arange(m)
+        out[:, diag, diag] = (iqr / c) ** alpha * _diagonal_cv_constant(alpha)
+        collapsed[:, diag, diag] = iqr == 0.0
+    failed = {}
+    for k, r, l in np.argwhere(collapsed):  # row-major: first entry first
+        failed.setdefault(int(k), NumericalError(
+            f"phase {v}, lag {h}, entry ({r + 1}, {l + 1}): {_COLLAPSED}"
+        ))
+    return out, failed
+
+
+def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.ndarray:
     """Per-phase covariation matrix via estimated pair spectral measures.
 
     Entry (r, l) pairs the phase-v sub-sample of component r with the
@@ -388,14 +430,15 @@ def cv_phase_matrix_spectral(
     measure of that pair by the projection method, and evaluates the
     covariation from the measure.  The sub-samples come from
     :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
-    matrix families describe the same observations.
+    matrix families describe the same observations.  This is the
+    one-replicate case of :func:`cv_phase_stack_spectral`.
 
     The pair fits run in blocks of at most ``_BLOCK_ELEMENTS`` projection
     values: one matrix product, one in-place sort and one quartile read
     per block, then one NNLS per pair.  Each entry equals
     :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d` on
     its pair up to rounding.  At lag 0 the diagonal needs no pair fit:
-    entry (r, r) is ``(IQR(x_r)/c)^alpha K(alpha, n_grid)`` (see
+    entry (r, r) is ``(IQR(x_r)/c)^alpha K(alpha)`` (see
     :func:`_diagonal_cv_constant`), so an m-component phase matrix fits
     m(m-1) pairs at lag 0 and m^2 at other lags.
 
@@ -403,7 +446,7 @@ def cv_phase_matrix_spectral(
     ------
     ValueError
         If a phase sub-sample holds fewer than 100 observations or a
-        non-finite value, or if alpha or n_grid is out of range.
+        non-finite value, or if alpha is out of range.
     NumericalError
         If a pair fit collapses to the zero measure (at the lag-0
         diagonal: the component's interquartile range is zero); the
@@ -416,29 +459,8 @@ def cv_phase_matrix_spectral(
         Once per call when the projection-scale system is rank-deficient
         (alpha = 2).
     """
-    cur, lagged = _phase_samples(traj, T, v, h)
-    # At lag 0 both stacks hold the same observations: count them once.
-    samples = (cur,) if h == 0 else (cur, lagged)
-    dirs, _, c, _ = _checked_design(alpha, n_grid, *samples)
-    alpha, n_grid = float(alpha), int(n_grid)
-    m = cur.shape[0]
-    out = np.empty((m, m))
-    collapsed = np.zeros((m, m), dtype=bool)
-    fitted = np.ones((m, m), dtype=bool)
-    if h == 0:
-        np.fill_diagonal(fitted, False)
-    rs, ls = np.nonzero(fitted)  # row-major entry order
-    g = _fit_pairs(cur, lagged, rs, ls, alpha, n_grid)
-    out[rs, ls] = np.sum(g * _cv_weights(dirs, alpha), axis=1)
-    collapsed[rs, ls] = ~np.any(g > 0.0, axis=1)
-    if h == 0:
-        q25, q75 = sorted_quantiles(np.sort(cur, axis=1), (0.25, 0.75))
-        iqr = np.maximum(q75 - q25, 0.0)
-        diag = np.arange(m)
-        out[diag, diag] = (iqr / c) ** alpha * _diagonal_cv_constant(alpha, n_grid)
-        collapsed[diag, diag] = iqr == 0.0
-
-    if np.any(collapsed):
-        r, l = np.argwhere(collapsed)[0] + 1
-        raise NumericalError(f"phase {v}, lag {h}, entry ({r}, {l}): {_COLLAPSED}")
-    return out
+    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
+    out, failed = cv_phase_stack_spectral(values[None], T, v, h, alpha)
+    if failed:
+        raise failed[0]
+    return out[0]

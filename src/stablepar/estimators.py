@@ -10,27 +10,29 @@ where M1(v) collects lag-1 and M0(v) lag-0 dependence measures of the
 phase sub-samples.  Two routes to those matrices give the two
 estimators:
 
-* ``yw_cv_estimate`` — normalized covariations from sign-weighted moment
-  sums; no tail-index input needed;
-* ``yw_t_estimate`` — covariations read off estimated two-dimensional
-  spectral measures (projection method); uses alpha, estimated from the
-  data when not supplied.
+* YW-CV — normalized covariations from sign-weighted moment sums
+  (:func:`~stablepar.covariation.ncv_phase_stack`); no tail-index input
+  needed;
+* YW-T — covariations read off estimated two-dimensional spectral
+  measures, by the projection method
+  (:func:`~stablepar.covariation.cv_phase_stack_spectral`); uses alpha,
+  estimated from the data when not supplied.
 
 Both share the solve step, so on *exact* input matrices they return the
 exact coefficients; per-column rescalings of both matrices cancel, which
 is why the normalized and unnormalized routes solve the same system.
 
-The YW-CV core, :func:`yw_cv_block`, estimates a ``(M, m, L)`` block of
-Monte Carlo replicates at once: one matmul per (phase, lag) for the
-matrices and one stacked direct solve for every phase of every
-replicate.  ``yw_cv_estimate`` is its one-replicate case.  Failures stay
-per replicate: a vanishing conditioning component fails only its
-replicate, and an ill-conditioned phase takes the iterative fallback
-only for its replicate and phase.
+Both methods are block-first: :func:`estimate_block` estimates a
+``(M, m, L)`` block of Monte Carlo replicates at once, one phase-stack
+call per (phase, lag) for the matrices and one stacked direct solve for
+every phase of every replicate; the method only picks the phase-stack
+builder.  :func:`estimate` is its one-replicate case.  Failures stay per
+replicate: a vanishing conditioning component or a collapsed spectral
+fit fails only its replicate, and an ill-conditioned phase takes the
+iterative fallback only for its replicate and phase.
 
 This module alone reads a method name (:func:`method_name`) and picks
-the estimator: :func:`estimate` for one series, :func:`estimate_block`
-for a block of replicates.
+the estimator.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariation import cv_phase_matrix_spectral, ncv_phase_stack
-from .covariation import ncv_phase_matrix  # unused here; the benchmark tracer patches this name
-from .exceptions import DataError, DegenerateSeriesError, SolverError, StableParError
+from .covariation import cv_phase_stack_spectral, ncv_phase_stack
+from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix  # unused here; the benchmark tracer patches these names
+from .exceptions import DataError, SolverError
 from .par_model import MultiTrajectory, _read_csv, _write_csv
 from .solvers import solve_direct, solve_yw
 from .stable import mcculloch_estimate
@@ -54,7 +56,6 @@ __all__ = [
     "estimate_block",
     "EstimationResult",
     "YwCvBlock",
-    "yw_cv_block",
     "yw_cv_estimate",
     "yw_t_estimate",
     "theta_from_cov_matrices",
@@ -178,15 +179,12 @@ def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
     return theta_t.transpose(0, 1, 3, 2), reports
 
 
-def theta_from_cov_matrices(
-    m0s, m1s, method: str = "YW-CV", alpha_used: float | None = None
-) -> EstimationResult:
+def theta_from_cov_matrices(m0s, m1s) -> EstimationResult:
     """Solve the per-phase systems for explicitly supplied matrix pairs.
 
     ``m0s[v-1]`` and ``m1s[v-1]`` are the lag-0 and lag-1 dependence
     matrices of phase ``v``.  This is the entry point for feeding exact
-    (theoretical) matrices, and the back end of :func:`yw_t_estimate`;
-    it solves as :func:`yw_cv_block` does.
+    (theoretical) matrices; it solves as :func:`estimate_block` does.
     """
     if len(m0s) != len(m1s) or not m0s:
         raise ValueError("need equally many lag-0 and lag-1 matrices, at least one")
@@ -197,10 +195,7 @@ def theta_from_cov_matrices(
     if failures:
         raise failures[0][1]
     return EstimationResult(
-        theta_hat=tuple(theta[0]),
-        method=method,
-        alpha_used=alpha_used,
-        solve_reports=reports[0],
+        theta_hat=tuple(theta[0]), method="YW-CV", solve_reports=reports[0]
     )
 
 
@@ -211,9 +206,8 @@ class YwCvBlock:
     ``theta[k, v-1]`` is replicate k's Theta(v), all ``NaN`` when the
     replicate failed; ``solve_reports[k]`` holds its T per-phase
     :class:`SolveReport` (empty when it failed); ``failures`` maps each
-    failed replicate to ``(phase, error)``, the error being what the
-    one-series estimator raises on that replicate alone and the phase
-    ``None`` where the estimator does not report it (YW-T).
+    failed replicate to ``(phase, error)``, the error being what
+    :func:`estimate` raises on that replicate alone.
     """
 
     theta: np.ndarray
@@ -221,18 +215,39 @@ class YwCvBlock:
     failures: dict
 
 
-def yw_cv_block(values, T: int) -> YwCvBlock:
-    """YW-CV for a ``(M, m, L)`` block of replicates at once.
+#: The phase-stack builder of each method: ``(values, T, v, h, alpha)``
+#: to the ``(M, m, m)`` matrices of a block and the failed replicates.
+_PHASE_STACKS = {
+    "YW-CV": lambda values, T, v, h, alpha: ncv_phase_stack(values, T, v, h),
+    "YW-T": cv_phase_stack_spectral,
+}
 
-    For each (phase, lag) one :func:`ncv_phase_stack` call builds the
-    normalized covariation matrices of every replicate, and one stacked
-    condition estimate and solve (:func:`solve_direct`) covers every
-    phase of every replicate.  Each replicate's result is the same bits
-    as :func:`yw_cv_estimate` on it alone, and its failures stay its own:
+
+def estimate_block(values, T: int, method, alpha: float | None = None) -> YwCvBlock:
+    """A ``(M, m, L)`` block of replicates by the named method.
+
+    For each (phase, lag) one phase-stack call builds the matrices of
+    every replicate, and one stacked condition estimate and solve
+    (:func:`solve_direct`) covers every phase of every replicate.  For
+    phase v the lag-1 matrix conditions on the phase-(v-1) vector and the
+    lag-0 matrix describes that same lagged vector, so their columns
+    share the normalization and the solve recovers Theta(v).  Phase 0 of
+    the lag-0 family is the wrapped form of phase T: same matrix entries,
+    index bookkeeping shifted one period, which keeps the two matrices of
+    each system on literally the same sub-sample.
+
+    YW-CV reads normalized covariations
+    (:func:`~stablepar.covariation.ncv_phase_stack`) and ignores
+    ``alpha``; YW-T reads spectral covariations
+    (:func:`~stablepar.covariation.cv_phase_stack_spectral`) at the known
+    ``alpha``, which it requires.  Each replicate's result is the same
+    bits as :func:`estimate` on it alone, and its failures stay its own:
 
     * a conditioning component that is identically zero on a phase
-      sub-sample fails that replicate with :class:`DegenerateSeriesError`
-      at the first phase where it occurs;
+      sub-sample (YW-CV, :class:`DegenerateSeriesError`) or a pair fit
+      that collapses to the zero measure (YW-T, :class:`NumericalError`)
+      fails that replicate at the first phase where it occurs, with the
+      message prefixed ``phase v: ``;
     * a phase whose ``m0`` is not finite or whose condition estimate
       exceeds ``COND_LIMIT`` takes the BiCGSTAB fallback
       (:func:`~stablepar.solvers.solution1`) for that replicate and phase
@@ -240,6 +255,7 @@ def yw_cv_block(values, T: int) -> YwCvBlock:
 
     The other replicates are estimated as if the failed ones were absent.
     """
+    method = method_name(method)
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError(f"need a (M, m, L) block, got shape {values.shape}")
@@ -247,6 +263,9 @@ def yw_cv_block(values, T: int) -> YwCvBlock:
     _check_shape(m, L, T)
     if not np.all(np.isfinite(values)):
         raise ValueError("trajectory contains missing or non-finite entries")
+    if method == "YW-T" and alpha is None:
+        raise ValueError("YW-T on a block needs the known alpha")
+    build = _PHASE_STACKS[method]
     m0 = np.empty((M, T, m, m))
     m1 = np.empty((M, T, m, m))
     failures = {}
@@ -254,37 +273,11 @@ def yw_cv_block(values, T: int) -> YwCvBlock:
         # The lag-0 family at phase v - 1 conditions on the same lagged
         # vector as the lag-1 family at v; phase 0 is the wrapped phase T.
         for mats, phase, h in ((m1, v, 1), (m0, v - 1, 0)):
-            mats[:, v - 1], failed = ncv_phase_stack(values, T, phase, h)
+            mats[:, v - 1], failed = build(values, T, phase, h, alpha)
             for k, exc in failed.items():
-                failures.setdefault(k, (v, DegenerateSeriesError(f"phase {v}: {exc}")))
+                failures.setdefault(k, (v, type(exc)(f"phase {v}: {exc}")))
     theta, reports = _solve_phases(m0, m1, failures)
     return YwCvBlock(theta=theta, solve_reports=reports, failures=failures)
-
-
-def yw_cv_estimate(traj: MultiTrajectory, T: int) -> EstimationResult:
-    """Coefficients from per-phase *normalized* covariation matrices.
-
-    For each phase v the lag-1 matrix conditions on the phase-(v-1)
-    vector and the lag-0 matrix describes that same lagged vector, so
-    their columns share the normalization and the solve recovers
-    Theta(v).  Phase 0 of the lag-0 family is the wrapped form of phase
-    T: same matrix entries, index bookkeeping shifted one period, which
-    keeps the two matrices of each system on literally the same
-    sub-sample.
-
-    This is the one-replicate case of :func:`yw_cv_block`.  A phase whose
-    conditioning component is identically zero raises
-    :class:`DegenerateSeriesError` naming the phase; a fallback solve
-    that fails raises its error.
-    """
-    block = yw_cv_block(traj.values[None], T)
-    if block.failures:
-        raise block.failures[0][1]
-    return EstimationResult(
-        theta_hat=tuple(block.theta[0]),
-        method="YW-CV",
-        solve_reports=block.solve_reports[0],
-    )
 
 
 def estimate_alpha(traj: MultiTrajectory) -> float:
@@ -294,10 +287,52 @@ def estimate_alpha(traj: MultiTrajectory) -> float:
     )
 
 
-def yw_t_estimate(
-    traj: MultiTrajectory, T: int, alpha: float | None = None, n_grid: int = 40
+def estimate(
+    traj: MultiTrajectory, T: int, method, alpha: float | None = None
 ) -> EstimationResult:
-    """Coefficients from spectral-measure-based covariation matrices.
+    """One series by the named method: the one-replicate case of
+    :func:`estimate_block`, whose first failure it raises.
+
+    ``alpha`` reaches YW-T only, where it defaults to
+    :func:`estimate_alpha` of the whole series and is reported as
+    ``alpha_used``.  A series shorter than four periods is a
+    :class:`DataError`; a phase whose conditioning component is
+    identically zero (YW-CV) or whose pair fit collapses (YW-T) raises
+    its error naming the phase; a fallback solve that fails raises its
+    error.
+    """
+    method = method_name(method)
+    if method == "YW-T":
+        _check_shape(traj.dim, traj.length, T)
+        if alpha is None:
+            alpha = estimate_alpha(traj)
+        if not (1.0 < alpha <= 2.0):
+            raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
+        alpha = float(alpha)
+    else:
+        alpha = None
+    block = estimate_block(traj.values[None], T, method, alpha)
+    if block.failures:
+        raise block.failures[0][1]
+    return EstimationResult(
+        theta_hat=tuple(block.theta[0]),
+        method=method,
+        alpha_used=alpha,
+        solve_reports=block.solve_reports[0],
+    )
+
+
+def yw_cv_estimate(traj: MultiTrajectory, T: int) -> EstimationResult:
+    """Coefficients from per-phase *normalized* covariation matrices:
+    :func:`estimate` by YW-CV."""
+    return estimate(traj, T, "YW-CV")
+
+
+def yw_t_estimate(
+    traj: MultiTrajectory, T: int, alpha: float | None = None
+) -> EstimationResult:
+    """Coefficients from spectral-measure-based covariation matrices:
+    :func:`estimate` by YW-T.
 
     Each matrix entry pairs two phase sub-samples, estimates their 2-D
     spectral measure by the projection method and evaluates the
@@ -306,48 +341,4 @@ def yw_t_estimate(
     cancel in the solve).  ``alpha`` defaults to the median of the
     per-component quantile estimates on the full series.
     """
-    _check_shape(traj.dim, traj.length, T)
-    if alpha is None:
-        alpha = estimate_alpha(traj)
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    m0s, m1s = [], []
-    for v in range(1, T + 1):
-        m1s.append(cv_phase_matrix_spectral(traj, T, v, 1, alpha, n_grid=n_grid))
-        m0s.append(cv_phase_matrix_spectral(traj, T, v - 1, 0, alpha, n_grid=n_grid))
-    return theta_from_cov_matrices(
-        m0s, m1s, method="YW-T", alpha_used=float(alpha)
-    )
-
-
-def estimate(
-    traj: MultiTrajectory, T: int, method, alpha: float | None = None
-) -> EstimationResult:
-    """One series by the named method; ``alpha`` reaches YW-T only."""
-    if method_name(method) == "YW-CV":
-        return yw_cv_estimate(traj, T)
-    return yw_t_estimate(traj, T, alpha=alpha)
-
-
-def estimate_block(values, T: int, method, alpha: float | None = None) -> YwCvBlock:
-    """A ``(M, m, L)`` block of replicates by the named method.
-
-    YW-CV is :func:`yw_cv_block`.  YW-T runs :func:`yw_t_estimate` on each
-    replicate; a :class:`StableParError` or ``LinAlgError`` fails only
-    that replicate, at phase ``None``.
-    """
-    if method_name(method) == "YW-CV":
-        return yw_cv_block(values, T)
-    M, m, _ = np.shape(values)
-    theta = np.full((M, T, m, m), np.nan)
-    reports, failures = [], {}
-    for k, row in enumerate(values):
-        try:
-            result = yw_t_estimate(MultiTrajectory(values=row), T, alpha=alpha)
-        except (StableParError, np.linalg.LinAlgError) as exc:
-            failures[k] = (None, exc)
-            reports.append([])
-            continue
-        theta[k] = result.theta_hat
-        reports.append(result.solve_reports)
-    return YwCvBlock(theta=theta, solve_reports=reports, failures=failures)
+    return estimate(traj, T, "YW-T", alpha)

@@ -20,7 +20,7 @@ still draws from ``substream(k, i)`` and its trajectory equals
 ``simulate_par1`` on that stream.  Boundedness is checked once per
 alpha, on the first block.  Each method estimates each block in one
 :func:`~stablepar.estimators.estimate_block` call, whose failures stay
-per replicate.
+per replicate and carry the phase where they occurred.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ class McConfig:
     geometry.  ``methods`` is any subset of ``METHODS``, each name read
     by :func:`~stablepar.estimators.method_name`.  The
     spectral-measure method receives the current alpha as known — the
-    study setting is simulation, where it is.  ``replicate_seeds``
-    optionally overrides the per-replicate streams (it must have length
-    M); its main use is degenerate replication in tests.
+    study setting is simulation, where it is.
     """
 
     model: ParModel
@@ -77,7 +75,6 @@ class McConfig:
     methods: tuple = METHODS
     seed: int = 0
     burn_in: int | None = None
-    replicate_seeds: tuple | None = None
 
     def __post_init__(self):
         if self.M < 2:
@@ -90,15 +87,6 @@ class McConfig:
         object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")
-        if self.replicate_seeds is not None:
-            object.__setattr__(
-                self, "replicate_seeds", tuple(self.replicate_seeds)
-            )
-            if len(self.replicate_seeds) != self.M:
-                raise ValueError(
-                    f"replicate_seeds must have length M={self.M}, "
-                    f"got {len(self.replicate_seeds)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -137,8 +125,7 @@ class McReport:
     """Long-format study results plus per-(method, alpha) failure counts.
 
     ``failure_causes[(method, alpha)]`` splits that count by cause: it
-    maps ``(exception class name, phase)`` to a count, the phase being
-    ``None`` where the estimator does not report it (YW-T).
+    maps ``(exception class name, phase)`` to a count.
     """
 
     cells: list
@@ -255,10 +242,7 @@ def run_mc_study(config: McConfig) -> McReport:
         model = dc_replace(config.model, alpha=float(alpha))
         estimates = {meth: [] for meth in config.methods}
         causes = {meth: Counter() for meth in config.methods}
-        if config.replicate_seeds is not None:
-            streams = [RandomStream(seed) for seed in config.replicate_seeds]
-        else:
-            streams = [base.substream(k, rep) for rep in range(config.M)]
+        streams = [base.substream(k, rep) for rep in range(config.M)]
         for start in range(0, config.M, REPLICATE_BLOCK):
             paths = simulate_replicates(
                 model,

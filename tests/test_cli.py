@@ -242,6 +242,19 @@ class TestSimulateCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc-study"])
+@pytest.mark.parametrize("flag", [["--period", "7"], ["--method", "yw-t"]])
+def test_commands_without_a_fit_refuse_fit_flags(tmp_path, command, flag):
+    """simulate and mc-study read neither flag, so they do not take it."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("preset: model1\nL: 120\nM: 2\nmethods: [YW-CV]\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")] + flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestEstimateCommand:
     def test_estimates_to_csv(self, sim_csv, tmp_path):
         out = tmp_path / "coef.csv"
@@ -286,6 +299,23 @@ class TestEstimateCommand:
         )
         assert rc == 0
         assert EstimationResult.from_csv(out, method="YW-T").period == 3
+
+    def test_method_flag_reads_any_spelling(self, sim_csv, tmp_path):
+        """``--method`` is read as the ``method`` key is: YW_T is yw-t."""
+        cfg = tmp_path / "est.yaml"
+        cfg.write_text("alpha: 1.8\n")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for spelling, out in zip(["yw-t", "YW_T"], outs):
+            argv = ["estimate", str(sim_csv), "--period", "3", "--method", spelling,
+                    "--config", str(cfg), "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_unknown_method_flag_names_key(self, sim_csv, tmp_path, capsys):
+        argv = ["estimate", str(sim_csv), "--period", "3", "--method", "nope",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert "config key 'method'" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, sim_csv, tmp_path):
         # config says period 2; the flag must win (period 3 succeeds, and a

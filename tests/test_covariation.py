@@ -142,8 +142,6 @@ class TestProjectionMethod:
             estimate_spectral_measure_2d(good[:, :1], 1.5)  # not 2-D sample
         with pytest.raises(ValueError):
             estimate_spectral_measure_2d(good, 0.9)  # alpha out of range
-        with pytest.raises(ValueError):
-            estimate_spectral_measure_2d(good, 1.5, n_grid=7)  # odd grid
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_sample(self, bad):
@@ -194,7 +192,7 @@ class TestProjectionMethod:
             estimate_spectral_measure_2d(z, 1.5)
 
     def test_warning_survives_warm_design_cache(self):
-        """The design is cached per (alpha, n_grid); the rank-deficiency
+        """The design is cached per alpha; the rank-deficiency
         warning must still come on every call that hits the cache."""
         z = RandomStream(33).generator().normal(size=(500, 2))
         for _ in range(2):
@@ -205,8 +203,8 @@ class TestProjectionMethod:
             estimate_spectral_measure_2d(z, 1.5)
 
     def test_cached_design_is_read_only(self):
-        dirs, a_aug, _, _ = _projection_design(1.5, 40)
-        assert _projection_design(1.5, 40)[0] is dirs
+        dirs, a_aug, _, _ = _projection_design(1.5)
+        assert _projection_design(1.5)[0] is dirs
         with pytest.raises(ValueError):
             dirs[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -233,14 +231,23 @@ class TestProjectionMethod:
         keep = g > 0.0
         return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
 
+    @pytest.fixture
+    def n_grid(self, request, monkeypatch):
+        """The grid size, set as the module constant; the designs cached
+        per alpha are dropped on both sides of the test."""
+        monkeypatch.setattr(covariation, "N_GRID", request.param)
+        covariation._projection_design.cache_clear()
+        yield request.param
+        covariation._projection_design.cache_clear()
+
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0])
-    @pytest.mark.parametrize("n_grid", [4, 40])
+    @pytest.mark.parametrize("n_grid", [4, 40], indirect=True)
     @pytest.mark.parametrize("n", [100, 5000])
     def test_matches_per_direction_reference(self, model1, alpha, n_grid, n):
         z = sample_stable_vector(model1.noise, alpha, n, RandomStream(37))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = estimate_spectral_measure_2d(z, alpha, n_grid)
+            got = estimate_spectral_measure_2d(z, alpha)
         ref = self._reference_fit(z, alpha, n_grid)
         assert got.n_atoms == ref.n_atoms
         np.testing.assert_allclose(got.points, ref.points, rtol=1e-12, atol=0.0)

@@ -15,7 +15,6 @@ from stablepar.estimators import (
     estimate_block,
     method_name,
     theta_from_cov_matrices,
-    yw_cv_block,
     yw_cv_estimate,
     yw_t_estimate,
 )
@@ -197,7 +196,7 @@ class TestYwCvBlock:
     def test_bit_identical_to_per_replicate_estimate(self, preset, alpha, request):
         model = replace(request.getfixturevalue(preset), alpha=alpha)
         values = _block(model, REPLICATE_BLOCK + 3)
-        block = yw_cv_block(values, model.period)
+        block = estimate_block(values, model.period, "YW-CV")
         assert block.failures == {}
         for k, row in enumerate(values):
             single = yw_cv_estimate(MultiTrajectory(values=row), model.period)
@@ -208,11 +207,11 @@ class TestYwCvBlock:
 
     def test_zero_component_fails_only_its_replicate(self, model1):
         values = _block(model1, 6)
-        clean = yw_cv_block(values, 3)
+        clean = estimate_block(values, 3, "YW-CV")
         # component 1 of replicate 4 vanishes on phase 1 (t = 1, 4, 7, ...),
         # which conditions the lag-1 system of phase 2
         values[4, 0, ::3] = 0.0
-        block = yw_cv_block(values, 3)
+        block = estimate_block(values, 3, "YW-CV")
         assert list(block.failures) == [4]
         phase, exc = block.failures[4]
         assert phase == 2 and isinstance(exc, DegenerateSeriesError)
@@ -226,7 +225,7 @@ class TestYwCvBlock:
     def test_singular_replicate_alone_takes_the_fallback(self, model1):
         values = _block(model1, 5)
         values[2, 1] = values[2, 0]  # component 2 = component 1: m0 is singular
-        block = yw_cv_block(values, 3)
+        block = estimate_block(values, 3, "YW-CV")
         assert block.failures == {}
         for k, reports in enumerate(block.solve_reports):
             expected = "bicgstab" if k == 2 else "direct"
@@ -237,10 +236,10 @@ class TestYwCvBlock:
     def test_rejects_non_finite_and_short_blocks(self, model1):
         values = _block(model1, 3)
         with pytest.raises(DataError):
-            yw_cv_block(values[:, :, :11], 3)
+            estimate_block(values[:, :, :11], 3, "YW-CV")
         values[1, 0, 7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            yw_cv_block(values, 3)
+            estimate_block(values, 3, "YW-CV")
 
 
 class TestYwTEstimate:
@@ -304,19 +303,42 @@ class TestMethodDispatch:
             method_name(name)
 
     def test_yw_t_block_fails_only_the_failing_replicate(self, model1):
-        """YW-T over a block is yw_t_estimate per replicate; a replicate
-        whose component vanishes fails alone, with no phase."""
+        """A replicate whose component vanishes fails YW-T alone, at the
+        first phase whose pair fit collapses."""
         values = _block(model1, 4, L=303)  # 100 observations per phase
         values[2, 1] = 0.0
         block = estimate_block(values, 3, "YW-T", alpha=1.8)
         assert list(block.failures) == [2]
         phase, exc = block.failures[2]
-        assert phase is None and isinstance(exc, NumericalError)
+        assert phase == 1 and isinstance(exc, NumericalError)
+        assert str(exc).startswith("phase 1: phase 1, lag 1, entry (2, 2)")
         assert np.all(np.isnan(block.theta[2])) and block.solve_reports[2] == []
         for k in (0, 1, 3):
             single = yw_t_estimate(MultiTrajectory(values=values[k]), 3, alpha=1.8)
             assert np.array_equal(block.theta[k], np.stack(single.theta_hat)), k
             assert len(block.solve_reports[k]) == 3
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_yw_t_block_bit_identical_to_per_replicate_estimate(
+        self, preset, alpha, request
+    ):
+        """Each row of a YW-T block is yw_t_estimate on that row alone,
+        theta and solve reports alike."""
+        model = replace(request.getfixturevalue(preset), alpha=alpha)
+        values = _block(model, 5, L=100 * model.period + model.period)
+        block = estimate_block(values, model.period, "YW-T", alpha)
+        assert block.failures == {}
+        for k, row in enumerate(values):
+            single = yw_t_estimate(MultiTrajectory(values=row), model.period, alpha)
+            assert np.array_equal(block.theta[k], np.stack(single.theta_hat)), k
+            assert [(r.method, r.residual_norm, r.detail) for r in block.solve_reports[k]] == [
+                (r.method, r.residual_norm, r.detail) for r in single.solve_reports
+            ]
+
+    def test_yw_t_block_needs_alpha(self, model1):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_block(_block(model1, 2, L=303), 3, "YW-T")
 
 
 class TestEstimateAlpha:

@@ -9,7 +9,6 @@ import pytest
 
 import stablepar.estimators as estimators
 import stablepar.mc as mc
-from stablepar.estimators import EstimationResult
 from stablepar.exceptions import NumericalError, SolverError, UnboundedModelError
 from stablepar.mc import (
     DEFAULT_ALPHA_SWEEP,
@@ -67,8 +66,6 @@ class TestMcConfig:
             McConfig(model=m, L=11, M=4)  # under four periods
         with pytest.raises(ValueError):
             McConfig(model=m, L=100, M=4, methods=("nope",))
-        with pytest.raises(ValueError):
-            McConfig(model=m, L=100, M=4, replicate_seeds=(1, 2))
 
     def test_alpha_sweep_constant(self):
         assert DEFAULT_ALPHA_SWEEP == (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
@@ -107,30 +104,31 @@ class TestRunMcStudy:
             assert c.q05 <= c.median <= c.q95
             assert np.isfinite(c.q25) and np.isfinite(c.q75)
 
-    def test_degenerate_replication_collapses_quantiles(self):
-        """Identical per-replicate streams make every replicate identical,
-        so all aggregates coincide."""
-        cfg = McConfig(
-            model=model1_preset(), L=120, M=4, methods=("YW-CV",),
-            replicate_seeds=(7, 7, 7, 7),
-        )
+    def test_degenerate_replication_collapses_quantiles(self, monkeypatch):
+        """Identical trajectories in every replicate make every estimate
+        identical, so all aggregates coincide."""
+        original = mc.simulate_replicates
+
+        def identical(*args, **kwargs):
+            values = original(*args, **kwargs)
+            values[1:] = values[0]
+            return values
+
+        monkeypatch.setattr(mc, "simulate_replicates", identical)
+        cfg = McConfig(model=model1_preset(), L=120, M=4, methods=("YW-CV",), seed=7)
         rep = run_mc_study(cfg)
         for c in rep.cells:
             assert c.q05 == c.median == c.q95
 
-    def test_replicate_order_invariance(self):
+    def test_replicate_order_invariance(self, monkeypatch):
         """Aggregates are symmetric functions of the replicates, so
-        permuting the seed list changes nothing."""
-        base = (11, 12, 13, 14, 15)
-        cfg1 = McConfig(
-            model=model1_preset(), L=120, M=5, methods=("YW-CV",),
-            replicate_seeds=base,
-        )
-        cfg2 = McConfig(
-            model=model1_preset(), L=120, M=5, methods=("YW-CV",),
-            replicate_seeds=base[::-1],
-        )
-        r1, r2 = run_mc_study(cfg1), run_mc_study(cfg2)
+        reversing the replicate order changes nothing."""
+        cfg = McConfig(model=model1_preset(), L=120, M=5, methods=("YW-CV",), seed=11)
+        r1 = run_mc_study(cfg)
+        original = mc.simulate_replicates
+        monkeypatch.setattr(mc, "simulate_replicates",
+                            lambda *a, **kw: original(*a, **kw)[::-1])
+        r2 = run_mc_study(cfg)
         for ca, cb in zip(r1.cells, r2.cells):
             assert ca == cb
 
@@ -158,8 +156,9 @@ class TestRunMcStudy:
 
     def test_failures_kept_by_class_and_phase(self, monkeypatch):
         """A replicate whose component 1 vanishes on phase 1 fails YW-CV at
-        phase 2 (the system that phase conditions); a YW-T failure has no
-        phase.  Each is one failure of its method, the others aggregate."""
+        phase 2 (the system that phase conditions); a YW-T failure in the
+        lag-1 stack of phase 2 is kept at phase 2.  Each is one failure of
+        its method, the others aggregate."""
         original = mc.simulate_replicates
 
         def degenerate(*args, **kwargs):
@@ -167,22 +166,21 @@ class TestRunMcStudy:
             values[1, 0, ::3] = 0.0
             return values
 
-        calls = []
-
-        def yw_t_stub(traj, T, alpha):
-            calls.append(alpha)
-            if len(calls) == 3:
-                raise SolverError("stub")
-            return EstimationResult(theta_hat=model1_preset().theta, method="YW-T")
+        def yw_t_stub(values, T, v, h, alpha):
+            """Exact matrices (m0 = I, m1 = Theta(v)); replicate 2 fails
+            the lag-1 stack of phase 2."""
+            mat = model1_preset().theta[v - 1] if h else np.eye(2)
+            failed = {2: SolverError("stub")} if (v, h) == (2, 1) else {}
+            return np.broadcast_to(mat, (len(values), 2, 2)), failed
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
-        monkeypatch.setattr(estimators, "yw_t_estimate", yw_t_stub)
+        monkeypatch.setitem(estimators._PHASE_STACKS, "YW-T", yw_t_stub)
         cfg = McConfig(model=model1_preset(), L=120, M=5, seed=2)
         rep = run_mc_study(cfg)
         assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}
         assert rep.failure_causes == {
             ("YW-CV", 1.8): {("DegenerateSeriesError", 2): 1},
-            ("YW-T", 1.8): {("SolverError", None): 1},
+            ("YW-T", 1.8): {("SolverError", 2): 1},
         }
         assert len(rep.cells) == 2 * 12
 
@@ -223,15 +221,6 @@ class TestBatchedReplicates:
             for i in range(M):
                 expected = simulate_par1(model, 40, base.substream(k, i), burn_in=12)
                 assert np.array_equal(seen[k * M + i], expected.values), (k, i)
-
-    def test_replicate_seeds_are_honoured(self, monkeypatch):
-        seen = _record_trajectories(monkeypatch)
-        cfg = McConfig(model=model1_preset(), L=40, M=3, methods=("YW-CV",),
-                       replicate_seeds=(5, 9, 5))
-        run_mc_study(cfg)
-        for values, seed in zip(seen, (5, 9, 5)):
-            expected = simulate_par1(cfg.model, 40, RandomStream(seed))
-            assert np.array_equal(values, expected.values)
 
     def test_unbounded_model_raises_once(self, boundedness_calls):
         bad = ParModel(
