@@ -55,7 +55,7 @@ __all__ = [
     "estimate",
     "estimate_block",
     "EstimationResult",
-    "YwCvBlock",
+    "BlockEstimate",
     "yw_cv_estimate",
     "yw_t_estimate",
     "theta_from_cov_matrices",
@@ -200,7 +200,7 @@ def theta_from_cov_matrices(m0s, m1s) -> EstimationResult:
 
 
 @dataclass
-class YwCvBlock:
+class BlockEstimate:
     """Estimates of a block of replicates, from :func:`estimate_block`.
 
     ``theta[k, v-1]`` is replicate k's Theta(v), all ``NaN`` when the
@@ -223,7 +223,7 @@ _PHASE_STACKS = {
 }
 
 
-def estimate_block(values, T: int, method, alpha: float | None = None) -> YwCvBlock:
+def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockEstimate:
     """A ``(M, m, L)`` block of replicates by the named method.
 
     For each (phase, lag) one phase-stack call builds the matrices of
@@ -277,7 +277,7 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> YwCvBl
             for k, exc in failed.items():
                 failures.setdefault(k, (v, type(exc)(f"phase {v}: {exc}")))
     theta, reports = _solve_phases(m0, m1, failures)
-    return YwCvBlock(theta=theta, solve_reports=reports, failures=failures)
+    return BlockEstimate(theta=theta, solve_reports=reports, failures=failures)
 
 
 def estimate_alpha(traj: MultiTrajectory) -> float:

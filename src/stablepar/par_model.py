@@ -357,9 +357,12 @@ def simulate_replicates(
     Replicate ``i`` draws its ``burn_in + L`` noise vectors from
     ``streams[i]`` exactly as :func:`simulate_par1` does, and the
     recursion runs once over time for all replicates, so row ``i`` equals
-    ``simulate_par1(model, L, streams[i], burn_in).values``.  The model is
-    checked once per call.  Returns an ``(M, m, L)`` view of the
-    ``(burn_in + L, M, m)`` noise buffer the recursion overwrote.
+    ``simulate_par1(model, L, streams[i], burn_in).values``.  Once per
+    call, the model is checked and its noise measure is folded to one atom
+    per mirror pair (:meth:`~stablepar.stable.DiscreteSpectralMeasure.folded`:
+    the same law, one draw per pair instead of two).  Returns an
+    ``(M, m, L)`` view of the ``(burn_in + L, M, m)`` noise buffer the
+    recursion overwrote.
 
     Raises
     ------
@@ -381,9 +384,10 @@ def simulate_replicates(
                 "pass allow_unbounded=True to simulate anyway"
             )
     n_steps = burn_in + L
+    noise = model.noise.folded()
     buf = np.empty((n_steps, len(streams), model.dim))
     for i, rng in enumerate(streams):
-        buf[:, i] = sample_stable_vector(model.noise, model.alpha, n_steps, rng)
+        buf[:, i] = sample_stable_vector(noise, model.alpha, n_steps, rng)
     # In place over time from the zero state: buf[k] holds Z(1 - burn_in + k)
     # of every replicate, then its X.  np.matvec takes one matrix-vector
     # product per replicate, so each row's arithmetic does not depend on

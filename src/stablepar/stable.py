@@ -145,6 +145,28 @@ class DiscreteSpectralMeasure:
                 return False
         return True
 
+    def folded(self) -> "DiscreteSpectralMeasure":
+        """The same law with one atom per line through the origin.
+
+        The law depends on the measure only through ``|<theta, s>|**alpha``,
+        so the atoms ``s`` and ``-s`` are interchangeable.  An atom equal
+        to an earlier kept atom, or to its negation, within 1e-12 adds its
+        weight to that atom.  Kept atoms are the first listed on their
+        line, in order of first appearance, with their sign unchanged; a
+        measure with no such pair comes back atom for atom.
+        """
+        kept: list[np.ndarray] = []
+        weights: list[float] = []
+        for p, w in zip(self.points, self.weights):
+            for j, q in enumerate(kept):
+                if min(np.linalg.norm(p - q), np.linalg.norm(p + q)) <= 1e-12:
+                    weights[j] += w
+                    break
+            else:
+                kept.append(p)
+                weights.append(w)
+        return DiscreteSpectralMeasure(np.array(kept), np.array(weights))
+
     def to_dict(self) -> dict:
         return {
             "points": self.points.tolist(),
@@ -206,6 +228,11 @@ def sample_stable_vector(
     SaS factor ``W_j`` scaled by ``gamma_j**(1/alpha)`` along direction
     ``s_j``; the sum over atoms has exactly the characteristic function
     implied by the measure.  Returns an ``(n, m)`` array.
+
+    Every atom gets its own factor, so a measure with mirror pairs
+    ``s, -s`` takes twice the draws its law needs;
+    :func:`~stablepar.par_model.simulate_replicates` passes
+    :meth:`DiscreteSpectralMeasure.folded` measures, folded once per call.
     """
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")

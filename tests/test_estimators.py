@@ -191,6 +191,8 @@ def _block(model, M, L=300, seed=23):
 
 
 class TestYwCvBlock:
+    """YW-CV on replicate blocks: the ``"YW-CV"`` case of :func:`estimate_block`."""
+
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_bit_identical_to_per_replicate_estimate(self, preset, alpha, request):

@@ -1,6 +1,7 @@
 """Periodic autoregression: model container, coefficient products,
 boundedness, simulation, and theoretical covariation values."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -23,7 +24,13 @@ from stablepar.par_model import (
 )
 from stablepar.estimators import yw_cv_estimate
 from stablepar.rng import RandomStream
-from stablepar.stable import DiscreteSpectralMeasure, sample_stable_vector, signed_power
+from stablepar.stable import (
+    DiscreteSpectralMeasure,
+    char_function,
+    empirical_char_function,
+    sample_stable_vector,
+    signed_power,
+)
 
 from path_oracle import simulate_paths
 
@@ -258,8 +265,9 @@ class TestSimulateReplicates:
         paths = simulate_replicates(model, 40, streams, burn_in=burn_in)
         assert paths.shape == (5, model.dim, 40)
         n_burn = 50 * model.period if burn_in is None else burn_in
+        noise = model.noise.folded()
         for i, rng in enumerate(streams):
-            z = sample_stable_vector(model.noise, model.alpha, n_burn + 40, rng)
+            z = sample_stable_vector(noise, model.alpha, n_burn + 40, rng)
             ref = _reference_recursion(model, np.zeros(model.dim), 1 - n_burn, z)[n_burn:]
             np.testing.assert_allclose(paths[i], ref.T, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
@@ -270,6 +278,19 @@ class TestSimulateReplicates:
         paths = simulate_replicates(model, 60, streams, burn_in=9)
         for i, rng in enumerate(streams):
             assert np.array_equal(paths[i], simulate_par1(model, 60, rng, burn_in=9).values)
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_noise_has_the_measure_law(self, preset, request):
+        """With zero coefficients and no burn-in each path is its noise:
+        10^5 draws match the measure's characteristic function on the
+        (-2, 0, 2)^m grid within criterion 08's 0.02."""
+        model = request.getfixturevalue(preset)
+        zero = ParModel(model.period, [np.zeros((model.dim, model.dim))] * model.period,
+                        model.alpha, model.noise)
+        z = simulate_replicates(zero, 10**5, [RandomStream(123).substream(4)], burn_in=0)[0]
+        grid = np.array(list(itertools.product((-2.0, 0.0, 2.0), repeat=model.dim)))
+        dev = empirical_char_function(z.T, grid) - char_function(model.noise, model.alpha, grid)
+        assert np.max(np.abs(dev)) <= 0.02
 
     def test_checks_boundedness_once_per_call(self, boundedness_calls, model1):
         calls = boundedness_calls

@@ -272,7 +272,8 @@ class TestFitPar1:
     @pytest.mark.parametrize("method", ["yw-cv", "yw-t"])
     def test_is_model_fit_plus_diagnostics(self, observed_model1, method):
         """Splitting off fit_model changes nothing: same coefficients and
-        model, and the bootstrap p-values of the parent commit at this seed."""
+        model, and the bootstrap p-values pinned at this seed (pinned again
+        when the noise sampler folded its mirror atoms)."""
         _, obs = observed_model1
         fr = fit_par1(obs, 3, method=method, n_sims=100, rng=RandomStream(44))
         fm = fit_model(obs, 3, method=method)
@@ -282,7 +283,7 @@ class TestFitPar1:
         diag = diagnose_residuals(fm.residuals, 3, n_sims=100, rng=RandomStream(44))
         assert fr.diagnostics.table_rows() == diag.table_rows()
         p_values = [c.ad_p_value for c in fr.diagnostics.components]
-        assert p_values == {"yw-cv": [0.36, 0.71], "yw-t": [0.35, 0.42]}[method]
+        assert p_values == {"yw-cv": [0.95, 0.5], "yw-t": [0.96, 0.68]}[method]
 
 
 class TestQuantilePaths:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from stablepar.covariation import estimate_spectral_measure_2d
 from stablepar.exceptions import TableRangeError
 from stablepar.rng import RandomStream
 from stablepar.stable import (
@@ -142,6 +143,74 @@ class TestSamplers:
         md = DiscreteSpectralMeasure.symmetric([[1.0, 0.0]], [0.3])
         with pytest.raises(ValueError):
             sample_stable_vector(md, 1.0, 10, RandomStream(0))
+
+
+def _fitted_measure():
+    """A projection-method fit: mirror pairs on the fit's direction grid."""
+    z = sample_stable_vector(
+        DiscreteSpectralMeasure.symmetric([[0.6, 0.8], [1.0, 0.0]], [0.4, 0.3]),
+        1.5, 5000, RandomStream(123).substream(9),
+    )
+    return estimate_spectral_measure_2d(z, 1.5)
+
+
+#: builders of the measures to fold, called with the model1 and model2 noise
+FOLD_MEASURES = {
+    "model1": lambda n1, n2: n1,
+    "model2": lambda n1, n2: n2,
+    "fitted": lambda n1, n2: _fitted_measure(),
+    "unequal mirrors": lambda n1, n2: DiscreteSpectralMeasure(
+        [[0.6, 0.8], [1.0, 0.0], [-0.6, -0.8]], [0.3, 0.5, 0.1]
+    ),
+    "no mirrors": lambda n1, n2: DiscreteSpectralMeasure(
+        [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], [0.3, 0.5, 0.1]
+    ),
+}
+
+
+class TestFoldedMeasure:
+    """``folded`` keeps one atom per line and the same law exactly."""
+
+    @pytest.mark.parametrize("name", FOLD_MEASURES)
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_same_char_function(self, name, alpha, model1, model2):
+        m = FOLD_MEASURES[name](model1.noise, model2.noise)
+        theta = RandomStream(124).generator().normal(size=(50, m.dim))
+        np.testing.assert_allclose(
+            char_function(m.folded(), alpha, theta), char_function(m, alpha, theta),
+            rtol=1e-14, atol=0.0,
+        )
+
+    def test_presets_fold_to_one_atom_per_line(self, model1, model2):
+        f1 = model1.noise.folded()
+        assert np.array_equal(f1.points, model1.noise.points[:2])
+        assert np.array_equal(f1.weights, [1.0, 0.4])
+        f2 = model2.noise.folded()
+        # model2 lists each atom next to its mirror
+        assert f2.n_atoms == 4
+        assert np.array_equal(f2.points, model2.noise.points[::2])
+        assert np.array_equal(f2.weights, 2.0 * model2.noise.weights[::2])
+
+    def test_fitted_measure_halves(self):
+        m = _fitted_measure()
+        assert m.is_symmetric(tol=1e-12)
+        assert m.folded().n_atoms == m.n_atoms // 2
+
+    def test_unequal_mirrors_keep_first_atom_and_sign(self):
+        f = FOLD_MEASURES["unequal mirrors"](None, None).folded()
+        assert np.array_equal(f.points, [[0.6, 0.8], [1.0, 0.0]])
+        assert np.array_equal(f.weights, [0.3 + 0.1, 0.5])
+
+    def test_no_mirrors_unchanged(self):
+        m = FOLD_MEASURES["no mirrors"](None, None)
+        f = m.folded()
+        assert np.array_equal(f.points, m.points)
+        assert np.array_equal(f.weights, m.weights)
+
+    def test_repeated_atom_adds_weight(self):
+        f = DiscreteSpectralMeasure([[0.0, 1.0], [0.0, 1.0]], [0.2, 0.3]).folded()
+        assert np.array_equal(f.points, [[0.0, 1.0]])
+        assert np.array_equal(f.weights, [0.5])
 
 
 class TestCharFunctions:
