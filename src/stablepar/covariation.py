@@ -17,7 +17,8 @@ routes to it are implemented here:
 
 Both exist in a stationary flavor and in a per-phase flavor for
 periodically non-stationary series, where the sums run over the
-sub-sample of one phase of the period.
+sub-sample of one phase of the period.  Only :func:`_phase_samples`
+knows period, phase and lag; the phase stacks take its sub-samples.
 """
 
 from __future__ import annotations
@@ -94,40 +95,41 @@ def ncv_cross(traj, i: int, j: int, h: int) -> float:
     return num / den
 
 
-def _phase_samples(traj, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+def _phase_samples(values, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase-v sub-sample of every component and its h-lagged partner.
 
-    Returns ``(cur, lagged)``, both ``(m, n_obs)``: ``cur`` holds the
-    observations at 1-based times ``n*T + v`` and ``lagged`` those at
-    ``n*T + v - h``, with n running from n0 to N-1, N = floor(L/T).  The
-    starting counter n0 is 0 exactly when both v and v - h are positive
-    (otherwise 1, which shifts the sub-sample one period forward instead
-    of wrapping around).  Time is the last axis, so a ``(M, m, L)`` block
-    of replicates gives ``(M, m, n_obs)`` sub-samples.
+    Returns ``(cur, lagged)`` of ``(m, L)`` values, both ``(m, n_obs)``:
+    ``cur`` holds the observations at 1-based times ``n*T + v`` and
+    ``lagged`` those at ``n*T + v - h``, for each n in 0..floor(L/T)-1
+    with both times in 1..L (for h in {0, 1}: n starts at 1 unless v and
+    v - h are positive, so no sub-sample wraps around).  At h = 0
+    ``lagged`` is ``cur``.  Time is the last axis, so a ``(M, m, L)``
+    block of replicates gives ``(M, m, n_obs)`` sub-samples.
     """
-    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
     L = values.shape[-1]
     if L < 2 * T:
         raise ValueError(f"need at least two full periods (L >= {2 * T}), got {L}")
     if not (0 <= v <= T):
         raise ValueError(f"phase must lie in 0..{T}, got {v}")
-    n0 = 0 if (v > 0 and v - h > 0) else 1
-    idx = np.arange(n0, L // T) * T + v
-    return values[..., idx - 1], values[..., idx - 1 - h]
+    # 1 <= n*T + t <= L for both times t = v and t = v - h
+    first = -((min(v, v - h) - 1) // T)
+    stop = min(L // T, (L - max(v, v - h)) // T + 1)
+    idx = np.arange(first, stop) * T + v
+    cur = values[..., idx - 1]
+    return cur, cur if h == 0 else values[..., idx - 1 - h]
 
 
-def ncv_phase_stack(values, T: int, v: int, h: int) -> tuple[np.ndarray, dict]:
-    """:func:`ncv_phase_matrix` for a ``(M, m, L)`` block of replicates.
+def ncv_phase_stack(cur, lagged) -> tuple[np.ndarray, dict]:
+    """:func:`ncv_phase_matrix` for ``(M, m, n)`` sub-sample stacks.
 
-    Returns the ``(M, m, m)`` matrices and a dict that maps each replicate
-    whose phase sub-sample has an identically zero conditioning component
-    to its :class:`DegenerateSeriesError`; that replicate's matrix is not
-    finite.  One matmul call forms every ``cur @ sign(lagged_l)`` as its
-    own matrix-vector product, so a replicate's matrix is the same bits
-    whatever block it rides in (a matrix-matrix product may round
-    differently).
+    ``lagged is cur`` is lag 0.  Returns the ``(M, m, m)`` matrices and a
+    dict that maps each replicate with an identically zero conditioning
+    component (row of ``lagged``) to its :class:`DegenerateSeriesError`;
+    that replicate's matrix is not finite.  One matmul call forms every
+    ``cur @ sign(lagged_l)`` as its own matrix-vector product, so a
+    replicate's matrix is the same bits whatever block it rides in (a
+    matrix-matrix product may round differently).
     """
-    cur, lagged = _phase_samples(values, T, v, h)
     M, m = cur.shape[:2]
     den = np.sum(np.abs(lagged), axis=-1)  # (M, m): per conditioning component l
     # (M, 1, m, n) @ (M, m, n, 1): entry [k, l, r] = cur[k, r] . sign(lagged[k, l])
@@ -135,14 +137,22 @@ def ncv_phase_stack(values, T: int, v: int, h: int) -> tuple[np.ndarray, dict]:
     out = np.empty((M, m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(prod.transpose(0, 2, 1), den[:, None, :], out=out)
-    if h == 0:
+    if lagged is cur:
         out[:, range(m), range(m)] = 1.0
     failed = {}
     for k, l in zip(*np.nonzero(den == 0.0)):
         failed.setdefault(int(k), DegenerateSeriesError(
-            f"phase-{v} sub-sample of component {l + 1} is identically zero"
+            f"sub-sample of component {l + 1} is identically zero"
         ))
     return out, failed
+
+
+def _phase_failure(exc, T: int, v: int, h: int):
+    """Failure ``exc`` of the (phase v, lag h) stack, naming the phase of a
+    vanishing sub-sample (v - h, in 1..T) or the matrix's phase and lag."""
+    if isinstance(exc, DegenerateSeriesError):
+        return DegenerateSeriesError(f"phase-{(v - h - 1) % T + 1} {exc}")
+    return type(exc)(f"phase {v}, lag {h}, {exc}")
 
 
 def ncv_phase_matrix(traj, T: int, v: int, h: int) -> np.ndarray:
@@ -155,16 +165,17 @@ def ncv_phase_matrix(traj, T: int, v: int, h: int) -> np.ndarray:
         sum_n x_r(nT+v) sign(x_l(nT+v-h))  /  sum_n |x_l(nT+v-h)|,
 
     over the sub-samples of :func:`_phase_samples`.  The special value
-    v = 0 addresses the phase preceding v = 1.  This is the one-replicate
-    case of :func:`ncv_phase_stack`.
+    v = 0 addresses the phase preceding v = 1.  This is
+    :func:`ncv_phase_stack` on one series; a vanishing conditioning
+    component raises its error, naming its sub-sample's phase.
 
     Equivalent to the stationary estimator applied to the two phase
     sub-samples.  At h = 0 the diagonal is exactly 1.
     """
     values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    out, failed = ncv_phase_stack(values[None], T, v, h)
+    out, failed = ncv_phase_stack(*_phase_samples(values[None], T, v, h))
     if failed:
-        raise failed[0]
+        raise _phase_failure(failed[0], T, v, h)
     return out[0]
 
 
@@ -374,31 +385,27 @@ def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasur
     return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
 
 
-def cv_phase_stack_spectral(
-    values, T: int, v: int, h: int, alpha: float
-) -> tuple[np.ndarray, dict]:
-    """:func:`cv_phase_matrix_spectral` for a ``(M, m, L)`` block of replicates.
+def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict]:
+    """:func:`cv_phase_matrix_spectral` for ``(M, m, n)`` sub-sample stacks.
 
-    Returns the ``(M, m, m)`` matrices and a dict that maps each replicate
-    with a collapsed pair fit to its :class:`NumericalError`; that
+    ``lagged is cur`` is lag 0.  Returns the ``(M, m, m)`` matrices and a
+    dict that maps each replicate with a collapsed pair fit to its
+    :class:`NumericalError`, naming the first such entry; that
     replicate's matrix holds no usable estimate.  One :func:`_fit_pairs`
-    call fits the pairs of every replicate and one sort of the phase
-    block gives every lag-0 diagonal, so a replicate's matrix is the same
-    bits whatever block it rides in.  A phase sub-sample with fewer than
-    100 observations, a non-finite value anywhere in the block or an
-    alpha out of range is a ``ValueError`` for the whole block.  Warns
-    once per call when the projection-scale system is rank-deficient
-    (alpha = 2).
+    call fits the pairs of every replicate and one sort of the stack
+    gives every lag-0 diagonal, so a replicate's matrix is the same bits
+    whatever block it rides in.  Fewer than 100 observations, a
+    non-finite value anywhere in the stacks or an alpha out of range is
+    a ``ValueError`` for the whole block.  Warns once per call when the
+    projection-scale system is rank-deficient (alpha = 2).
     """
-    cur, lagged = _phase_samples(values, T, v, h)
+    lag0 = lagged is cur
     # At lag 0 both stacks hold the same observations: count them once.
-    samples = (cur,) if h == 0 else (cur, lagged)
+    samples = (cur,) if lag0 else (cur, lagged)
     dirs, _, c, _ = _checked_design(alpha, *samples)
     alpha = float(alpha)
     M, m, n = cur.shape
-    fitted = np.ones((m, m), dtype=bool)
-    if h == 0:
-        np.fill_diagonal(fitted, False)
+    fitted = ~np.eye(m, dtype=bool) if lag0 else np.ones((m, m), dtype=bool)
     rs, ls = np.nonzero(fitted)  # row-major entry order
     # Replicate k's components are rows k*m .. k*m + m-1 of the stacks.
     first = np.repeat(np.arange(M) * m, len(rs))
@@ -408,7 +415,7 @@ def cv_phase_stack_spectral(
     collapsed = np.zeros((M, m, m), dtype=bool)
     out[:, rs, ls] = np.sum(g * _cv_weights(dirs, alpha), axis=1).reshape(M, -1)
     collapsed[:, rs, ls] = ~np.any(g > 0.0, axis=1).reshape(M, -1)
-    if h == 0:
+    if lag0:
         q25, q75 = sorted_quantiles(np.sort(cur, axis=-1), (0.25, 0.75))
         iqr = np.maximum(q75 - q25, 0.0)
         diag = np.arange(m)
@@ -417,7 +424,7 @@ def cv_phase_stack_spectral(
     failed = {}
     for k, r, l in np.argwhere(collapsed):  # row-major: first entry first
         failed.setdefault(int(k), NumericalError(
-            f"phase {v}, lag {h}, entry ({r + 1}, {l + 1}): {_COLLAPSED}"
+            f"entry ({r + 1}, {l + 1}): {_COLLAPSED}"
         ))
     return out, failed
 
@@ -430,8 +437,8 @@ def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.n
     measure of that pair by the projection method, and evaluates the
     covariation from the measure.  The sub-samples come from
     :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
-    matrix families describe the same observations.  This is the
-    one-replicate case of :func:`cv_phase_stack_spectral`.
+    matrix families describe the same observations.  This is
+    :func:`cv_phase_stack_spectral` on one series.
 
     The pair fits run in blocks of at most ``_BLOCK_ELEMENTS`` projection
     values: one matrix product, one in-place sort and one quartile read
@@ -460,7 +467,7 @@ def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.n
         (alpha = 2).
     """
     values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    out, failed = cv_phase_stack_spectral(values[None], T, v, h, alpha)
+    out, failed = cv_phase_stack_spectral(*_phase_samples(values[None], T, v, h), alpha)
     if failed:
-        raise failed[0]
+        raise _phase_failure(failed[0], T, v, h)
     return out[0]

@@ -23,10 +23,11 @@ exact coefficients; per-column rescalings of both matrices cancel, which
 is why the normalized and unnormalized routes solve the same system.
 
 Both methods are block-first: :func:`estimate_block` estimates a
-``(M, m, L)`` block of Monte Carlo replicates at once, one phase-stack
-call per (phase, lag) for the matrices and one stacked direct solve for
-every phase of every replicate; the method only picks the phase-stack
-builder.  :func:`estimate` is its one-replicate case.  Failures stay per
+``(M, m, L)`` block of Monte Carlo replicates at once: one gather and
+two phase-stack calls per phase, M1 on (phase, lagged) and M0 on
+(lagged, lagged), and one stacked direct solve for every phase of every
+replicate; the method only picks the phase-stack builder.
+:func:`estimate` is its one-replicate case.  Failures stay per
 replicate: a vanishing conditioning component or a collapsed spectral
 fit fails only its replicate, and an ill-conditioned phase takes the
 iterative fallback only for its replicate and phase.
@@ -39,9 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .covariation import _phase_failure, _phase_samples
 from .covariation import cv_phase_stack_spectral, ncv_phase_stack
 from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError, SolverError
@@ -215,26 +218,17 @@ class BlockEstimate:
     failures: dict
 
 
-#: The phase-stack builder of each method: ``(values, T, v, h, alpha)``
-#: to the ``(M, m, m)`` matrices of a block and the failed replicates.
-_PHASE_STACKS = {
-    "YW-CV": lambda values, T, v, h, alpha: ncv_phase_stack(values, T, v, h),
-    "YW-T": cv_phase_stack_spectral,
-}
-
-
 def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockEstimate:
     """A ``(M, m, L)`` block of replicates by the named method.
 
-    For each (phase, lag) one phase-stack call builds the matrices of
-    every replicate, and one stacked condition estimate and solve
-    (:func:`solve_direct`) covers every phase of every replicate.  For
-    phase v the lag-1 matrix conditions on the phase-(v-1) vector and the
-    lag-0 matrix describes that same lagged vector, so their columns
-    share the normalization and the solve recovers Theta(v).  Phase 0 of
-    the lag-0 family is the wrapped form of phase T: same matrix entries,
-    index bookkeeping shifted one period, which keeps the two matrices of
-    each system on literally the same sub-sample.
+    Each phase v is gathered once: its sub-sample and the lagged
+    phase-(v-1) vector (phase T one period earlier at v = 1).  The lag-1
+    matrix pairs the two and the lag-0 matrix pairs the lagged vector
+    with itself, so both sit on the same conditioning sub-sample, their
+    columns share the normalization and the solve recovers Theta(v).
+    Each matrix is one phase-stack call for every replicate, and one
+    stacked condition estimate and solve (:func:`solve_direct`) covers
+    every phase of every replicate.
 
     YW-CV reads normalized covariations
     (:func:`~stablepar.covariation.ncv_phase_stack`) and ignores
@@ -247,7 +241,8 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
       sub-sample (YW-CV, :class:`DegenerateSeriesError`) or a pair fit
       that collapses to the zero measure (YW-T, :class:`NumericalError`)
       fails that replicate at the first phase where it occurs, with the
-      message prefixed ``phase v: ``;
+      message prefixed ``phase v: `` and naming the vanishing sub-sample's
+      phase (YW-CV) or the failed matrix's phase and lag (YW-T);
     * a phase whose ``m0`` is not finite or whose condition estimate
       exceeds ``COND_LIMIT`` takes the BiCGSTAB fallback
       (:func:`~stablepar.solvers.solution1`) for that replicate and phase
@@ -265,17 +260,19 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
         raise ValueError("trajectory contains missing or non-finite entries")
     if method == "YW-T" and alpha is None:
         raise ValueError("YW-T on a block needs the known alpha")
-    build = _PHASE_STACKS[method]
-    m0 = np.empty((M, T, m, m))
-    m1 = np.empty((M, T, m, m))
+    build = (ncv_phase_stack if method == "YW-CV"
+             else partial(cv_phase_stack_spectral, alpha=alpha))
+    m0, m1 = np.empty((2, M, T, m, m))
     failures = {}
     for v in range(1, T + 1):
-        # The lag-0 family at phase v - 1 conditions on the same lagged
-        # vector as the lag-1 family at v; phase 0 is the wrapped phase T.
-        for mats, phase, h in ((m1, v, 1), (m0, v - 1, 0)):
-            mats[:, v - 1], failed = build(values, T, phase, h, alpha)
-            for k, exc in failed.items():
-                failures.setdefault(k, (v, type(exc)(f"phase {v}: {exc}")))
+        cur, lagged = _phase_samples(values, T, v, 1)
+        m1[:, v - 1], failed1 = build(cur, lagged)
+        m0[:, v - 1], failed0 = build(lagged, lagged)
+        # m0's lagged phase is v - 1, or T at v = 1; m1's failure comes first
+        named = {k: _phase_failure(e, T, (v - 2) % T + 1, 0) for k, e in failed0.items()}
+        named.update({k: _phase_failure(e, T, v, 1) for k, e in failed1.items()})
+        for k, exc in named.items():
+            failures.setdefault(k, (v, type(exc)(f"phase {v}: {exc}")))
     theta, reports = _solve_phases(m0, m1, failures)
     return BlockEstimate(theta=theta, solve_reports=reports, failures=failures)
 
@@ -304,11 +301,7 @@ def estimate(
     method = method_name(method)
     if method == "YW-T":
         _check_shape(traj.dim, traj.length, T)
-        if alpha is None:
-            alpha = estimate_alpha(traj)
-        if not (1.0 < alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-        alpha = float(alpha)
+        alpha = float(estimate_alpha(traj) if alpha is None else alpha)
     else:
         alpha = None
     block = estimate_block(traj.values[None], T, method, alpha)

@@ -234,7 +234,6 @@ class DiagnosticsReport:
 
 def diagnose_residuals(
     res: MultiTrajectory,
-    T: int,
     h_max: int = 10,
     n_sims: int = 1000,
     rng: RandomStream | None = None,
@@ -395,7 +394,7 @@ def fit_par1(
     and ``rng`` go to the diagnostics)."""
     fit = fit_model(traj, T, method=method, alpha=alpha)
     fit.diagnostics = diagnose_residuals(
-        fit.residuals, T, h_max=h_max, n_sims=n_sims, rng=rng
+        fit.residuals, h_max=h_max, n_sims=n_sims, rng=rng
     )
     return fit
 

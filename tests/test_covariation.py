@@ -112,6 +112,60 @@ class TestPhaseMatrix:
         with pytest.raises(DegenerateSeriesError):
             ncv_phase_matrix(MultiTrajectory(values=vals), T=2, v=1, h=0)
 
+    @pytest.mark.parametrize("v, h", [(1, 0), (2, 1), (0, 0)])
+    def test_degenerate_phase_names_the_lagged_phase(self, v, h):
+        """The message names the phase of the vanishing sub-sample, the
+        lagged one: phase 1 at (1, 0) and (2, 1); at v = 0 it is phase T."""
+        vals = np.ones((2, 200))
+        vals[1, (v - h - 1) % 2 :: 2] = 0.0
+        lagged = (v - h - 1) % 2 + 1
+        with pytest.raises(
+            DegenerateSeriesError,
+            match=f"^phase-{lagged} sub-sample of component 2 is identically zero$",
+        ):
+            ncv_phase_matrix(MultiTrajectory(values=vals), T=2, v=v, h=h)
+
+
+class TestPhaseSamples:
+    @staticmethod
+    def _counter_rule(L, T, v, h):
+        """The former rule: n from n0 to floor(L/T) - 1, n0 = 0 exactly when
+        v and v - h are both positive."""
+        n0 = 0 if (v > 0 and v - h > 0) else 1
+        return np.arange(n0, L // T) * T + v
+
+    @pytest.mark.parametrize("L", [20, 21, 23])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_lags_zero_and_one_keep_the_counter_rule(self, L, T, h):
+        """x(t) = t, so the sub-samples are their own times.  The former
+        rule read time 0 at T = 1, v = 0, h = 1 only; there the counter
+        now starts one period later."""
+        x = np.arange(1.0, L + 1)[None]
+        for v in range(T + 1):
+            cur, lagged = _phase_samples(x, T, v, h)
+            idx = self._counter_rule(L, T, v, h)
+            if (T, v, h) == (1, 0, 1):
+                idx = idx[1:]
+            assert np.array_equal(cur[0], idx) and np.array_equal(lagged[0], idx - h)
+            assert lagged.min() >= 1
+
+    def test_lag_zero_gathers_once(self):
+        cur, lagged = _phase_samples(np.arange(1.0, 21)[None], 2, 1, 0)
+        assert lagged is cur
+
+    def test_long_lag_stays_inside_the_series(self):
+        """x(t) = t: the lag-3 partner of x(3) would be time 0, so the
+        counter starts where both times lie in 1..L."""
+        cur, lagged = _phase_samples(np.arange(1.0, 21)[None], 2, 1, 3)
+        assert np.array_equal(cur[0], np.arange(5, 20, 2))
+        assert np.array_equal(lagged[0], np.arange(2, 17, 2))
+
+    def test_negative_lag_stops_inside_the_series(self):
+        cur, lagged = _phase_samples(np.arange(1.0, 21)[None], 1, 1, -1)
+        assert np.array_equal(cur[0], np.arange(1, 20))
+        assert np.array_equal(lagged[0], np.arange(2, 21))
+
 
 class TestCvFromSpectral:
     def test_two_atom_hand_value(self):
@@ -302,7 +356,7 @@ class TestSpectralPhaseMatrix:
     def _reference_matrix(traj, T, v, h, alpha):
         """One :func:`estimate_spectral_measure_2d` per entry, read off
         with :func:`cv_from_spectral`: the per-pair formulation."""
-        cur, lagged = _phase_samples(traj, T, v, h)
+        cur, lagged = _phase_samples(traj.values, T, v, h)
         m = cur.shape[0]
         return np.array([
             [

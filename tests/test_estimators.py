@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepar.covariation import ncv_auto, ncv_phase_matrix
+from stablepar.covariation import cv_phase_matrix_spectral, ncv_auto, ncv_phase_matrix
 from stablepar.estimators import (
     EstimationResult,
+    estimate,
     estimate_alpha,
     estimate_block,
     method_name,
@@ -113,6 +114,27 @@ class TestExactRecovery:
         scaled = theta_from_cov_matrices([m0 @ d], [m1 @ d]).theta_hat[0]
         assert np.allclose(plain, scaled, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_driver_equals_public_phase_matrices(self, preset, method, request):
+        """The block driver solves, bit for bit, the systems of the public
+        per-(v, h) matrices: lag 0 at phase v - 1 (phase 0 at v = 1) and
+        lag 1 at phase v."""
+        model = request.getfixturevalue(preset)
+        T = model.period
+        traj = simulate_par1(model, 1200, RandomStream(5))
+        if method == "YW-CV":
+            matrix = ncv_phase_matrix
+        else:
+            def matrix(traj, T, v, h):
+                return cv_phase_matrix_spectral(traj, T, v, h, model.alpha)
+        ref = theta_from_cov_matrices(
+            [matrix(traj, T, v - 1, 0) for v in range(1, T + 1)],
+            [matrix(traj, T, v, 1) for v in range(1, T + 1)],
+        )
+        got = estimate(traj, T, method, alpha=model.alpha)
+        assert np.array_equal(np.stack(got.theta_hat), np.stack(ref.theta_hat))
+
     def test_mismatched_matrix_lists(self, model1):
         m0 = theoretical_phase_matrix(model1, 0, 0)
         with pytest.raises(ValueError):
@@ -184,6 +206,15 @@ class TestYwCvEstimate:
         vals[0, ::2] = 0.0
         with pytest.raises(DegenerateSeriesError, match="phase"):
             yw_cv_estimate(MultiTrajectory(values=vals), 2)
+        # phase 2's system conditions on phase 1, the vanishing sub-sample
+        with pytest.raises(
+            DegenerateSeriesError,
+            match="^phase 2: phase-1 sub-sample of component 1 is identically zero$",
+        ):
+            yw_cv_estimate(MultiTrajectory(values=vals), 2)
+        # phase 1's system conditions on phase T = 2
+        with pytest.raises(DegenerateSeriesError, match="^phase 1: phase-2 sub-sample "):
+            yw_cv_estimate(MultiTrajectory(values=vals[:, 1:]), 2)
 
 
 def _block(model, M, L=300, seed=23):
@@ -217,7 +248,7 @@ class TestYwCvBlock:
         assert list(block.failures) == [4]
         phase, exc = block.failures[4]
         assert phase == 2 and isinstance(exc, DegenerateSeriesError)
-        assert str(exc).startswith("phase 2:")
+        assert str(exc) == "phase 2: phase-1 sub-sample of component 1 is identically zero"
         with pytest.raises(DegenerateSeriesError, match="^phase 2: "):
             yw_cv_estimate(MultiTrajectory(values=values[4]), 3)
         assert np.all(np.isnan(block.theta[4])) and block.solve_reports[4] == []
@@ -319,6 +350,18 @@ class TestMethodDispatch:
             single = yw_t_estimate(MultiTrajectory(values=values[k]), 3, alpha=1.8)
             assert np.array_equal(block.theta[k], np.stack(single.theta_hat)), k
             assert len(block.solve_reports[k]) == 3
+
+    def test_yw_t_lag0_failure_names_the_lagged_phase(self, model1):
+        """A component with no spread on phase T collapses the lag-0
+        diagonal of phase 1's system, which conditions on phase T; the
+        lag-1 pair fits of phase 1 still succeed."""
+        values = _block(model1, 3, L=303)
+        values[1, 1, 2::3] = 0.0  # t = 3, 6, 9, ...: phase 3
+        block = estimate_block(values, 3, "YW-T", alpha=1.8)
+        assert list(block.failures) == [1]
+        phase, exc = block.failures[1]
+        assert phase == 1 and isinstance(exc, NumericalError)
+        assert str(exc).startswith("phase 1: phase 3, lag 0, entry (2, 2): ")
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("preset", ["model1", "model2"])

@@ -2,6 +2,7 @@
 aggregation, and the failure-accounting contract."""
 
 import csv
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -166,15 +167,20 @@ class TestRunMcStudy:
             values[1, 0, ::3] = 0.0
             return values
 
-        def yw_t_stub(values, T, v, h, alpha):
+        theta = model1_preset().theta
+        lag1_calls = itertools.count()  # the driver runs phases 1..T in order
+
+        def yw_t_stub(cur, lagged, alpha):
             """Exact matrices (m0 = I, m1 = Theta(v)); replicate 2 fails
             the lag-1 stack of phase 2."""
-            mat = model1_preset().theta[v - 1] if h else np.eye(2)
-            failed = {2: SolverError("stub")} if (v, h) == (2, 1) else {}
-            return np.broadcast_to(mat, (len(values), 2, 2)), failed
+            if lagged is cur:
+                return np.broadcast_to(np.eye(2), (len(cur), 2, 2)), {}
+            v = next(lag1_calls) % len(theta) + 1
+            failed = {2: SolverError("stub")} if v == 2 else {}
+            return np.broadcast_to(theta[v - 1], (len(cur), 2, 2)), failed
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
-        monkeypatch.setitem(estimators._PHASE_STACKS, "YW-T", yw_t_stub)
+        monkeypatch.setattr(estimators, "cv_phase_stack_spectral", yw_t_stub)
         cfg = McConfig(model=model1_preset(), L=120, M=5, seed=2)
         rep = run_mc_study(cfg)
         assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}

@@ -73,7 +73,7 @@ def iid_diagnostics():
     x = sample_sas_1d(StableParams(1.8, 1.0), 10**4, RandomStream(48).substream(0))
     y = sample_sas_1d(StableParams(1.8, 1.0), 10**4, RandomStream(48).substream(1))
     res = MultiTrajectory(values=np.vstack([x, y]))
-    return diagnose_residuals(res, T=3, n_sims=100, rng=RandomStream(148))
+    return diagnose_residuals(res, n_sims=100, rng=RandomStream(148))
 
 
 class TestDeterministicComponents:
@@ -185,7 +185,7 @@ class TestDiagnoseResiduals:
 
     def test_requires_enough_data(self):
         with pytest.raises(DataError):
-            diagnose_residuals(MultiTrajectory(values=np.ones((1, 150))), T=2)
+            diagnose_residuals(MultiTrajectory(values=np.ones((1, 150))))
 
 
 class TestResiduals:
@@ -280,7 +280,7 @@ class TestFitPar1:
         assert fm.diagnostics is None
         assert np.array_equal(np.stack(fr.estimate.theta_hat), np.stack(fm.estimate.theta_hat))
         assert fr.model.to_dict() == fm.model.to_dict()
-        diag = diagnose_residuals(fm.residuals, 3, n_sims=100, rng=RandomStream(44))
+        diag = diagnose_residuals(fm.residuals, n_sims=100, rng=RandomStream(44))
         assert fr.diagnostics.table_rows() == diag.table_rows()
         p_values = [c.ad_p_value for c in fr.diagnostics.components]
         assert p_values == {"yw-cv": [0.95, 0.5], "yw-t": [0.96, 0.68]}[method]
