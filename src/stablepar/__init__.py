@@ -29,7 +29,6 @@ from .exceptions import (
     UnboundedModelError,
 )
 from .mc import (
-    McCell,
     McConfig,
     McReport,
     model1_preset,

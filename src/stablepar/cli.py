@@ -23,7 +23,7 @@ import yaml
 from .estimators import METHODS, estimate, method_name
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError, NumericalError, StableParError
-from .mc import McConfig, model1_preset, model2_preset, run_mc_study
+from .mc import STATS, McConfig, model1_preset, model2_preset, run_mc_study
 from .par_model import MultiTrajectory, ParModel, simulate_par1
 from .pipeline import (
     fit_model,
@@ -163,8 +163,9 @@ def cmd_mc_study(args, config: dict) -> int:
     report.to_csv(args.out)
     _print_mc_summary(report)
     n_fail = sum(report.failures.values())
+    n_cells = sum(stats[0].size for stats in report.stats.values())
     print(
-        f"wrote {len(report.cells)} cells to {args.out}"
+        f"wrote {n_cells} cells to {args.out}"
         + (f" ({n_fail} failed replicates excluded)" if n_fail else "")
     )
     return 0
@@ -175,11 +176,13 @@ def _print_mc_summary(report) -> None:
     interquartile range over all coefficients, and the failed replicates."""
     print(f"{'method':8s} {'alpha':>5s} {'worst |median-true|':>20s} "
           f"{'mean IQR':>9s} {'failures':>8s}")
+    true = np.stack(report.config.model.theta)
+    median, q25, q75 = (STATS.index(stat) for stat in ("median", "q25", "q75"))
     for method in report.config.methods:
         for alpha in map(float, report.config.alphas):
-            cells = report.select(method=method, alpha=alpha)
-            worst = max(abs(c.median - c.true_value) for c in cells)
-            mean_iqr = np.mean([c.iqr for c in cells])
+            stats = report.stats[(method, alpha)]
+            worst = np.max(np.abs(stats[median] - true))
+            mean_iqr = np.mean(stats[q75] - stats[q25])
             print(f"{method:8s} {str(alpha):>5s} {worst:20.4f} {mean_iqr:9.4f} "
                   f"{report.failures[(method, alpha)]:8d}")
 

@@ -104,7 +104,8 @@ def _phase_samples(values, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarr
     with both times in 1..L (for h in {0, 1}: n starts at 1 unless v and
     v - h are positive, so no sub-sample wraps around).  At h = 0
     ``lagged`` is ``cur``.  Time is the last axis, so a ``(M, m, L)``
-    block of replicates gives ``(M, m, n_obs)`` sub-samples.
+    block of replicates gives ``(M, m, n_obs)`` sub-samples.  A lag that
+    leaves no such pair of times is a ``ValueError``.
     """
     L = values.shape[-1]
     if L < 2 * T:
@@ -114,6 +115,8 @@ def _phase_samples(values, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarr
     # 1 <= n*T + t <= L for both times t = v and t = v - h
     first = -((min(v, v - h) - 1) // T)
     stop = min(L // T, (L - max(v, v - h)) // T + 1)
+    if first >= stop:
+        raise ValueError(f"lag {h} leaves no phase-{v} pair inside the series (L = {L})")
     idx = np.arange(first, stop) * T + v
     cur = values[..., idx - 1]
     return cur, cur if h == 0 else values[..., idx - 1 - h]

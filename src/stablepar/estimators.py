@@ -290,21 +290,24 @@ def estimate(
     """One series by the named method: the one-replicate case of
     :func:`estimate_block`, whose first failure it raises.
 
-    ``alpha`` reaches YW-T only, where it defaults to
+    Phases follow the time stamps: the estimate reads the series from
+    its first time t with t = 1 (mod T), so observations before it are
+    not used.  ``alpha`` reaches YW-T only, where it defaults to
     :func:`estimate_alpha` of the whole series and is reported as
-    ``alpha_used``.  A series shorter than four periods is a
-    :class:`DataError`; a phase whose conditioning component is
-    identically zero (YW-CV) or whose pair fit collapses (YW-T) raises
-    its error naming the phase; a fallback solve that fails raises its
-    error.
+    ``alpha_used``.  A series that holds fewer than four periods from
+    its first phase-1 time on is a :class:`DataError`; a phase whose
+    conditioning component is identically zero (YW-CV) or whose pair
+    fit collapses (YW-T) raises its error naming the phase; a fallback
+    solve that fails raises its error.
     """
     method = method_name(method)
+    values = traj.values[None, :, (1 - traj.t0) % max(T, 1) :]  # _check_shape rejects T < 1
     if method == "YW-T":
-        _check_shape(traj.dim, traj.length, T)
+        _check_shape(traj.dim, values.shape[-1], T)
         alpha = float(estimate_alpha(traj) if alpha is None else alpha)
     else:
         alpha = None
-    block = estimate_block(traj.values[None], T, method, alpha)
+    block = estimate_block(values, T, method, alpha)
     if block.failures:
         raise block.failures[0][1]
     return EstimationResult(

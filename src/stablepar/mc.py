@@ -2,9 +2,10 @@
 
 A study simulates ``M`` independent trajectories of a chosen model,
 runs the requested estimators on every one of them, and aggregates each
-coefficient across replicates into its median and empirical 5%/95%
-quantiles — the summary behind boxplot-style method comparisons.  A
-sweep over stability indices re-runs the whole experiment with the same
+coefficient across replicates into its median and empirical 5/25/75/95%
+quantiles (:data:`STATS`, one ``(5, T, m, m)`` array per method and
+alpha) — the summary behind boxplot-style method comparisons.  A sweep
+over stability indices re-runs the whole experiment with the same
 coefficient matrices and noise geometry at each alpha.
 
 Determinism: replicate ``i`` of the ``k``-th alpha draws from
@@ -26,7 +27,7 @@ per replicate and carry the phase where they occurred.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .stable import DiscreteSpectralMeasure
 
 __all__ = [
     "McConfig",
-    "McCell",
     "McReport",
+    "STATS",
     "model1_preset",
     "model2_preset",
     "run_mc_study",
@@ -54,6 +55,10 @@ DEFAULT_ALPHA_SWEEP = tuple(round(0.1 * k, 1) for k in range(11, 20))
 # Replicates simulated in one batch: memory stays O(REPLICATE_BLOCK * L * m)
 # however large M is.
 REPLICATE_BLOCK = 64
+
+# The replicate statistics of ``McReport.stats``, in the order of its
+# first axis.
+STATS = ("median", "q05", "q25", "q75", "q95")
 
 
 @dataclass(frozen=True)
@@ -84,82 +89,51 @@ class McConfig:
                 f"need L >= {4 * self.model.period} (four periods), got {self.L}"
             )
         object.__setattr__(self, "alphas", tuple(self.alphas) or (self.model.alpha,))
+        if len(set(map(float, self.alphas))) < len(self.alphas):
+            raise ValueError(f"alphas must be distinct, got {self.alphas}")
         object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")
 
 
-@dataclass(frozen=True)
-class McCell:
-    """Aggregates for one coefficient under one method and one alpha."""
-
-    method: str
-    alpha: float
-    L: int
-    v: int
-    i: int
-    j: int
-    median: float
-    q05: float
-    q95: float
-    true_value: float
-    # Quartiles ride along for width comparisons; they are not part of
-    # the CSV table, whose column set is fixed.
-    q25: float = np.nan
-    q75: float = np.nan
-
-    def __post_init__(self):
-        if not (self.q05 <= self.median <= self.q95):
-            raise ValueError(
-                f"quantile ordering violated in cell {self}: "
-                f"{self.q05} / {self.median} / {self.q95}"
-            )
-
-    @property
-    def iqr(self) -> float:
-        return self.q75 - self.q25
-
-
 @dataclass
 class McReport:
-    """Long-format study results plus per-(method, alpha) failure counts.
+    """Study results per (method, alpha).
 
-    ``failure_causes[(method, alpha)]`` splits that count by cause: it
-    maps ``(exception class name, phase)`` to a count.
+    ``stats[(method, alpha)][STATS.index(stat), v - 1]`` is the ``(m, m)``
+    matrix of that replicate statistic for Theta(v), over the replicates
+    that did not fail.  ``failure_causes[(method, alpha)]`` maps
+    ``(exception class name, phase)`` to the number of failed replicates.
     """
 
-    cells: list
-    failures: dict
-    config: McConfig = field(repr=False, default=None)
-    failure_causes: dict = field(default_factory=dict)
+    stats: dict
+    config: McConfig
+    failure_causes: dict
 
-    def select(self, **criteria) -> list:
-        """Cells matching all given field values, e.g. ``method="YW-CV"``."""
-        out = self.cells
-        for key, val in criteria.items():
-            out = [c for c in out if getattr(c, key) == val]
-        return out
+    @property
+    def failures(self) -> dict:
+        """Failed replicates per (method, alpha): ``failure_causes`` summed."""
+        return {key: sum(causes.values()) for key, causes in self.failure_causes.items()}
 
     def coefficient_matrix(self, method: str, alpha: float, v: int, stat: str = "median"):
-        """Reassemble one aggregated matrix from the long table."""
-        sel = self.select(method=method, alpha=alpha, v=v)
-        if not sel:
-            raise KeyError(f"no cells for {method}, alpha={alpha}, v={v}")
-        m = max(c.i for c in sel)
-        out = np.full((m, m), np.nan)
-        for c in sel:
-            out[c.i - 1, c.j - 1] = getattr(c, stat)
-        return out
+        """One aggregated ``(m, m)`` matrix: ``stat`` of Theta(v)."""
+        if (method, alpha) not in self.stats or not 1 <= v <= self.config.model.period:
+            raise KeyError(f"no results for {method}, alpha={alpha}, v={v}")
+        return self.stats[(method, alpha)][STATS.index(stat), v - 1].copy()
 
     def to_csv(self, path) -> None:
-        """One row per cell: ``method,alpha,L,v,i,j,median,q05,q95,true_value``."""
+        """One row per coefficient, alpha outer, then method, then v, i, j:
+        ``method,alpha,L,v,i,j,median,q05,q95,true_value``."""
+        true = np.stack(self.config.model.theta)
+        columns = [STATS.index(stat) for stat in ("median", "q05", "q95")]
+        tables = {key: np.concatenate([stats[columns], true[None]]).reshape(4, -1).T.tolist()
+                  for key, stats in self.stats.items()}
         _write_csv(
             path,
-            ["method", "alpha", "L", "v", "i", "j",
-             "median", "q05", "q95", "true_value"],
-            ([c.method, c.alpha, c.L, c.v, c.i, c.j,
-              repr(c.median), repr(c.q05), repr(c.q95), repr(c.true_value)]
-             for c in self.cells),
+            ["method", "alpha", "L", "v", "i", "j", "median", "q05", "q95", "true_value"],
+            ([meth, alpha, self.config.L, v + 1, i + 1, j + 1, *map(repr, row)]
+             for (meth, alpha), table in tables.items()
+             for (v, i, j), row in zip(np.ndindex(true.shape), table)),
         )
 
 
@@ -225,18 +199,17 @@ def run_mc_study(config: McConfig) -> McReport:
 
     For every alpha in the sweep and every replicate, one trajectory is
     simulated (block by block, see the module notes) and handed to each
-    requested method.  Replicates whose estimation raises a
-    numerical/data error are excluded from the aggregates and counted
-    per (method, alpha), and by exception class and phase in
-    ``failure_causes``; the study aborts when
-    more than 20% of replicates fail for any such pair, since medians
-    over a heavily censored sample would be misleading.
+    requested method.  Each (method, alpha) gets its :data:`STATS` over
+    the replicates as one ``(len(STATS), T, m, m)`` array.  Replicates
+    whose estimation raises a numerical/data error are excluded from the
+    statistics and counted in ``failure_causes`` by exception class and
+    phase; the study aborts when more than 20% of replicates fail for
+    any (method, alpha), since medians over a heavily censored sample
+    would be misleading.
     """
     base = RandomStream(config.seed)
     T = config.model.period
-    m = config.model.dim
-    cells = []
-    failures = {}
+    stats = {}
     failure_causes = {}
     for k, alpha in enumerate(config.alphas):
         model = dc_replace(config.model, alpha=float(alpha))
@@ -258,40 +231,18 @@ def run_mc_study(config: McConfig) -> McReport:
                     (type(exc).__name__, phase) for phase, exc in block.failures.values()
                 )
         for meth in config.methods:
-            n_failed = sum(causes[meth].values())
-            failures[(meth, float(alpha))] = n_failed
             failure_causes[(meth, float(alpha))] = dict(causes[meth])
+            n_failed = sum(causes[meth].values())
             if n_failed > 0.2 * config.M:
                 raise NumericalError(
                     f"{meth} failed on {n_failed} of {config.M} "
                     f"replicates at alpha={alpha}; study aborted"
                 )
             stack = np.concatenate(estimates[meth])  # (kept, T, m, m)
-            med = np.median(stack, axis=0)
             # np.quantile's default is linear interpolation of order
             # statistics, matching the aggregation convention here.
-            q05, q25, q75, q95 = np.quantile(stack, [0.05, 0.25, 0.75, 0.95], axis=0)
-            for v in range(1, T + 1):
-                true = model.theta[v - 1]
-                for i in range(1, m + 1):
-                    for j in range(1, m + 1):
-                        idx = (v - 1, i - 1, j - 1)
-                        cells.append(
-                            McCell(
-                                method=meth,
-                                alpha=float(alpha),
-                                L=config.L,
-                                v=v,
-                                i=i,
-                                j=j,
-                                median=float(med[idx]),
-                                q05=float(q05[idx]),
-                                q95=float(q95[idx]),
-                                true_value=float(true[i - 1, j - 1]),
-                                q25=float(q25[idx]),
-                                q75=float(q75[idx]),
-                            )
-                        )
-    return McReport(
-        cells=cells, failures=failures, config=config, failure_causes=failure_causes
-    )
+            stats[(meth, float(alpha))] = np.stack(
+                [np.median(stack, axis=0),
+                 *np.quantile(stack, [0.05, 0.25, 0.75, 0.95], axis=0)]
+            )
+    return McReport(stats=stats, config=config, failure_causes=failure_causes)

@@ -265,6 +265,18 @@ class TestEstimateCommand:
         dev = np.max(np.abs(np.stack(res.theta_hat) - np.stack(model1_preset().theta)))
         assert dev < 0.3
 
+    def test_time_column_anchors_the_phase(self, tmp_path):
+        """A series whose t starts at 2 is estimated by its true phases."""
+        model = model1_preset()
+        values = simulate_par1(model, 30_000, RandomStream(1)).values
+        path = tmp_path / "from2.csv"
+        MultiTrajectory(values=values[:, 1:], t0=2).to_csv(path)
+        out = tmp_path / "coef.csv"
+        assert main(["estimate", str(path), "--period", "3", "--out", str(out)]) == 0
+        res = EstimationResult.from_csv(out)
+        for v in range(1, 4):
+            assert np.max(np.abs(res.theta_hat[v - 1] - model.theta[v - 1])) < 0.1, v
+
     def test_column_mapping_matches_plain(self, sim_csv, tmp_path):
         # same numbers under a renamed header and explicit mapping
         with open(sim_csv, newline="") as fh:
@@ -407,10 +419,13 @@ class TestMcStudyCommand:
         expected = [(meth, alpha) for meth in library.methods for alpha in library.alphas]
         assert [(r[0], float(r[1])) for r in rows] == expected
         for (meth, alpha), row in zip(expected, rows):
-            cells = report.select(method=meth, alpha=alpha)
-            worst = max(abs(c.median - c.true_value) for c in cells)
-            assert float(row[2]) == pytest.approx(worst, abs=5e-5)
-            assert float(row[3]) == pytest.approx(np.mean([c.iqr for c in cells]), abs=5e-5)
+            phases = range(1, library.model.period + 1)
+            errors = [report.coefficient_matrix(meth, alpha, v) - library.model.theta[v - 1]
+                      for v in phases]
+            iqrs = [report.coefficient_matrix(meth, alpha, v, "q75")
+                    - report.coefficient_matrix(meth, alpha, v, "q25") for v in phases]
+            assert float(row[2]) == pytest.approx(np.max(np.abs(errors)), abs=5e-5)
+            assert float(row[3]) == pytest.approx(np.mean(iqrs), abs=5e-5)
             assert int(row[4]) == report.failures[(meth, alpha)]
 
 

@@ -125,6 +125,13 @@ class TestPhaseMatrix:
         ):
             ncv_phase_matrix(MultiTrajectory(values=vals), T=2, v=v, h=h)
 
+    def test_lag_with_no_pair_of_times_is_a_value_error(self):
+        """Lag 40 on 20 observations pairs no phase-1 time with one inside
+        the series: the lag is wrong, not the data."""
+        vals = RandomStream(5).generator().normal(size=(2, 20))
+        with pytest.raises(ValueError, match="^lag 40 leaves no phase-1 pair"):
+            ncv_phase_matrix(vals, T=2, v=1, h=40)
+
 
 class TestPhaseSamples:
     @staticmethod
@@ -334,6 +341,11 @@ class TestSpectralPhaseMatrix:
         b = cv_phase_matrix_spectral(traj, T=3, v=1, h=1, alpha=1.6)
         assert a.shape == (2, 2)
         assert np.array_equal(a, b)
+
+    def test_lag_with_no_pair_of_times_is_a_value_error(self):
+        vals = RandomStream(5).generator().normal(size=(2, 20))
+        with pytest.raises(ValueError, match="^lag 40 leaves no phase-1 pair"):
+            cv_phase_matrix_spectral(vals, T=2, v=1, h=40, alpha=1.6)
 
     def test_collapsed_pair_fit_names_its_entry(self):
         """A component that is identically zero makes its self-pair

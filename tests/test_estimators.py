@@ -384,6 +384,31 @@ class TestMethodDispatch:
             estimate_block(_block(model1, 2, L=303), 3, "YW-T")
 
 
+class TestPhaseAnchor:
+    """Phases follow the time stamps: ``estimate`` reads a series from its
+    first phase-1 time on."""
+
+    @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
+    @pytest.mark.parametrize("t0", [2, 3, -4])
+    def test_series_is_read_from_its_first_phase_one_time(self, model1, t0, method):
+        values = simulate_par1(model1, 1200, RandomStream(1)).values
+        skip = (1 - t0) % 3  # columns before the first t = 1 (mod 3)
+        got = estimate(MultiTrajectory(values=values, t0=t0), 3, method, alpha=1.8)
+        trimmed = estimate(MultiTrajectory(values=values[:, skip:]), 3, method, alpha=1.8)
+        assert np.array_equal(np.stack(got.theta_hat), np.stack(trimmed.theta_hat))
+
+    @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
+    def test_length_check_reads_the_trimmed_series(self, method):
+        """13 observations from t = 2 leave 11 from t = 4: under four periods."""
+        traj = MultiTrajectory(values=RandomStream(2).generator().normal(size=(2, 13)), t0=2)
+        with pytest.raises(DataError, match="got 11"):
+            estimate(traj, 3, method)
+
+    def test_yw_t_alpha_reads_the_whole_series(self, model1):
+        traj = MultiTrajectory(values=simulate_par1(model1, 400, RandomStream(3)).values, t0=2)
+        assert estimate(traj, 3, "YW-T").alpha_used == estimate_alpha(traj)
+
+
 class TestEstimateAlpha:
     def test_close_to_truth_on_long_sample(self, model1):
         traj = simulate_par1(model1, 10**4, RandomStream(16))

@@ -14,14 +14,14 @@ from stablepar.exceptions import NumericalError, SolverError, UnboundedModelErro
 from stablepar.mc import (
     DEFAULT_ALPHA_SWEEP,
     REPLICATE_BLOCK,
-    McCell,
+    STATS,
     McConfig,
     McReport,
     model1_preset,
     model2_preset,
     run_mc_study,
 )
-from stablepar.par_model import ParModel, check_boundedness, simulate_par1
+from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness, simulate_par1
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
 
@@ -67,43 +67,31 @@ class TestMcConfig:
             McConfig(model=m, L=11, M=4)  # under four periods
         with pytest.raises(ValueError):
             McConfig(model=m, L=100, M=4, methods=("nope",))
+        with pytest.raises(ValueError, match="distinct"):
+            McConfig(model=m, L=100, M=4, alphas=(1.5, 1.9, 1.5))
 
     def test_alpha_sweep_constant(self):
         assert DEFAULT_ALPHA_SWEEP == (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
-
-
-class TestMcCell:
-    def test_quantile_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            McCell(
-                method="YW-CV", alpha=1.8, L=100, v=1, i=1, j=1,
-                median=0.0, q05=0.5, q95=1.0, true_value=0.0,
-            )
-
-    def test_iqr(self):
-        c = McCell(
-            method="YW-CV", alpha=1.8, L=100, v=1, i=1, j=1,
-            median=0.0, q05=-1.0, q95=1.0, true_value=0.0, q25=-0.2, q75=0.3,
-        )
-        assert c.iqr == pytest.approx(0.5)
 
 
 class TestRunMcStudy:
     def test_deterministic_given_seed(self):
         cfg = McConfig(model=model1_preset(), L=120, M=4, methods=("YW-CV",), seed=5)
         a, b = run_mc_study(cfg), run_mc_study(cfg)
-        for ca, cb in zip(a.cells, b.cells):
-            assert ca == cb
+        assert list(a.stats) == list(b.stats)
+        for key in a.stats:
+            assert np.array_equal(a.stats[key], b.stats[key])
 
     def test_cell_inventory(self):
         cfg = McConfig(model=model1_preset(), L=120, M=4, methods=("YW-CV",), seed=5)
         rep = run_mc_study(cfg)
         # 3 phases x 4 entries for one method and one alpha
-        assert len(rep.cells) == 12
+        assert list(rep.stats) == [("YW-CV", 1.8)]
+        stats = dict(zip(STATS, rep.stats[("YW-CV", 1.8)]))
+        assert stats["median"].shape == (3, 2, 2)
         assert rep.failures == {("YW-CV", 1.8): 0}
-        for c in rep.cells:
-            assert c.q05 <= c.median <= c.q95
-            assert np.isfinite(c.q25) and np.isfinite(c.q75)
+        assert np.all(stats["q05"] <= stats["median"]) and np.all(stats["median"] <= stats["q95"])
+        assert np.all(np.isfinite(stats["q25"])) and np.all(np.isfinite(stats["q75"]))
 
     def test_degenerate_replication_collapses_quantiles(self, monkeypatch):
         """Identical trajectories in every replicate make every estimate
@@ -118,8 +106,8 @@ class TestRunMcStudy:
         monkeypatch.setattr(mc, "simulate_replicates", identical)
         cfg = McConfig(model=model1_preset(), L=120, M=4, methods=("YW-CV",), seed=7)
         rep = run_mc_study(cfg)
-        for c in rep.cells:
-            assert c.q05 == c.median == c.q95
+        stats = rep.stats[("YW-CV", 1.8)]
+        assert np.array_equal(stats, np.broadcast_to(stats[0], stats.shape))
 
     def test_replicate_order_invariance(self, monkeypatch):
         """Aggregates are symmetric functions of the replicates, so
@@ -130,8 +118,7 @@ class TestRunMcStudy:
         monkeypatch.setattr(mc, "simulate_replicates",
                             lambda *a, **kw: original(*a, **kw)[::-1])
         r2 = run_mc_study(cfg)
-        for ca, cb in zip(r1.cells, r2.cells):
-            assert ca == cb
+        assert np.array_equal(r1.stats[("YW-CV", 1.8)], r2.stats[("YW-CV", 1.8)])
 
     def test_sweep_replaces_alpha(self):
         cfg = McConfig(
@@ -139,8 +126,8 @@ class TestRunMcStudy:
             alphas=(1.5, 1.9), seed=6,
         )
         rep = run_mc_study(cfg)
-        assert {c.alpha for c in rep.cells} == {1.5, 1.9}
-        assert len(rep.cells) == 24
+        assert list(rep.stats) == [("YW-CV", 1.5), ("YW-CV", 1.9)]
+        assert sum(stats[0].size for stats in rep.stats.values()) == 24
 
     def test_aborts_when_most_replicates_fail(self):
         """An unbounded model makes every replicate raise; the study must
@@ -188,7 +175,44 @@ class TestRunMcStudy:
             ("YW-CV", 1.8): {("DegenerateSeriesError", 2): 1},
             ("YW-T", 1.8): {("SolverError", 2): 1},
         }
-        assert len(rep.cells) == 2 * 12
+        assert sum(stats[0].size for stats in rep.stats.values()) == 2 * 12
+
+    def test_stats_are_the_replicate_quantiles(self, monkeypatch):
+        """stats[(method, alpha)] is np.median and np.quantile of the
+        per-replicate estimates with the failed replicate left out, and
+        failures is failure_causes summed per (method, alpha)."""
+        original = mc.simulate_replicates
+        blocks = []
+
+        def degenerate(*args, **kwargs):
+            values = original(*args, **kwargs)
+            values[1, 0, ::3] = 0.0
+            blocks.append(values)
+            return values
+
+        monkeypatch.setattr(mc, "simulate_replicates", degenerate)
+        # YW-T needs 100 observations per phase: L 400 with period 3
+        cfg = McConfig(model=model1_preset(), L=400, M=5, seed=2)
+        rep = run_mc_study(cfg)
+        [values] = blocks
+        for meth in cfg.methods:
+            thetas = []
+            for k, path in enumerate(values):
+                if k == 1:
+                    with pytest.raises(NumericalError):
+                        estimators.estimate(MultiTrajectory(path), 3, meth, alpha=1.8)
+                else:
+                    thetas.append(
+                        estimators.estimate(MultiTrajectory(path), 3, meth, alpha=1.8).theta_hat
+                    )
+            expected = np.stack(
+                [np.median(thetas, axis=0), *np.quantile(thetas, [0.05, 0.25, 0.75, 0.95], axis=0)]
+            )
+            assert np.array_equal(rep.stats[(meth, 1.8)], expected)
+        assert rep.failures == {
+            key: sum(causes.values()) for key, causes in rep.failure_causes.items()
+        }
+        assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}
 
 
 def _record_trajectories(monkeypatch):
@@ -250,18 +274,22 @@ def small_report():
 
 
 class TestMcReport:
-    def test_select(self, small_report):
-        sel = small_report.select(method="YW-CV", v=2)
-        assert len(sel) == 4
-        assert all(c.method == "YW-CV" and c.v == 2 for c in sel)
+    def test_stats_layout(self, small_report):
+        assert list(small_report.stats) == [("YW-CV", 1.8), ("YW-T", 1.8)]
+        # one (m, m) matrix per statistic and phase, e.g. YW-CV at v = 2
+        stats = small_report.stats[("YW-CV", 1.8)]
+        assert stats.shape == (len(STATS), 3, 2, 2)
+        assert stats[:, 2 - 1].shape == (len(STATS), 2, 2)
 
     def test_coefficient_matrix_layout(self, small_report):
-        mat = small_report.coefficient_matrix("YW-T", 1.8, 1)
-        cells = small_report.select(method="YW-T", v=1)
-        for c in cells:
-            assert mat[c.i - 1, c.j - 1] == c.median
-        with pytest.raises(KeyError):
-            small_report.coefficient_matrix("YW-CV", 1.2, 1)
+        stats = small_report.stats[("YW-T", 1.8)]
+        for k, stat in enumerate(STATS):
+            mat = small_report.coefficient_matrix("YW-T", 1.8, 1, stat)
+            assert np.array_equal(mat, stats[k, 0])
+        assert np.array_equal(small_report.coefficient_matrix("YW-T", 1.8, 1), stats[0, 0])
+        for method, alpha, v in [("YW-CV", 1.2, 1), ("YW-CV", 1.8, 0), ("YW-CV", 1.8, 4)]:
+            with pytest.raises(KeyError):
+                small_report.coefficient_matrix(method, alpha, v)
 
     def test_csv_layout(self, small_report, tmp_path):
         path = tmp_path / "study.csv"
@@ -271,7 +299,13 @@ class TestMcReport:
         assert rows[0] == [
             "method", "alpha", "L", "v", "i", "j", "median", "q05", "q95", "true_value",
         ]
-        assert len(rows) == 1 + len(small_report.cells)
+        # alpha outer, then method, then v, i, j
+        assert [tuple(r[:6]) for r in rows[1:]] == [
+            (meth, "1.8", "400", str(v), str(i), str(j))
+            for meth in ("YW-CV", "YW-T")
+            for v, i, j in itertools.product((1, 2, 3), (1, 2), (1, 2))
+        ]
         # full-precision floats round-trip through the text form
-        c0 = small_report.cells[0]
-        assert float(rows[1][6]) == c0.median
+        stats = small_report.stats[("YW-CV", 1.8)]
+        assert float(rows[1][6]) == stats[STATS.index("median"), 0, 0, 0]
+        assert float(rows[1][9]) == model1_preset().theta[0][0, 0]
