@@ -46,11 +46,7 @@ __all__ = [
     "model1_preset",
     "model2_preset",
     "run_mc_study",
-    "DEFAULT_ALPHA_SWEEP",
 ]
-
-# Default stability-index sweep for width-vs-alpha studies.
-DEFAULT_ALPHA_SWEEP = tuple(round(0.1 * k, 1) for k in range(11, 20))
 
 # Replicates simulated in one batch: memory stays O(REPLICATE_BLOCK * L * m)
 # however large M is.

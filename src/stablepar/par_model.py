@@ -269,10 +269,8 @@ def _read_csv(path, select) -> tuple[np.ndarray, bool]:
 @dataclass
 class BoundednessReport:
     bounded: bool
-    diagonal: bool
+    spectral_radius: float
     detail: str
-    spectral_radius: float | None = None
-    period_products: np.ndarray | None = None
 
 
 def g_product(model: ParModel, t: int, j: int) -> np.ndarray:
@@ -285,38 +283,27 @@ def g_product(model: ParModel, t: int, j: int) -> np.ndarray:
     return out
 
 
-# Margin below one that the monodromy spectral radius of a non-diagonal
-# model must keep.
+# Margin below one that the monodromy spectral radius must keep.
 _BOUNDEDNESS_TOL = 1e-8
 
 
 def check_boundedness(model: ParModel) -> BoundednessReport:
     """Decide whether the causal solution of the recursion exists.
 
-    Diagonal models admit an exact criterion: the per-component one-cycle
-    products must satisfy ``|P_r| < 1``.  Otherwise the spectral radius of
-    the one-period monodromy product must stay below ``1 - 1e-8``; a
-    radius below one makes the g-products decay geometrically, which is
-    sufficient for the absolute convergence of the moving-average
-    solution.
+    The spectral radius of the one-period monodromy product
+    ``Theta(T) ... Theta(1)`` must stay below ``1 - 1e-8``; a radius below
+    one makes the g-products decay geometrically, which is sufficient for
+    the absolute convergence of the moving-average solution.  For a
+    diagonal model the monodromy is ``diag(P_r)``, so the radius is
+    ``max |P_r|``.
     """
-    if model.is_diagonal():
-        p = model.period_products()
-        ok = bool(np.all(np.abs(p) < 1.0))
-        return BoundednessReport(
-            bounded=ok,
-            diagonal=True,
-            detail=f"diagonal model, |P_r| = {np.abs(p)!r} (need all < 1)",
-            period_products=p,
-        )
     monodromy = g_product(model, model.period, model.period)
     rho = float(np.max(np.abs(np.linalg.eigvals(monodromy))))
     limit = 1.0 - _BOUNDEDNESS_TOL
     return BoundednessReport(
         bounded=rho < limit,
-        diagonal=False,
-        detail=f"monodromy spectral radius {rho:.6g} (need < {limit:.6g})",
         spectral_radius=rho,
+        detail=f"monodromy spectral radius {rho:.6g} (need < {limit:.6g})",
     )
 
 
@@ -456,10 +443,9 @@ def _covariation_stack(model: ParModel, h: int) -> np.ndarray:
             return total
         bound = grown
         a, b = a @ step, b @ step
-    rho = float(np.max(np.abs(np.linalg.eigvals(prods[T][0]))))
     raise NumericalError(
         f"covariation series did not converge in {_MAX_PERIODS} periods "
-        f"(monodromy spectral radius {rho:.6g})"
+        f"(monodromy spectral radius {report.spectral_radius:.6g})"
     )
 
 

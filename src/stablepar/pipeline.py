@@ -15,9 +15,9 @@ Stages
 2. :func:`yw_cv_estimate` / :func:`yw_t_estimate` and the predictive
    model via :func:`fit_model`.
 3. :func:`diagnose_residuals` — tail-index and scale fits, bootstrap
-   goodness-of-fit p-values, dependence screens over lags, and (for
-   two-component series) the residual spectral measure;
-   :func:`fit_par1` is :func:`fit_model` plus this stage.
+   goodness-of-fit p-values and dependence screens over lags;
+   :func:`fit_par1` is :func:`fit_model` plus this stage.  The joint
+   noise measure is fitted once, by :func:`build_predictive_model`.
 4. :func:`simulate_quantile_lines` / :func:`one_step_quantiles` — exact
    pointwise quantiles of the fitted law, deterministic structure added
    back.  Every component of the stationary solution, and of the noise,
@@ -42,6 +42,7 @@ from .exceptions import DataError
 from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
 from .stable import (
+    ALPHA_FLOOR,
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
@@ -142,8 +143,6 @@ def fit_deterministic(
     t = np.arange(traj.t0, traj.t0 + traj.length, dtype=float)
     tc = t - t.mean()  # centered time keeps the design well-conditioned
     phase_idx = (np.arange(traj.t0, traj.t0 + traj.length) - 1) % T
-    if len(np.unique(phase_idx)) < T:
-        raise DataError("some phase has no observations")
 
     # Design: constant, centered time, and T-1 reduced phase dummies
     # encoding a profile constrained to sum to zero over the period.
@@ -185,20 +184,17 @@ class ComponentDiagnostics:
 
 @dataclass
 class DiagnosticsReport:
-    """Residual screens: marginals, dependence curves, joint geometry.
+    """Residual screens: marginals and dependence curves.
 
     ``auto_ncv[i]`` maps lag h in -h_max..h_max to the normalized
     auto-covariation of component i+1 (exactly 1 at lag 0);
-    ``cross_ncv[(i, j)]`` holds the pairwise curves for i < j.  For
-    two-component residuals, ``spectral_measure`` is the estimated joint
-    measure of the scale-normalized pair.
+    ``cross_ncv[(i, j)]`` holds the pairwise curves for i < j.
     """
 
     components: list
     lags: np.ndarray
     auto_ncv: dict
     cross_ncv: dict
-    spectral_measure: DiscreteSpectralMeasure | None = None
 
     @property
     def alphas(self) -> np.ndarray:
@@ -244,8 +240,7 @@ def diagnose_residuals(
     bootstrap goodness-of-fit p-value with ``n_sims`` simulations.
     Dependence is screened by normalized auto- and cross-covariation
     curves over lags ``-h_max..h_max`` — for an adequate model these
-    show no structure beyond lag 0.  Two-component residuals also get a
-    joint spectral-measure estimate on the scale-normalized pair.
+    show no structure beyond lag 0.
     """
     if res.length < 200:
         raise DataError(
@@ -274,17 +269,11 @@ def diagnose_residuals(
         for j in range(res.dim)
         if i < j
     }
-    measure = None
-    if res.dim == 2:
-        alpha_mean = float(np.mean([c.params.alpha for c in comps]))
-        scaled = res.values / np.array([c.params.scale for c in comps])[:, None]
-        measure = estimate_spectral_measure_2d(scaled.T, alpha_mean)
     return DiagnosticsReport(
         components=comps,
         lags=lags,
         auto_ncv=auto,
         cross_ncv=cross,
-        spectral_measure=measure,
     )
 
 
@@ -319,7 +308,7 @@ def build_predictive_model(
     ``sigma_i^alpha / 2`` on each signed coordinate axis, reproducing the
     marginal scales.
     """
-    alpha = float(np.clip(np.mean([p.alpha for p in marginals]), 1.0001, 2.0))
+    alpha = float(np.clip(np.mean([p.alpha for p in marginals]), ALPHA_FLOOR, 2.0))
     m = residuals.dim
     if m == 2:
         noise = estimate_spectral_measure_2d(residuals.values.T, alpha)
@@ -448,16 +437,17 @@ class QuantilePaths:
         _write_csv(path, header, rows)
 
 
-def _quantile_orders(q_list) -> np.ndarray:
+def _bands(center, sigma, alpha: float, q_list, t0: int) -> QuantilePaths:
+    """Bands ``center + z_q sigma`` for each order q, ``z_q`` the standard
+    SaS quantile at ``alpha``; ``center`` is (m, L) and ``sigma``
+    broadcasts against it."""
     q_arr = np.asarray(sorted(float(q) for q in q_list))
     if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
         raise ValueError("quantile orders must lie strictly between 0 and 1")
-    return q_arr
-
-
-def _standard_quantiles(alpha: float, q_arr: np.ndarray) -> np.ndarray:
     unit = StableParams(alpha, 1.0)
-    return np.array([stable_quantile(unit, q) for q in q_arr])
+    z_q = np.array([stable_quantile(unit, q) for q in q_arr])
+    lines = center[None] + z_q[:, None, None] * sigma[None]
+    return QuantilePaths(t0=t0, quantiles=tuple(q_arr), lines=lines)
 
 
 def simulate_quantile_lines(
@@ -483,16 +473,13 @@ def simulate_quantile_lines(
     """
     if L < 1:
         raise ValueError("L must be positive")
-    q_arr = _quantile_orders(q_list)
     # sigma_r(v)^alpha = CV(X_r(v), X_r(v)), the lag-0 diagonal
     scales = np.diagonal(_covariation_stack(model, 0), axis1=1, axis2=2) ** (
         1.0 / model.alpha
     )  # (T, m)
     times = np.arange(t0, t0 + L)
     sigma = scales[(times - 1) % model.period].T  # (m, L)
-    z_q = _standard_quantiles(model.alpha, q_arr)
-    lines = det.evaluate(times)[None] + z_q[:, None, None] * sigma[None]
-    return QuantilePaths(t0=t0, quantiles=tuple(q_arr), lines=lines)
+    return _bands(det.evaluate(times), sigma, model.alpha, q_list, t0)
 
 
 def one_step_quantiles(
@@ -508,7 +495,6 @@ def one_step_quantiles(
     the noise is SaS with ``sigma_r^alpha = sum_a gamma_a |s_{a,r}|^alpha``,
     so its quantile of order q is ``sigma_r z_q``: the bands are exact.
     """
-    q_arr = _quantile_orders(q_list)
     times = np.arange(traj.t0, traj.t0 + traj.length)
     det_vals = det.evaluate(times)
     centered = traj.values - det_vals
@@ -516,6 +502,4 @@ def one_step_quantiles(
     predictor = np.einsum("kij,jk->ik", thetas, centered[:, :-1]) + det_vals[:, 1:]
     sigma = (np.abs(model.noise.points) ** model.alpha).T @ model.noise.weights
     sigma = sigma ** (1.0 / model.alpha)
-    z_quant = _standard_quantiles(model.alpha, q_arr)[:, None] * sigma[None]
-    lines = predictor[None] + z_quant[:, :, None]
-    return QuantilePaths(t0=traj.t0 + 1, quantiles=tuple(q_arr), lines=lines)
+    return _bands(predictor, sigma[:, None], model.alpha, q_list, traj.t0 + 1)

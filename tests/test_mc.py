@@ -12,7 +12,6 @@ import stablepar.estimators as estimators
 import stablepar.mc as mc
 from stablepar.exceptions import NumericalError, SolverError, UnboundedModelError
 from stablepar.mc import (
-    DEFAULT_ALPHA_SWEEP,
     REPLICATE_BLOCK,
     STATS,
     McConfig,
@@ -69,9 +68,6 @@ class TestMcConfig:
             McConfig(model=m, L=100, M=4, methods=("nope",))
         with pytest.raises(ValueError, match="distinct"):
             McConfig(model=m, L=100, M=4, alphas=(1.5, 1.9, 1.5))
-
-    def test_alpha_sweep_constant(self):
-        assert DEFAULT_ALPHA_SWEEP == (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9)
 
 
 class TestRunMcStudy:

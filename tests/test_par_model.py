@@ -163,22 +163,35 @@ class TestGProduct:
 
 class TestBoundedness:
     def test_diagonal_exact_criterion(self):
+        """A diagonal model's monodromy is diag(P_r): its spectral radius
+        is max |P_r|."""
         ok = _diagonal_model([[0.9, -0.9], [0.99, 0.99]])
         rep = check_boundedness(ok)
-        assert rep.bounded and rep.diagonal
-        assert np.allclose(np.abs(rep.period_products), [0.891, 0.8911], atol=1e-4)
+        assert rep.bounded
+        assert rep.spectral_radius == pytest.approx(0.8911, abs=1e-4)
+        assert rep.spectral_radius == pytest.approx(
+            np.max(np.abs(ok.period_products())), rel=1e-15
+        )
 
         bad = _diagonal_model([[1.1], [1.0]])
         rep2 = check_boundedness(bad)
         assert not rep2.bounded
-        assert "|P" in rep2.detail or "product" in rep2.detail.lower()
+        assert "monodromy spectral radius" in rep2.detail
+
+    def test_diagonal_near_unit_product_is_refused(self):
+        """max |P_r| = 1 - 1e-9 lies inside the 1e-8 margin every model
+        keeps, diagonal or not."""
+        near = _diagonal_model([[1.0 - 1e-9, 0.5]])
+        assert not check_boundedness(near).bounded
+        with pytest.raises(UnboundedModelError, match="monodromy spectral radius"):
+            simulate_par1(near, 10, RandomStream(12))
 
     def test_model2_spectral_radius(self, model2):
         """The over-one-period coefficient product of the 3-D benchmark has
         spectral radius about 0.6391; well inside the bounded region even
         though single-phase matrices are not contractions."""
         rep = check_boundedness(model2)
-        assert rep.bounded and not rep.diagonal
+        assert rep.bounded
         assert rep.spectral_radius == pytest.approx(0.639105, abs=1e-4)
 
     def test_benchmarks_bounded(self, model1, model2):
