@@ -22,7 +22,7 @@ import yaml
 
 from .estimators import METHODS, estimate, method_name
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
-from .exceptions import DataError, NumericalError, StableParError
+from .exceptions import DataError, NumericalError
 from .mc import STATS, McConfig, model1_preset, model2_preset, run_mc_study
 from .par_model import MultiTrajectory, ParModel, simulate_par1
 from .pipeline import (
@@ -287,17 +287,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return COMMANDS[args.command](args, config)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except StableParError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
         return 3
 
 

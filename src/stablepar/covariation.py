@@ -30,6 +30,7 @@ import numpy as np
 
 from .exceptions import DegenerateSeriesError, NumericalError
 from .stable import (
+    MIN_QUANTILE_OBS,
     DiscreteSpectralMeasure,
     iqr_constant,
     signed_power,
@@ -278,8 +279,8 @@ def _checked_design(alpha: float, *samples: np.ndarray) -> tuple:
     axis), warn if the design is rank-deficient, and return the cached
     :func:`_projection_design`."""
     n = samples[0].shape[-1]
-    if n < 100:
-        raise ValueError(f"need at least 100 observations, got {n}")
+    if n < MIN_QUANTILE_OBS:
+        raise ValueError(f"need at least {MIN_QUANTILE_OBS} observations, got {n}")
     n_bad = sum(x.size - int(np.count_nonzero(np.isfinite(x))) for x in samples)
     if n_bad:
         raise ValueError(f"sample contains {n_bad} non-finite entries")
@@ -356,7 +357,7 @@ def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasur
     Parameters
     ----------
     sample : (n, 2) array_like
-        Finite observations; at least 100 are required.
+        Finite observations; at least ``MIN_QUANTILE_OBS`` are required.
     alpha : float
         Stability index in (1, 2].
 
@@ -397,10 +398,11 @@ def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict
     replicate's matrix holds no usable estimate.  One :func:`_fit_pairs`
     call fits the pairs of every replicate and one sort of the stack
     gives every lag-0 diagonal, so a replicate's matrix is the same bits
-    whatever block it rides in.  Fewer than 100 observations, a
-    non-finite value anywhere in the stacks or an alpha out of range is
-    a ``ValueError`` for the whole block.  Warns once per call when the
-    projection-scale system is rank-deficient (alpha = 2).
+    whatever block it rides in.  Fewer than ``MIN_QUANTILE_OBS``
+    observations, a non-finite value anywhere in the stacks or an alpha
+    out of range is a ``ValueError`` for the whole block.  Warns once
+    per call when the projection-scale system is rank-deficient
+    (alpha = 2).
     """
     lag0 = lagged is cur
     # At lag 0 both stacks hold the same observations: count them once.
@@ -455,8 +457,8 @@ def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.n
     Raises
     ------
     ValueError
-        If a phase sub-sample holds fewer than 100 observations or a
-        non-finite value, or if alpha is out of range.
+        If a phase sub-sample holds fewer than ``MIN_QUANTILE_OBS``
+        observations or a non-finite value, or if alpha is out of range.
     NumericalError
         If a pair fit collapses to the zero measure (at the lag-0
         diagonal: the component's interquartile range is zero); the

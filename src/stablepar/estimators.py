@@ -50,7 +50,7 @@ from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix  # unused he
 from .exceptions import DataError, SolverError
 from .par_model import MultiTrajectory, _read_csv, _write_csv
 from .solvers import solve_direct, solve_yw
-from .stable import mcculloch_estimate
+from .stable import MIN_QUANTILE_OBS, mcculloch_estimate
 
 __all__ = [
     "METHODS",
@@ -63,6 +63,7 @@ __all__ = [
     "yw_t_estimate",
     "theta_from_cov_matrices",
     "estimate_alpha",
+    "pooled_alpha",
 ]
 
 METHODS = ("YW-CV", "YW-T")
@@ -139,13 +140,19 @@ class EstimationResult:
         return cls(theta_hat=tuple(data[:, 1:].reshape(-1, m, m)), method=method)
 
 
-def _check_shape(m: int, L: int, T: int) -> None:
+def _check_shape(m: int, L: int, T: int, method: str) -> None:
+    """Refuse a series below a sample floor of ``method``: four full
+    periods, and for YW-T ``MIN_QUANTILE_OBS`` pairs in the shortest
+    lagged phase (phase 1, with ``L // T - 1`` pairs)."""
     if T < 1:
         raise ValueError(f"period must be >= 1, got {T}")
     if m < 1:
         raise ValueError("trajectory must have at least one component")
     if L < 4 * T:
         raise DataError(f"need at least four full periods (L >= {4 * T}), got {L}")
+    if method == "YW-T" and L < (MIN_QUANTILE_OBS + 1) * T:
+        raise DataError(f"YW-T needs {MIN_QUANTILE_OBS} pairs in every lagged phase "
+                        f"(L >= {(MIN_QUANTILE_OBS + 1) * T}), got {L}")
 
 
 def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
@@ -255,7 +262,7 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
     if values.ndim != 3:
         raise ValueError(f"need a (M, m, L) block, got shape {values.shape}")
     M, m, L = values.shape
-    _check_shape(m, L, T)
+    _check_shape(m, L, T, method)
     if not np.all(np.isfinite(values)):
         raise ValueError("trajectory contains missing or non-finite entries")
     if method == "YW-T" and alpha is None:
@@ -277,11 +284,15 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
     return BlockEstimate(theta=theta, solve_reports=reports, failures=failures)
 
 
+def pooled_alpha(marginals) -> float:
+    """The one stability index of a vector series: the median of the
+    indices of its per-component :func:`mcculloch_estimate` fits."""
+    return float(np.median([p.alpha for p in marginals]))
+
+
 def estimate_alpha(traj: MultiTrajectory) -> float:
-    """Pooled stability index: median of per-component quantile estimates."""
-    return float(
-        np.median([mcculloch_estimate(row).alpha for row in traj.values])
-    )
+    """:func:`pooled_alpha` of the quantile fits of each component."""
+    return pooled_alpha([mcculloch_estimate(row) for row in traj.values])
 
 
 def estimate(
@@ -294,16 +305,17 @@ def estimate(
     its first time t with t = 1 (mod T), so observations before it are
     not used.  ``alpha`` reaches YW-T only, where it defaults to
     :func:`estimate_alpha` of the whole series and is reported as
-    ``alpha_used``.  A series that holds fewer than four periods from
-    its first phase-1 time on is a :class:`DataError`; a phase whose
+    ``alpha_used``.  A series that from its first phase-1 time on holds
+    fewer than four periods, or for YW-T fewer than ``101 T``
+    observations, is a :class:`DataError`; a phase whose
     conditioning component is identically zero (YW-CV) or whose pair
     fit collapses (YW-T) raises its error naming the phase; a fallback
     solve that fails raises its error.
     """
     method = method_name(method)
     values = traj.values[None, :, (1 - traj.t0) % max(T, 1) :]  # _check_shape rejects T < 1
+    _check_shape(traj.dim, values.shape[-1], T, method)
     if method == "YW-T":
-        _check_shape(traj.dim, values.shape[-1], T)
         alpha = float(estimate_alpha(traj) if alpha is None else alpha)
     else:
         alpha = None

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .estimators import METHODS, estimate_block, method_name
+from .estimators import METHODS, _check_shape, estimate_block, method_name
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import NumericalError
 from .par_model import ParModel, _write_csv, simulate_replicates
@@ -66,7 +66,9 @@ class McConfig:
     geometry.  ``methods`` is any subset of ``METHODS``, each name read
     by :func:`~stablepar.estimators.method_name`.  The
     spectral-measure method receives the current alpha as known — the
-    study setting is simulation, where it is.
+    study setting is simulation, where it is.  ``L`` must meet the
+    sample floor of every method (four periods; ``101 T`` for YW-T), so
+    a shorter study is a :class:`DataError` before anything is simulated.
     """
 
     model: ParModel
@@ -80,16 +82,14 @@ class McConfig:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError(f"need at least 2 replicates, got {self.M}")
-        if self.L < 4 * self.model.period:
-            raise ValueError(
-                f"need L >= {4 * self.model.period} (four periods), got {self.L}"
-            )
         object.__setattr__(self, "alphas", tuple(self.alphas) or (self.model.alpha,))
         if len(set(map(float, self.alphas))) < len(self.alphas):
             raise ValueError(f"alphas must be distinct, got {self.alphas}")
         object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")
+        for method in self.methods:
+            _check_shape(self.model.dim, self.L, self.model.period, method)
 
 
 @dataclass

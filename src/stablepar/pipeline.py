@@ -36,13 +36,12 @@ from .covariation import (
     ncv_auto,
     ncv_cross,
 )
-from .estimators import EstimationResult, estimate
+from .estimators import EstimationResult, estimate, pooled_alpha
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError
 from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
 from .stable import (
-    ALPHA_FLOOR,
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
@@ -301,14 +300,14 @@ def build_predictive_model(
     """Assemble the simulation model implied by a fit.
 
     ``marginals`` holds the per-component :func:`mcculloch_estimate` of
-    the residuals.  The stability index is the mean of their indices
-    (the noise vector gets a single index).  For two-component fits the
-    noise measure is the projection-method estimate on the raw residual
-    pairs; otherwise an independent-components fallback puts mass
-    ``sigma_i^alpha / 2`` on each signed coordinate axis, reproducing the
-    marginal scales.
+    the residuals.  The noise vector gets one stability index, their
+    :func:`~stablepar.estimators.pooled_alpha` (the median).  For
+    two-component fits the noise measure is the projection-method
+    estimate on the raw residual pairs; otherwise an
+    independent-components fallback puts mass ``sigma_i^alpha / 2`` on
+    each signed coordinate axis, reproducing the marginal scales.
     """
-    alpha = float(np.clip(np.mean([p.alpha for p in marginals]), ALPHA_FLOOR, 2.0))
+    alpha = pooled_alpha(marginals)
     m = residuals.dim
     if m == 2:
         noise = estimate_spectral_measure_2d(residuals.values.T, alpha)

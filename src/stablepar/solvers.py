@@ -6,6 +6,8 @@ systems go through a dense direct solve; (near-)singular ones fall back
 to a column-by-column BiCGSTAB iteration (van der Vorst's stabilized
 bi-conjugate gradient), which returns *a* solution of a consistent
 singular system instead of blowing up on the explicit inverse.
+Both routes accept a solution whose residual is at most ``TOL`` times
+the right-hand side's norm; the iteration stops after ``MAXIT`` sweeps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ __all__ = [
 # Condition-number estimate beyond which the direct solve is not trusted
 # and the iterative fallback takes over.
 COND_LIMIT = 1e12
+# Relative residual a solve must reach, and the BiCGSTAB sweep cap.
+TOL = 1e-10
+MAXIT = 1000
 
 
 @dataclass
@@ -44,35 +49,27 @@ class SolveReport:
     column_reports: list = field(default_factory=list, repr=False)
 
 
-def bicgstab(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    maxit: int = 1000,
-    x0: np.ndarray | None = None,
-) -> SolveReport:
+def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
     """Solve ``a x = b`` by the stabilized bi-conjugate gradient method.
 
     Handles nonsymmetric and consistent singular systems; on a singular
     system the iterate stays in the Krylov space of the residual and
-    converges to one member of the solution family.  Non-convergence
-    after ``maxit`` sweeps reports the best iterate seen; a vanishing
-    bi-orthogonality coefficient (rho) or stabilization weight (omega)
-    is reported distinctly as a breakdown.
+    converges to one member of the solution family, starting from zero.
+    Non-convergence after ``MAXIT`` sweeps reports the best iterate
+    seen; a vanishing bi-orthogonality coefficient (rho) or
+    stabilization weight (omega) is reported distinctly as a breakdown.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"shape mismatch: a {a.shape} vs b {b.shape}")
-    if tol <= 0 or maxit < 1:
-        raise ValueError("need tol > 0 and maxit >= 1")
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     r = b - a @ x
     b_norm = float(np.linalg.norm(b))
-    stop = tol * b_norm
-    if b_norm == 0.0 or np.linalg.norm(r) <= stop:
+    stop = TOL * b_norm
+    if b_norm == 0.0:
         return SolveReport(x, "bicgstab", 0, float(np.linalg.norm(r)), True)
 
     r_hat = r.copy()
@@ -81,7 +78,7 @@ def bicgstab(
     best_x, best_res = x.copy(), float(np.linalg.norm(r))
     tiny = 1e-300
 
-    for it in range(1, maxit + 1):
+    for it in range(1, MAXIT + 1):
         rho = float(r_hat @ r)
         if abs(rho) < tiny:
             return SolveReport(
@@ -127,14 +124,12 @@ def bicgstab(
         rho_prev = rho
 
     return SolveReport(
-        best_x, "bicgstab", maxit, best_res, False,
-        detail=f"no convergence in {maxit} iterations",
+        best_x, "bicgstab", MAXIT, best_res, False,
+        detail=f"no convergence in {MAXIT} iterations",
     )
 
 
-def solution1(
-    m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10, maxit: int = 1000
-) -> SolveReport:
+def solution1(m0: np.ndarray, m1: np.ndarray) -> SolveReport:
     """Solve ``Theta m0 = m1`` column-by-column with BiCGSTAB.
 
     Transposing gives ``m0' Theta' = m1'``, one vector system per column
@@ -142,7 +137,7 @@ def solution1(
     transposed back.
 
     The report's residual is the Frobenius norm of ``Theta m0 - m1``;
-    convergence means it is below ``tol`` times the Frobenius norm of
+    convergence means it is below ``TOL`` times the Frobenius norm of
     ``m1``.  When ``m0`` is numerically singular and some column fails
     to converge, the detail flags likely inconsistency (a singular
     system only has solutions for right-hand sides in its range).
@@ -156,14 +151,14 @@ def solution1(
     columns = []
     reports = []
     for i in range(m0.shape[0]):
-        rep = bicgstab(m0.T, m1.T[:, i], tol=tol, maxit=maxit)
+        rep = bicgstab(m0.T, m1.T[:, i])
         reports.append(rep)
         columns.append(rep.solution)
     theta = np.column_stack(columns).T
 
     residual = float(np.linalg.norm(theta @ m0 - m1, "fro"))
     m1_norm = float(np.linalg.norm(m1, "fro"))
-    converged = residual <= tol * max(m1_norm, 1e-300)
+    converged = residual <= TOL * max(m1_norm, 1e-300)
     detail = ""
     if not converged:
         svals = np.linalg.svd(m0, compute_uv=False)
@@ -191,7 +186,7 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def solve_direct(m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10) -> list:
+def solve_direct(m0: np.ndarray, m1: np.ndarray) -> list:
     """The direct half of :func:`solve_yw` for a stack of systems.
 
     ``m0`` and ``m1`` are ``(K, m, m)``.  One condition estimate and one
@@ -221,15 +216,13 @@ def solve_direct(m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10) -> list:
             method="direct",
             iterations=0,
             residual_norm=float(res),
-            converged=bool(res <= tol * max(sc, 1e-300)),
+            converged=bool(res <= TOL * max(sc, 1e-300)),
             detail=f"condition estimate {c:.3g}",
         )
     return reports
 
 
-def solve_yw(
-    m0: np.ndarray, m1: np.ndarray, tol: float = 1e-10, maxit: int = 1000
-) -> SolveReport:
+def solve_yw(m0: np.ndarray, m1: np.ndarray) -> SolveReport:
     """Route ``Theta m0 = m1`` to the direct solve or the iterative fallback.
 
     The direct path computes ``m1 m0^-1`` through a factorized solve and
@@ -245,11 +238,11 @@ def solve_yw(
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
-    report = solve_direct(m0[None], m1[None], tol)[0]
+    report = solve_direct(m0[None], m1[None])[0]
     if report is not None:
         return report
     cond = np.linalg.cond(m0) if np.all(np.isfinite(m0)) else np.inf
-    report = solution1(m0, m1, tol=tol, maxit=maxit)
+    report = solution1(m0, m1)
     if not np.all(np.isfinite(report.solution)):
         raise SolverError(
             f"iterative fallback produced non-finite entries: {report.detail}"

@@ -51,6 +51,9 @@ __all__ = [
 #: smallest stability index an estimate is allowed to take
 ALPHA_FLOOR = 1.0001
 
+#: fewest observations a quantile-based fit (McCulloch or projection) accepts
+MIN_QUANTILE_OBS = 100
+
 #: nu(0.6) of the standard law, the heaviest tail an estimate accepts.  The
 #: inversion rule is accurate only for alpha >= 1, so nu is derived on
 #: [1, 2] only; a ratio between nu(1) and this bound clips to ALPHA_FLOOR.
@@ -326,7 +329,7 @@ def mcculloch_estimate(sample) -> StableParams:
     Raises
     ------
     DataError
-        If the sample is shorter than 100 observations.
+        If the sample is shorter than ``MIN_QUANTILE_OBS`` observations.
     TableRangeError
         If the quantile ratio exceeds ``NU_MAX`` (heavier tails than
         alpha = 0.6) or the interquartile range vanishes.
@@ -336,10 +339,9 @@ def mcculloch_estimate(sample) -> StableParams:
 
 def _mcculloch_sorted(x: np.ndarray) -> StableParams:
     """:func:`mcculloch_estimate` of a sorted 1-D float sample."""
-    if x.size < 100:
-        raise DataError(
-            f"need at least 100 observations for quantile estimation, got {x.size}"
-        )
+    if x.size < MIN_QUANTILE_OBS:
+        raise DataError(f"need at least {MIN_QUANTILE_OBS} observations "
+                        f"for quantile estimation, got {x.size}")
     q05, q25, q75, q95 = sorted_quantiles(x, (0.05, 0.25, 0.75, 0.95))
     iqr = q75 - q25
     if iqr <= 0.0:
@@ -645,18 +647,16 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
     Raises
     ------
     DataError
-        If the sample has fewer than 100 points or ``n_sims < 100``.
+        If ``n_sims < 100``, or the sample is too short to fit (see
+        :func:`mcculloch_estimate`).
     TableRangeError
         Propagated from the quantile fit.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size < 100:
-        raise DataError(f"need at least 100 observations, got {x.size}")
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
     # Each sample is sorted once and shared by its quantile fit and its
     # statistic.
-    x = np.sort(x)
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
     params = _mcculloch_sorted(x)
     observed = _ad_sorted(x, params)
     exceed = 0

@@ -409,6 +409,31 @@ class TestPhaseAnchor:
         assert estimate(traj, 3, "YW-T").alpha_used == estimate_alpha(traj)
 
 
+class TestSampleFloors:
+    """YW-T needs MIN_QUANTILE_OBS lagged pairs in phase 1, which holds
+    L // T - 1 of them: L >= 101 T.  YW-CV needs four periods."""
+
+    @pytest.mark.parametrize("preset, floor", [("model1", 303), ("model2", 202)])
+    def test_yw_t_runs_from_101_periods(self, preset, floor, request):
+        model = request.getfixturevalue(preset)
+        values = simulate_par1(model, floor, RandomStream(4)).values
+        short = values[:, :-1]
+        with pytest.raises(DataError, match=f"L >= {floor}"):
+            estimate(MultiTrajectory(values=short), model.period, "YW-T", alpha=1.8)
+        with pytest.raises(DataError, match=f"L >= {floor}"):
+            estimate_block(short[None], model.period, "YW-T", alpha=1.8)
+        single = estimate(MultiTrajectory(values=values), model.period, "YW-T", alpha=1.8)
+        block = estimate_block(values[None], model.period, "YW-T", alpha=1.8)
+        assert not block.failures
+        assert np.array_equal(block.theta[0], np.stack(single.theta_hat))
+
+    def test_yw_cv_runs_at_four_periods(self, model1):
+        values = simulate_par1(model1, 12, RandomStream(5)).values
+        res = estimate(MultiTrajectory(values=values), 3, "YW-CV")
+        assert len(res.solve_reports) == 3
+        assert not estimate_block(values[None], 3, "YW-CV").failures
+
+
 class TestEstimateAlpha:
     def test_close_to_truth_on_long_sample(self, model1):
         traj = simulate_par1(model1, 10**4, RandomStream(16))

@@ -10,7 +10,8 @@ import pytest
 
 import stablepar.estimators as estimators
 import stablepar.mc as mc
-from stablepar.exceptions import NumericalError, SolverError, UnboundedModelError
+from stablepar.estimators import METHODS
+from stablepar.exceptions import DataError, NumericalError, SolverError, UnboundedModelError
 from stablepar.mc import (
     REPLICATE_BLOCK,
     STATS,
@@ -54,7 +55,7 @@ class TestPresets:
 
 class TestMcConfig:
     def test_defaults(self):
-        cfg = McConfig(model=model1_preset(), L=100, M=4)
+        cfg = McConfig(model=model1_preset(), L=303, M=4)
         assert cfg.alphas == (1.8,)
         assert cfg.methods == ("YW-CV", "YW-T")
 
@@ -62,8 +63,13 @@ class TestMcConfig:
         m = model1_preset()
         with pytest.raises(ValueError):
             McConfig(model=m, L=100, M=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="L >= 12"):
             McConfig(model=m, L=11, M=4)  # under four periods
+        # YW-T's phase 1 holds L // 3 - 1 = 99 lagged pairs at L = 300
+        for methods in (("YW-T",), METHODS):
+            with pytest.raises(DataError, match="L >= 303"):
+                McConfig(model=m, L=300, M=4, methods=methods)
+        assert McConfig(model=m, L=303, M=4, methods=("YW-T",)).L == 303
         with pytest.raises(ValueError):
             McConfig(model=m, L=100, M=4, methods=("nope",))
         with pytest.raises(ValueError, match="distinct"):
@@ -164,7 +170,7 @@ class TestRunMcStudy:
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
         monkeypatch.setattr(estimators, "cv_phase_stack_spectral", yw_t_stub)
-        cfg = McConfig(model=model1_preset(), L=120, M=5, seed=2)
+        cfg = McConfig(model=model1_preset(), L=303, M=5, seed=2)
         rep = run_mc_study(cfg)
         assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}
         assert rep.failure_causes == {
@@ -187,7 +193,7 @@ class TestRunMcStudy:
             return values
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
-        # YW-T needs 100 observations per phase: L 400 with period 3
+        # YW-T needs L >= 303 with period 3
         cfg = McConfig(model=model1_preset(), L=400, M=5, seed=2)
         rep = run_mc_study(cfg)
         [values] = blocks

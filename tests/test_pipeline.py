@@ -4,7 +4,7 @@ predictive model assembly, and quantile-line prediction."""
 import numpy as np
 import pytest
 
-from stablepar.estimators import EstimationResult
+from stablepar.estimators import EstimationResult, estimate_alpha
 from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
 from stablepar.par_model import (
@@ -27,6 +27,7 @@ from stablepar.pipeline import (
 )
 from stablepar.rng import RandomStream
 from stablepar.stable import (
+    ALPHA_FLOOR,
     DiscreteSpectralMeasure,
     StableParams,
     mcculloch_estimate,
@@ -250,6 +251,16 @@ class TestBuildPredictiveModel:
             sigma = ((np.abs(noise.points) ** alpha).T @ noise.weights) ** (1.0 / alpha)
             marginal = [mcculloch_estimate(x).scale for x in fit.residuals.values]
             assert np.allclose(sigma, marginal, rtol=0.05, atol=0.0), (seed, sigma, marginal)
+
+    def test_alpha_is_the_pooled_residual_index(self, model1, model2):
+        """The predictive index is the median of the residual indices,
+        :func:`estimate_alpha` of the residuals; for two components that
+        is their mean, so model1 keeps the clipped mean bit for bit."""
+        fit = fit_model(simulate_par1(model2, 2000, RandomStream(7)), 2)
+        assert fit.model.alpha == estimate_alpha(fit.residuals)
+        fit = fit_model(simulate_par1(model1, 3000, RandomStream(7)), 3)
+        alphas = [mcculloch_estimate(x).alpha for x in fit.residuals.values]
+        assert fit.model.alpha == float(np.clip(np.mean(alphas), ALPHA_FLOOR, 2.0))
 
     def test_alpha_clipped_into_valid_range(self, observed_model1):
         _, obs = observed_model1

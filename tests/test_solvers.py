@@ -53,7 +53,7 @@ class TestBicgstab:
         a = u @ v  # rank 2
         x_any = gen.normal(size=4)
         b = a @ x_any
-        rep = bicgstab(a, b, maxit=200)
+        rep = bicgstab(a, b)
         assert np.linalg.norm(a @ rep.solution - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_inconsistent_system_reports_failure(self):
@@ -61,7 +61,7 @@ class TestBicgstab:
         the report must say not-converged and still carry the best iterate."""
         a = np.diag([1.0, 1.0, 0.0])
         b = np.array([1.0, 1.0, 1.0])  # third equation unsatisfiable
-        rep = bicgstab(a, b, maxit=50)
+        rep = bicgstab(a, b)
         assert not rep.converged
         assert np.all(np.isfinite(rep.solution))
         assert rep.residual_norm >= 0.5  # cannot beat the unreachable component
@@ -69,13 +69,6 @@ class TestBicgstab:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             bicgstab(np.eye(3), np.ones(4))
-
-    def test_x0_already_solved(self):
-        a = np.diag([2.0, 3.0])
-        b = np.array([2.0, 3.0])
-        rep = bicgstab(a, b, x0=np.array([1.0, 1.0]))
-        assert rep.converged
-        assert rep.iterations == 0
 
 
 class TestSolution1:
@@ -115,7 +108,7 @@ class TestSolution1:
         non-converged and name the singularity in its detail."""
         m0 = np.diag([1.0, 1.0, 0.0])
         m1 = np.ones((3, 3))
-        rep = solution1(m0, m1, maxit=50)
+        rep = solution1(m0, m1)
         assert not rep.converged
         assert "singular" in rep.detail
         assert np.all(np.isfinite(rep.solution))
@@ -133,7 +126,7 @@ class TestSolution1:
         n = int(gen.integers(2, 6))
         m0 = gen.normal(size=(n, n))
         m1 = gen.normal(size=(n, n))
-        rep = solution1(m0, m1, maxit=300)
+        rep = solution1(m0, m1)
         if rep.converged:
             res = np.linalg.norm(rep.solution @ m0 - m1, "fro")
             assert res <= 1e-10 * max(np.linalg.norm(m1, "fro"), 1e-300)
