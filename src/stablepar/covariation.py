@@ -259,6 +259,25 @@ def _cv_weights(dirs: np.ndarray, alpha: float) -> np.ndarray:
     return 2.0 * dirs[:, 0] * signed_power(dirs[:, 1], alpha - 1.0)
 
 
+def _coordinate_swap() -> np.ndarray:
+    """The grid permutation that swapping a pair's coordinates induces.
+
+    Direction k at angle phi maps to pi/2 - phi, which is grid direction
+    ``swap[k] = (N_GRID/4 - k) mod N_GRID/2`` up to a mirror.  The design
+    matrix depends only on angle differences, so it is invariant under
+    the permutation, and the permutation is its own inverse: the fit to
+    (y, x) has weights ``g[swap]`` when the fit to (x, y) has weights g,
+    and the covariation of (y, x) is ``g . _cv_weights(dirs)[swap]``.
+    The grid weights are indexed rather than recomputed from swapped
+    directions: cos(pi/2) rounds to 6e-17, whose signed power is not
+    small for alpha near 1.
+    """
+    if N_GRID % 4:
+        raise ValueError(f"the coordinate swap needs N_GRID divisible by 4, got {N_GRID}")
+    half = N_GRID // 2
+    return (half // 2 - np.arange(half)) % half
+
+
 @lru_cache(maxsize=16)
 def _diagonal_cv_constant(alpha: float) -> float:
     """Covariation K of the fit to the pair (x, x) of a unit-IQR sample.
@@ -398,7 +417,10 @@ def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict
     replicate's matrix holds no usable estimate.  One :func:`_fit_pairs`
     call fits the pairs of every replicate and one sort of the stack
     gives every lag-0 diagonal, so a replicate's matrix is the same bits
-    whatever block it rides in.  Fewer than ``MIN_QUANTILE_OBS``
+    whatever block it rides in.  At lag 0 only the pairs r < l are
+    fitted: entry (l, r) dots the same weights with the covariation
+    weights permuted by :func:`_coordinate_swap`, and a collapsed fit
+    fails both entries.  Fewer than ``MIN_QUANTILE_OBS``
     observations, a non-finite value anywhere in the stacks or an alpha
     out of range is a ``ValueError`` for the whole block.  Warns once
     per call when the projection-scale system is rank-deficient
@@ -410,17 +432,21 @@ def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict
     dirs, _, c, _ = _checked_design(alpha, *samples)
     alpha = float(alpha)
     M, m, n = cur.shape
-    fitted = ~np.eye(m, dtype=bool) if lag0 else np.ones((m, m), dtype=bool)
-    rs, ls = np.nonzero(fitted)  # row-major entry order
+    # At lag 0, entry (l, r) is read off the fit of (r, l): fit r < l only.
+    fitted = np.ones((m, m), dtype=bool)
+    rs, ls = np.nonzero(np.triu(fitted, 1) if lag0 else fitted)  # row-major entry order
     # Replicate k's components are rows k*m .. k*m + m-1 of the stacks.
     first = np.repeat(np.arange(M) * m, len(rs))
     g = _fit_pairs(cur.reshape(-1, n), lagged.reshape(-1, n),
                    first + np.tile(rs, M), first + np.tile(ls, M), alpha)
     out = np.empty((M, m, m))
     collapsed = np.zeros((M, m, m), dtype=bool)
-    out[:, rs, ls] = np.sum(g * _cv_weights(dirs, alpha), axis=1).reshape(M, -1)
+    weights = _cv_weights(dirs, alpha)
+    out[:, rs, ls] = np.sum(g * weights, axis=1).reshape(M, -1)
     collapsed[:, rs, ls] = ~np.any(g > 0.0, axis=1).reshape(M, -1)
     if lag0:
+        out[:, ls, rs] = np.sum(g * weights[_coordinate_swap()], axis=1).reshape(M, -1)
+        collapsed[:, ls, rs] = collapsed[:, rs, ls]
         q25, q75 = sorted_quantiles(np.sort(cur, axis=-1), (0.25, 0.75))
         iqr = np.maximum(q75 - q25, 0.0)
         diag = np.arange(m)
@@ -451,8 +477,10 @@ def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.n
     :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d` on
     its pair up to rounding.  At lag 0 the diagonal needs no pair fit:
     entry (r, r) is ``(IQR(x_r)/c)^alpha K(alpha)`` (see
-    :func:`_diagonal_cv_constant`), so an m-component phase matrix fits
-    m(m-1) pairs at lag 0 and m^2 at other lags.
+    :func:`_diagonal_cv_constant`), and entries (r, l) and (l, r) share
+    the fit of (x_r, x_l) (see :func:`_coordinate_swap`), so an
+    m-component phase matrix fits m(m-1)/2 pairs at lag 0 and m^2 at
+    other lags.
 
     Raises
     ------

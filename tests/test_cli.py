@@ -502,6 +502,13 @@ class TestFitFamily:
             out = tmp_path / f"{cmd}.csv"
             assert main([cmd, str(data), "--period", "1", "--out", str(out)]) == code
 
+    def test_fit_below_the_quantile_floor_exits_2(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        simulate_par1(model1_preset(), 12, RandomStream(0)).to_csv(short)
+        rc = main(["fit", str(short), "--period", "3", "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "need at least 100 observations" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(
             ["fit", str(tmp_path / "none.csv"), "--period", "3",

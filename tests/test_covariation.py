@@ -437,3 +437,74 @@ class TestSpectralPhaseMatrix:
         for h in (0, 1, 0):
             with pytest.warns(UserWarning, match="rank-deficient"):
                 cv_phase_matrix_spectral(traj, T=2, v=1, h=h, alpha=2.0)
+
+
+class TestLagZeroSharedFit:
+    """At lag 0, entries (r, l) and (l, r) are covariations of one pair
+    law, so the fit of (x_r, x_l) serves both."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 2.0])
+    def test_swap_maps_each_direction_to_its_transpose(self, alpha):
+        """Direction swap[k] is direction k with its coordinates swapped,
+        up to a mirror, and the design is invariant under the swap."""
+        dirs, a_aug, _, _ = _projection_design(alpha)
+        swap = covariation._coordinate_swap()
+        assert np.array_equal(swap[swap], np.arange(len(dirs)))
+        flipped = dirs[:, ::-1]
+        dev = np.minimum(np.abs(dirs[swap] - flipped).max(axis=1),
+                         np.abs(dirs[swap] + flipped).max(axis=1))
+        assert dev.max() <= 1e-15
+        A = a_aug[: len(dirs)]
+        np.testing.assert_allclose(A[swap][:, swap], A, rtol=0.0, atol=1e-14)
+
+    def test_swap_needs_a_grid_divisible_by_four(self, monkeypatch):
+        monkeypatch.setattr(covariation, "N_GRID", 42)
+        with pytest.raises(ValueError, match="N_GRID divisible by 4, got 42"):
+            covariation._coordinate_swap()
+
+    @pytest.fixture
+    def fitted_pairs(self, monkeypatch):
+        """The pairs ``(rs, ls)`` of every :func:`_fit_pairs` call."""
+        calls = []
+        original = covariation._fit_pairs
+
+        def spy(x, y, rs, ls, alpha):
+            calls.append((np.asarray(rs), np.asarray(ls)))
+            return original(x, y, rs, ls, alpha)
+
+        monkeypatch.setattr(covariation, "_fit_pairs", spy)
+        return calls
+
+    @pytest.mark.parametrize("preset, m", [("model1", 2), ("model2", 3)])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_pairs_fitted_per_block(self, request, fitted_pairs, preset, m, h):
+        """One call per block: m(m-1)/2 pairs per replicate at lag 0 (3M
+        on model2, M on model1), m^2 at lag 1."""
+        model = request.getfixturevalue(preset)
+        M = 5
+        values = np.stack([simulate_par1(model, 1200, RandomStream(70 + k)).values
+                           for k in range(M)])
+        cur, lagged = _phase_samples(values, model.period, 1, h)  # lag 0: lagged is cur
+        out, failed = covariation.cv_phase_stack_spectral(cur, lagged, 1.8)
+        assert not failed and np.all(np.isfinite(out))
+        (rs, ls), = fitted_pairs
+        assert len(rs) == M * (m * (m - 1) // 2 if h == 0 else m * m)
+        if h == 0:
+            assert np.all(rs % m < ls % m)
+
+    def test_collapsed_shared_fit_fails_both_entries(self, monkeypatch):
+        """A collapsed (r, l) fit zeroes entry (l, r) too, and the failure
+        names (r, l), the first of the two in row-major order."""
+        original = covariation._fit_pairs
+
+        def collapse_second_pair(x, y, rs, ls, alpha):
+            g = original(x, y, rs, ls, alpha)
+            g[1] = 0.0  # replicate 0, entry (1, 3)
+            return g
+
+        monkeypatch.setattr(covariation, "_fit_pairs", collapse_second_pair)
+        cur = RandomStream(71).generator().normal(size=(2, 3, 300))
+        out, failed = covariation.cv_phase_stack_spectral(cur, cur, 1.5)
+        assert list(failed) == [0]
+        assert str(failed[0]).startswith("entry (1, 3): ")
+        assert out[0, 0, 2] == out[0, 2, 0] == 0.0

@@ -1,6 +1,8 @@
 """Fitting pipeline: deterministic decomposition, residual diagnostics,
 predictive model assembly, and quantile-line prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,27 @@ class TestFitPar1:
         assert fr.diagnostics.table_rows() == diag.table_rows()
         p_values = [c.ad_p_value for c in fr.diagnostics.components]
         assert p_values == {"yw-cv": [0.95, 0.5], "yw-t": [0.96, 0.68]}[method]
+
+
+class TestFitModelEdges:
+    def test_four_periods_fail_at_the_quantile_floor(self, model1):
+        """L = 4T passes the estimator's floor, but the 11 residuals
+        fall short of the 100 observations a quantile fit needs."""
+        traj = simulate_par1(model1, 12, RandomStream(0))
+        with pytest.raises(DataError, match="need at least 100 observations .* got 11"):
+            fit_model(traj, 3, "yw-cv")
+
+    def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):
+        """Gaussian data pool to alpha-hat = 2, where the noise fit warns
+        that its design is rank-deficient; the bands stay finite."""
+        traj = simulate_par1(dataclasses.replace(model1, alpha=2.0), 2000, RandomStream(2))
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            fit = fit_model(traj, 3, "yw-cv")
+        assert fit.model.alpha == 2.0
+        q = (0.05, 0.5, 0.95)
+        lines = simulate_quantile_lines(fit.model, fit.deterministic, q, 30)
+        one_step = one_step_quantiles(fit.model, fit.deterministic, traj, q)
+        assert np.all(np.isfinite(lines.lines)) and np.all(np.isfinite(one_step.lines))
 
 
 class TestQuantilePaths:
