@@ -25,8 +25,8 @@ is why the normalized and unnormalized routes solve the same system.
 Both methods are block-first: :func:`estimate_block` estimates a
 ``(M, m, L)`` block of Monte Carlo replicates at once: one gather and
 two phase-stack calls per phase, M1 on (phase, lagged) and M0 on
-(lagged, lagged), and one stacked direct solve for every phase of every
-replicate; the method only picks the phase-stack builder.
+(lagged, lagged), and one stacked solve that routes every phase of every
+replicate once; the method only picks the phase-stack builder.
 :func:`estimate` is its one-replicate case.  Failures stay per
 replicate: a vanishing conditioning component or a collapsed spectral
 fit fails only its replicate, and an ill-conditioned phase takes the
@@ -47,9 +47,9 @@ import numpy as np
 from .covariation import _phase_failure, _phase_samples
 from .covariation import cv_phase_stack_spectral, ncv_phase_stack
 from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix  # unused here; the benchmark tracer patches these names
-from .exceptions import DataError, SolverError
+from .exceptions import DataError
 from .par_model import MultiTrajectory, _read_csv, _write_csv
-from .solvers import solve_direct, solve_yw
+from .solvers import solve_stack, solve_yw
 from .stable import MIN_QUANTILE_OBS, mcculloch_estimate
 
 __all__ = [
@@ -158,12 +158,11 @@ def _check_shape(m: int, L: int, T: int, method: str) -> None:
 def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
     """Solve the ``(M, T, m, m)`` systems of every replicate not in ``failures``.
 
-    One :func:`solve_direct` call serves all of them; a system it leaves
-    to the fallback goes through :func:`solve_yw` on its own.  A replicate
-    stops at its first phase whose fallback raises, and that error enters
-    ``failures`` as ``(phase, error)``.  Returns ``theta`` (``NaN`` for
-    failed replicates) and each replicate's list of per-phase reports
-    (empty for failed ones).
+    One :func:`solve_stack` call routes each system once.  A replicate
+    fails at its first phase whose fallback ended in an error, and that
+    error enters ``failures`` as ``(phase, error)``.  Returns ``theta``
+    (``NaN`` for failed replicates) and each replicate's list of
+    per-phase reports (empty for failed ones).
     """
     M, T, m = m0.shape[:3]
     # Both solve routes return Theta as the transpose of a C-ordered array;
@@ -172,20 +171,15 @@ def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
     theta_t = np.full(m0.shape, np.nan)
     reports = [[] for _ in range(M)]
     keep = [k for k in range(M) if k not in failures]
-    direct = solve_direct(m0[keep].reshape(-1, m, m), m1[keep].reshape(-1, m, m))
+    solved = solve_stack(m0[keep].reshape(-1, m, m), m1[keep].reshape(-1, m, m))
     for i, k in enumerate(keep):
-        for v in range(T):
-            rep = direct[i * T + v]
-            if rep is None:
-                try:
-                    rep = solve_yw(m0[k, v], m1[k, v])
-                except (SolverError, np.linalg.LinAlgError) as exc:
-                    failures[k] = (v + 1, exc)
-                    theta_t[k] = np.nan
-                    reports[k] = []
-                    break
-            theta_t[k, v] = rep.solution.T
-            reports[k].append(rep)
+        phases = solved[i * T : (i + 1) * T]
+        failed = [v for v, rep in enumerate(phases) if isinstance(rep, Exception)]
+        if failed:
+            failures[k] = (failed[0] + 1, phases[failed[0]])
+            continue
+        theta_t[k] = [rep.solution.T for rep in phases]
+        reports[k] = phases
     return theta_t.transpose(0, 1, 3, 2), reports
 
 
@@ -194,19 +188,15 @@ def theta_from_cov_matrices(m0s, m1s) -> EstimationResult:
 
     ``m0s[v-1]`` and ``m1s[v-1]`` are the lag-0 and lag-1 dependence
     matrices of phase ``v``.  This is the entry point for feeding exact
-    (theoretical) matrices; it solves as :func:`estimate_block` does.
+    (theoretical) matrices; each phase goes through :func:`solve_yw`,
+    routed as :func:`estimate_block` routes it, and the first phase
+    whose fallback fails raises its error.
     """
     if len(m0s) != len(m1s) or not m0s:
         raise ValueError("need equally many lag-0 and lag-1 matrices, at least one")
-    failures = {}
-    theta, reports = _solve_phases(
-        np.asarray(m0s, dtype=float)[None], np.asarray(m1s, dtype=float)[None], failures
-    )
-    if failures:
-        raise failures[0][1]
-    return EstimationResult(
-        theta_hat=tuple(theta[0]), method="YW-CV", solve_reports=reports[0]
-    )
+    reports = [solve_yw(m0, m1) for m0, m1 in zip(m0s, m1s)]
+    return EstimationResult(tuple(rep.solution for rep in reports), "YW-CV",
+                            solve_reports=reports)
 
 
 @dataclass
@@ -234,8 +224,8 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
     with itself, so both sit on the same conditioning sub-sample, their
     columns share the normalization and the solve recovers Theta(v).
     Each matrix is one phase-stack call for every replicate, and one
-    stacked condition estimate and solve (:func:`solve_direct`) covers
-    every phase of every replicate.
+    :func:`~stablepar.solvers.solve_stack` call routes every phase of
+    every replicate once.
 
     YW-CV reads normalized covariations
     (:func:`~stablepar.covariation.ncv_phase_stack`) and ignores

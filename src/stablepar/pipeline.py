@@ -42,6 +42,7 @@ from .exceptions import DataError
 from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
 from .stable import (
+    MIN_QUANTILE_OBS,
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
@@ -353,7 +354,12 @@ def fit_model(
     :func:`~stablepar.estimators.method_name`); ``alpha`` optionally fixes the index for the
     spectral-measure method instead of estimating it.  This is all the
     predictive operations need; the result has ``diagnostics=None``.
+    A series of fewer than ``MIN_QUANTILE_OBS + 1`` rows, whose residuals
+    are too few for a quantile fit, is a :class:`DataError` up front.
     """
+    if traj.length < MIN_QUANTILE_OBS + 1:
+        raise DataError(f"fit needs {MIN_QUANTILE_OBS} residuals for its quantile fits "
+                        f"(L >= {MIN_QUANTILE_OBS + 1}), got L = {traj.length}")
     det, detrended = fit_deterministic(traj, T)
     result = estimate(detrended, T, method, alpha=alpha)
     residuals = residuals_from_estimate(detrended, result)

@@ -6,13 +6,15 @@ systems go through a dense direct solve; (near-)singular ones fall back
 to a column-by-column BiCGSTAB iteration (van der Vorst's stabilized
 bi-conjugate gradient), which returns *a* solution of a consistent
 singular system instead of blowing up on the explicit inverse.
-Both routes accept a solution whose residual is at most ``TOL`` times
+:func:`solve_stack` routes each system of a stack once, from one
+condition estimate for the stack; :func:`solve_yw` is its one-system
+case.  Both routes accept a solution whose residual is at most ``TOL`` times
 the right-hand side's norm; the iteration stops after ``MAXIT`` sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,7 @@ __all__ = [
     "SolveReport",
     "bicgstab",
     "solution1",
-    "solve_direct",
+    "solve_stack",
     "solve_yw",
     "COND_LIMIT",
 ]
@@ -44,9 +46,7 @@ class SolveReport:
     iterations: int
     residual_norm: float
     converged: bool
-    breakdown: bool = False
     detail: str = ""
-    column_reports: list = field(default_factory=list, repr=False)
 
 
 def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
@@ -57,7 +57,8 @@ def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
     converges to one member of the solution family, starting from zero.
     Non-convergence after ``MAXIT`` sweeps reports the best iterate
     seen; a vanishing bi-orthogonality coefficient (rho) or
-    stabilization weight (omega) is reported distinctly as a breakdown.
+    stabilization weight (omega) stops it, and the detail names that
+    breakdown.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -82,7 +83,7 @@ def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
         rho = float(r_hat @ r)
         if abs(rho) < tiny:
             return SolveReport(
-                best_x, "bicgstab", it, best_res, False, breakdown=True,
+                best_x, "bicgstab", it, best_res, False,
                 detail="rho breakdown: shadow residual orthogonal to residual",
             )
         beta = (rho / rho_prev) * (alpha / omega)
@@ -91,7 +92,7 @@ def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
         denom = float(r_hat @ v)
         if abs(denom) < tiny:
             return SolveReport(
-                best_x, "bicgstab", it, best_res, False, breakdown=True,
+                best_x, "bicgstab", it, best_res, False,
                 detail="alpha breakdown: <r_hat, A p> vanished",
             )
         alpha = rho / denom
@@ -105,7 +106,7 @@ def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
         tt = float(t @ t)
         if tt < tiny:
             return SolveReport(
-                best_x, "bicgstab", it, best_res, False, breakdown=True,
+                best_x, "bicgstab", it, best_res, False,
                 detail="omega breakdown: A-image of residual vanished",
             )
         omega = float(t @ s) / tt
@@ -118,7 +119,7 @@ def bicgstab(a: np.ndarray, b: np.ndarray) -> SolveReport:
             return SolveReport(x, "bicgstab", it, res, True)
         if abs(omega) < tiny:
             return SolveReport(
-                best_x, "bicgstab", it, best_res, False, breakdown=True,
+                best_x, "bicgstab", it, best_res, False,
                 detail="omega breakdown: stabilization weight vanished",
             )
         rho_prev = rho
@@ -173,9 +174,7 @@ def solution1(m0: np.ndarray, m1: np.ndarray) -> SolveReport:
         iterations=max(rep.iterations for rep in reports),
         residual_norm=residual,
         converged=converged,
-        breakdown=any(rep.breakdown for rep in reports),
         detail=detail,
-        column_reports=reports,
     )
 
 
@@ -186,66 +185,67 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def solve_direct(m0: np.ndarray, m1: np.ndarray) -> list:
-    """The direct half of :func:`solve_yw` for a stack of systems.
+def solve_stack(m0: np.ndarray, m1: np.ndarray) -> list:
+    """Route each system ``Theta m0[k] = m1[k]`` of a ``(K, m, m)`` stack once.
 
-    ``m0`` and ``m1`` are ``(K, m, m)``.  One condition estimate and one
-    factorized solve serve every system whose ``m0`` is finite with a
-    condition estimate of at most ``COND_LIMIT``.  Entry k of the result
-    is system k's :class:`SolveReport`, or ``None`` where
-    :func:`solve_yw` would take its iterative fallback.  Each system is
-    solved, and its residual taken, exactly as on its own.
+    One condition estimate covers the stack (a non-finite ``m0`` counts
+    as infinitely ill-conditioned).  Every system whose estimate is at
+    most ``COND_LIMIT`` goes through one factorized direct solve; each
+    other system goes through the column-wise fallback
+    :func:`solution1`.  Entry k is system k's :class:`SolveReport`, or
+    the :class:`SolverError` or ``LinAlgError`` its fallback ended in.
+    Each system is solved, and its residual taken, exactly as on its own.
     """
+    m0 = np.asarray(m0, dtype=float)
+    m1 = np.asarray(m1, dtype=float)
     cond = np.full(len(m0), np.inf)
     finite = np.isfinite(m0).all(axis=(1, 2))
     if finite.any():
         cond[finite] = np.linalg.cond(m0[finite])
     direct = cond <= COND_LIMIT  # False for inf and NaN
     reports = [None] * len(m0)
-    if not direct.any():
-        return reports
-    a0, a1 = m0[direct], m1[direct]
-    theta = np.linalg.solve(a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)).transpose(0, 2, 1)
-    residual = _fro_norms(theta @ a0 - a1)
-    scale = _fro_norms(a1)
-    for k, th, res, sc, c in zip(
-        np.flatnonzero(direct), theta, residual, scale, cond[direct]
-    ):
-        reports[k] = SolveReport(
-            solution=th,
-            method="direct",
-            iterations=0,
-            residual_norm=float(res),
-            converged=bool(res <= TOL * max(sc, 1e-300)),
-            detail=f"condition estimate {c:.3g}",
-        )
+    if direct.any():
+        a0, a1 = m0[direct], m1[direct]
+        theta = np.linalg.solve(a0.transpose(0, 2, 1), a1.transpose(0, 2, 1)).transpose(0, 2, 1)
+        residual = _fro_norms(theta @ a0 - a1)
+        scale = _fro_norms(a1)
+        for k, th, res, sc, c in zip(
+            np.flatnonzero(direct), theta, residual, scale, cond[direct]
+        ):
+            reports[k] = SolveReport(
+                solution=th,
+                method="direct",
+                iterations=0,
+                residual_norm=float(res),
+                converged=bool(res <= TOL * max(sc, 1e-300)),
+                detail=f"condition estimate {c:.3g}",
+            )
+    for k in np.flatnonzero(~direct):
+        try:
+            rep = solution1(m0[k], m1[k])
+            if not np.all(np.isfinite(rep.solution)):
+                raise SolverError(f"iterative fallback produced non-finite entries: {rep.detail}")
+            rep.detail = (f"condition estimate {cond[k]:.3g}; " + rep.detail).rstrip("; ")
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            rep = exc
+        reports[k] = rep
     return reports
 
 
 def solve_yw(m0: np.ndarray, m1: np.ndarray) -> SolveReport:
     """Route ``Theta m0 = m1`` to the direct solve or the iterative fallback.
 
-    The direct path computes ``m1 m0^-1`` through a factorized solve and
-    is used whenever the condition estimate of ``m0`` stays below
-    ``COND_LIMIT`` (the one-system case of :func:`solve_direct`); beyond
-    that the column-wise iterative procedure takes over, which degrades
-    gracefully on consistent singular systems.
+    The one-system case of :func:`solve_stack`: the direct path computes
+    ``m1 m0^-1`` through a factorized solve whenever the condition
+    estimate of ``m0`` stays below ``COND_LIMIT``; beyond that the
+    column-wise iterative procedure takes over.
 
     Raises
     ------
-    SolverError
-        When neither path produces a finite solution.
+    SolverError, numpy.linalg.LinAlgError
+        When the fallback ends in that error (the entry of :func:`solve_stack`).
     """
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    report = solve_direct(m0[None], m1[None])[0]
-    if report is not None:
-        return report
-    cond = np.linalg.cond(m0) if np.all(np.isfinite(m0)) else np.inf
-    report = solution1(m0, m1)
-    if not np.all(np.isfinite(report.solution)):
-        raise SolverError(
-            f"iterative fallback produced non-finite entries: {report.detail}"
-        )
-    report.detail = (f"condition estimate {cond:.3g}; " + report.detail).rstrip("; ")
+    report = solve_stack([m0], [m1])[0]
+    if isinstance(report, Exception):
+        raise report
     return report

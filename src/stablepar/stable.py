@@ -14,9 +14,8 @@ derived from it on first use (:func:`_quantile_functionals`), not stored.
 Conventions used throughout:
 
 * only *symmetric* laws: zero location, zero skewness;
-* ``alpha`` is the stability index, restricted to ``(1, 2]`` wherever an
-  estimator depends on it (the sampling and characteristic-function code
-  tolerates the full ``(0, 2]`` where noted);
+* ``alpha`` is the stability index, restricted to ``(1, 2]`` (only
+  :func:`char_function` tolerates the full ``(0, 2]``);
 * a 1-D SaS variable with scale ``sigma`` has characteristic function
   ``exp(-(sigma*|t|)**alpha)``; at ``alpha = 2`` this is a centered
   Gaussian with variance ``2 * sigma**2`` (not ``sigma**2``).
@@ -197,17 +196,14 @@ def signed_power(x, a):
 
 def _sample_standard_sas(alpha: float, size, gen: np.random.Generator):
     """Standard (unit-scale) SaS draws via the trigonometric construction
-    of Chambers, Mallows and Stuck (symmetric case)."""
+    of Chambers, Mallows and Stuck (symmetric case, alpha in (1, 2])."""
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     e = gen.standard_exponential(size=size)
-    if alpha == 1.0:
-        return np.tan(u)
-    x = (
+    return (
         np.sin(alpha * u)
         / np.cos(u) ** (1.0 / alpha)
         * (np.cos(u - alpha * u) / e) ** ((1.0 - alpha) / alpha)
     )
-    return x
 
 
 def sample_sas_1d(params: StableParams, n: int, rng: RandomStream) -> np.ndarray:
@@ -564,54 +560,21 @@ def stable_quantile(params: StableParams, q: float) -> float:
     return math.copysign(params.scale * z, q - 0.5)
 
 
-class _CdfInterpolator:
-    """Tabulated G(z) = F(z) - 1/2 of the standard law on an
-    (alpha, z) grid, with asymptotic tails beyond the grid.  The 101 x 480
-    table is one :func:`_inversion` call.
-
-    Exists to make the Monte Carlo goodness-of-fit loop affordable: the
-    test statistic needs the model distribution function at every sample
-    point of every bootstrap replicate.  Both the observed and the
-    simulated statistics are computed through the same interpolated
-    functional, so the bootstrap comparison stays internally consistent.
-    """
-
-    Z_MAX = 30.0
-
-    def __init__(self):
-        self.alphas = np.linspace(1.0, 2.0, 101)
-        # asinh spacing: dense near 0 where the CDF bends fastest
-        self.z_asinh = np.linspace(0.0, np.arcsinh(self.Z_MAX), 480)
-        self.z = np.sinh(self.z_asinh)
-        self.table = _inversion(self.z, self.alphas)
-
-    def half_cdf(self, z: np.ndarray, alpha: float) -> np.ndarray:
-        """G(|z|) for an array of nonnegative z at a single alpha."""
-        a = min(max(alpha, self.alphas[0]), self.alphas[-1])
-        ia = min(
-            int(np.searchsorted(self.alphas, a, side="right") - 1),
-            len(self.alphas) - 2,
-        )
-        frac = (a - self.alphas[ia]) / (self.alphas[ia + 1] - self.alphas[ia])
-        out = np.empty_like(z)
-        inside = z < self.Z_MAX
-        zi = np.arcsinh(z[inside])
-        lo = np.interp(zi, self.z_asinh, self.table[ia])
-        hi = np.interp(zi, self.z_asinh, self.table[ia + 1])
-        out[inside] = (1.0 - frac) * lo + frac * hi
-        if np.any(~inside):
-            out[~inside] = 0.5 - _tail_upper_prob(z[~inside], a)
-        return out
-
-    def cdf(self, x: np.ndarray, params: StableParams) -> np.ndarray:
-        z = np.asarray(x, dtype=float) / params.scale
-        g = self.half_cdf(np.abs(z), params.alpha)
-        return 0.5 + np.sign(z) * g
+#: The goodness-of-fit table's grid: 101 alpha by 480 z, asinh-spaced
+#: (dense near 0, where the CDF bends fastest) up to _GOF_Z_MAX; beyond
+#: it the tail series takes over.
+_GOF_ALPHAS = np.linspace(1.0, 2.0, 101)
+_GOF_Z_MAX = 30.0
+_GOF_Z_ASINH = np.linspace(0.0, np.arcsinh(_GOF_Z_MAX), 480)
 
 
 @cache
-def _cdf_table() -> _CdfInterpolator:
-    return _CdfInterpolator()
+def _gof_table() -> np.ndarray:
+    """G(z) = F(z) - 1/2 of the standard law at the goodness-of-fit grid's
+    ``(alpha, z)`` nodes: one :func:`_inversion` call.  The bootstrap needs
+    the CDF at every point of every replicate, so both the observed and
+    the simulated statistics interpolate this one table."""
+    return _inversion(np.sinh(_GOF_Z_ASINH), _GOF_ALPHAS)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +589,22 @@ def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
 def _ad_sorted(x: np.ndarray, params: StableParams) -> float:
     """:func:`_ad_statistic` of a sorted sample."""
     n = x.size
-    u = _cdf_table().cdf(x, params)
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    z = x / params.scale
+    # G(|z|) by linear interpolation in asinh z and in alpha
+    a = min(max(params.alpha, _GOF_ALPHAS[0]), _GOF_ALPHAS[-1])
+    ia = min(int(np.searchsorted(_GOF_ALPHAS, a, side="right") - 1), len(_GOF_ALPHAS) - 2)
+    frac = (a - _GOF_ALPHAS[ia]) / (_GOF_ALPHAS[ia + 1] - _GOF_ALPHAS[ia])
+    table = _gof_table()
+    az = np.abs(z)
+    g = np.empty_like(az)
+    inside = az < _GOF_Z_MAX
+    zi = np.arcsinh(az[inside])
+    lo = np.interp(zi, _GOF_Z_ASINH, table[ia])
+    hi = np.interp(zi, _GOF_Z_ASINH, table[ia + 1])
+    g[inside] = (1.0 - frac) * lo + frac * hi
+    if not inside.all():
+        g[~inside] = 0.5 - _tail_upper_prob(az[~inside], a)
+    u = np.clip(0.5 + np.sign(z) * g, 1e-15, 1.0 - 1e-15)
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
     return float(-n - s / n)

@@ -507,7 +507,7 @@ class TestFitFamily:
         simulate_par1(model1_preset(), 12, RandomStream(0)).to_csv(short)
         rc = main(["fit", str(short), "--period", "3", "--out", str(tmp_path / "a")])
         assert rc == 2
-        assert "need at least 100 observations" in capsys.readouterr().err
+        assert "(L >= 101), got L = 12" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(

@@ -114,6 +114,20 @@ class TestExactRecovery:
         scaled = theta_from_cov_matrices([m0 @ d], [m1 @ d]).theta_hat[0]
         assert np.allclose(plain, scaled, atol=1e-12)
 
+    def test_singular_phase_alone_takes_the_fallback(self, model1):
+        """A consistent singular phase-2 system goes to BiCGSTAB; the
+        other phases keep the direct solve and their exact coefficients."""
+        m0s = [theoretical_phase_matrix(model1, v - 1, 0) for v in (1, 2, 3)]
+        m1s = [theoretical_phase_matrix(model1, v, 1) for v in (1, 2, 3)]
+        m0s[1] = np.ones((2, 2))
+        m1s[1] = model1.theta[1] @ m0s[1]
+        res = theta_from_cov_matrices(m0s, m1s)
+        assert [r.method for r in res.solve_reports] == ["direct", "bicgstab", "direct"]
+        assert res.all_converged
+        np.testing.assert_allclose(res.theta_hat[1] @ m0s[1], m1s[1], atol=1e-10)
+        for v in (0, 2):
+            assert np.allclose(res.theta_hat[v], model1.theta[v], atol=1e-10)
+
     @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_driver_equals_public_phase_matrices(self, preset, method, request):
@@ -263,6 +277,16 @@ class TestYwCvBlock:
             assert [r.method for r in reports] == [expected] * 3, k
         single = yw_cv_estimate(MultiTrajectory(values=values[2]), 3)
         assert np.array_equal(block.theta[2], np.stack(single.theta_hat))
+
+    def test_one_condition_estimate_per_block(self, model1, monkeypatch):
+        """The singular replicate's fallback phases reuse the block's one
+        stacked condition estimate."""
+        values = _block(model1, 5)
+        values[2, 1] = values[2, 0]
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(a) or cond(*a, **k))
+        assert estimate_block(values, 3, "YW-CV").failures == {}
+        assert len(calls) == 1
 
     def test_rejects_non_finite_and_short_blocks(self, model1):
         values = _block(model1, 3)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stablepar import pipeline
 from stablepar.estimators import EstimationResult, estimate_alpha
 from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
@@ -310,7 +311,19 @@ class TestFitModelEdges:
         """L = 4T passes the estimator's floor, but the 11 residuals
         fall short of the 100 observations a quantile fit needs."""
         traj = simulate_par1(model1, 12, RandomStream(0))
-        with pytest.raises(DataError, match="need at least 100 observations .* got 11"):
+        with pytest.raises(DataError, match=r"\(L >= 101\), got L = 12$"):
+            fit_model(traj, 3, "yw-cv")
+
+    def test_quantile_floor_is_checked_before_estimating(self, model1, monkeypatch):
+        """100 rows pass YW-CV's floor (4T = 12) but leave 99 residuals:
+        the fit refuses them before it estimates anything."""
+        traj = simulate_par1(model1, 100, RandomStream(0))
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimate called below the fit floor")
+
+        monkeypatch.setattr(pipeline, "estimate", no_estimate)
+        with pytest.raises(DataError, match=r"\(L >= 101\), got L = 100$"):
             fit_model(traj, 3, "yw-cv")
 
     def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):

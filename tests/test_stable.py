@@ -15,10 +15,12 @@ from stablepar.rng import RandomStream
 from stablepar.stable import (
     ALPHA_FLOOR,
     NU_MAX,
+    _GOF_ALPHAS,
+    _GOF_Z_ASINH,
     DiscreteSpectralMeasure,
     StableParams,
     _ad_statistic,
-    _cdf_table,
+    _gof_table,
     _inversion,
     _quantile_functionals,
     ad_stable_test,
@@ -367,12 +369,11 @@ class TestInversionKernel:
     def test_table_nodes_match_quadrature(self, alpha):
         """The goodness-of-fit table holds the same G as the kernel: every
         8th node agrees with quadrature, far out in z at small alpha too."""
-        table = _cdf_table()
-        ia = int(np.argmin(np.abs(table.alphas - alpha)))
-        assert table.alphas[ia] == pytest.approx(alpha, abs=1e-12)
-        for j in range(0, table.z.size, 8):
-            assert table.table[ia, j] == pytest.approx(
-                _quad_inversion(table.z[j], alpha), abs=1e-9)
+        table, z = _gof_table(), np.sinh(_GOF_Z_ASINH)
+        ia = int(np.argmin(np.abs(_GOF_ALPHAS - alpha)))
+        assert _GOF_ALPHAS[ia] == pytest.approx(alpha, abs=1e-12)
+        for j in range(0, z.size, 8):
+            assert table[ia, j] == pytest.approx(_quad_inversion(z[j], alpha), abs=1e-9)
 
     def test_cdf_blocks_agree_with_pointwise_calls(self):
         """Inputs longer than one kernel block, tails and signed zeros
