@@ -18,7 +18,9 @@ routes to it are implemented here:
 Both exist in a stationary flavor and in a per-phase flavor for
 periodically non-stationary series, where the sums run over the
 sub-sample of one phase of the period.  Only :func:`_phase_samples`
-knows period, phase and lag; the phase stacks take its sub-samples.
+knows period, phase and lag; the one phase-matrix builder of each route
+(:func:`ncv_phase_matrix`, :func:`cv_phase_matrix_spectral`) takes its
+sub-samples of a whole block of replicates.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ __all__ = [
     "ncv_auto",
     "ncv_cross",
     "ncv_phase_matrix",
-    "ncv_phase_stack",
     "cv_from_spectral",
     "estimate_spectral_measure_2d",
-    "cv_phase_stack_spectral",
     "cv_phase_matrix_spectral",
 ]
 
@@ -123,16 +123,19 @@ def _phase_samples(values, T: int, v: int, h: int) -> tuple[np.ndarray, np.ndarr
     return cur, cur if h == 0 else values[..., idx - 1 - h]
 
 
-def ncv_phase_stack(cur, lagged) -> tuple[np.ndarray, dict]:
-    """:func:`ncv_phase_matrix` for ``(M, m, n)`` sub-sample stacks.
+def ncv_phase_matrix(cur, lagged) -> tuple[np.ndarray, dict]:
+    """Normalized covariation matrices of the ``(M, m, n)`` phase-v and
+    h-lagged sub-sample stacks of :func:`_phase_samples`.
 
-    ``lagged is cur`` is lag 0.  Returns the ``(M, m, m)`` matrices and a
-    dict that maps each replicate with an identically zero conditioning
-    component (row of ``lagged``) to its :class:`DegenerateSeriesError`;
-    that replicate's matrix is not finite.  One matmul call forms every
-    ``cur @ sign(lagged_l)`` as its own matrix-vector product, so a
-    replicate's matrix is the same bits whatever block it rides in (a
-    matrix-matrix product may round differently).
+    Entry (r, l) of each replicate is ``sum_n x_r(nT+v) sign(x_l(nT+v-h))
+    / sum_n |x_l(nT+v-h)|``, the stationary estimator on the two phase
+    sub-samples.  ``lagged is cur`` is lag 0, whose diagonal is exactly
+    1.  Returns the ``(M, m, m)`` matrices and a dict that maps each
+    replicate with an identically zero conditioning component (row of
+    ``lagged``) to its :class:`DegenerateSeriesError`; that replicate's
+    matrix is not finite.  One matmul forms every ``cur @ sign(lagged_l)``
+    as its own matrix-vector product, so a replicate's matrix is the same
+    bits whatever block it rides in.
     """
     M, m = cur.shape[:2]
     den = np.sum(np.abs(lagged), axis=-1)  # (M, m): per conditioning component l
@@ -152,35 +155,11 @@ def ncv_phase_stack(cur, lagged) -> tuple[np.ndarray, dict]:
 
 
 def _phase_failure(exc, T: int, v: int, h: int):
-    """Failure ``exc`` of the (phase v, lag h) stack, naming the phase of a
+    """Failure ``exc`` of the (phase v, lag h) matrix, naming the phase of a
     vanishing sub-sample (v - h, in 1..T) or the matrix's phase and lag."""
     if isinstance(exc, DegenerateSeriesError):
         return DegenerateSeriesError(f"phase-{(v - h - 1) % T + 1} {exc}")
     return type(exc)(f"phase {v}, lag {h}, {exc}")
-
-
-def ncv_phase_matrix(traj, T: int, v: int, h: int) -> np.ndarray:
-    """Per-phase normalized covariation matrix of a periodic trajectory.
-
-    Entry (r, l) estimates the normalized covariation of ``X_r`` at phase
-    v on ``X_l`` lagged by h, using only observations of the form
-    ``x(n T + v)``:
-
-        sum_n x_r(nT+v) sign(x_l(nT+v-h))  /  sum_n |x_l(nT+v-h)|,
-
-    over the sub-samples of :func:`_phase_samples`.  The special value
-    v = 0 addresses the phase preceding v = 1.  This is
-    :func:`ncv_phase_stack` on one series; a vanishing conditioning
-    component raises its error, naming its sub-sample's phase.
-
-    Equivalent to the stationary estimator applied to the two phase
-    sub-samples.  At h = 0 the diagonal is exactly 1.
-    """
-    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    out, failed = ncv_phase_stack(*_phase_samples(values[None], T, v, h))
-    if failed:
-        raise _phase_failure(failed[0], T, v, h)
-    return out[0]
 
 
 def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
@@ -370,7 +349,7 @@ def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasur
     matrix with its ridge rows, the rank check and the IQR constant) is
     built once per alpha and cached, so many pair fits pay for it once.
     This is the one-pair case of the block fit that
-    :func:`cv_phase_stack_spectral` runs: the projections are sorted and
+    :func:`cv_phase_matrix_spectral` runs: the projections are sorted and
     their quartiles read by index.
 
     Parameters
@@ -408,23 +387,37 @@ def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasur
     return DiscreteSpectralMeasure.symmetric(dirs[keep], g[keep])
 
 
-def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict]:
-    """:func:`cv_phase_matrix_spectral` for ``(M, m, n)`` sub-sample stacks.
+def cv_phase_matrix_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict]:
+    """Covariation matrices of the ``(M, m, n)`` sub-sample stacks of
+    :func:`_phase_samples` from estimated pair spectral measures.
 
-    ``lagged is cur`` is lag 0.  Returns the ``(M, m, m)`` matrices and a
-    dict that maps each replicate with a collapsed pair fit to its
-    :class:`NumericalError`, naming the first such entry; that
-    replicate's matrix holds no usable estimate.  One :func:`_fit_pairs`
-    call fits the pairs of every replicate and one sort of the stack
-    gives every lag-0 diagonal, so a replicate's matrix is the same bits
-    whatever block it rides in.  At lag 0 only the pairs r < l are
-    fitted: entry (l, r) dots the same weights with the covariation
-    weights permuted by :func:`_coordinate_swap`, and a collapsed fit
-    fails both entries.  Fewer than ``MIN_QUANTILE_OBS``
-    observations, a non-finite value anywhere in the stacks or an alpha
-    out of range is a ``ValueError`` for the whole block.  Warns once
-    per call when the projection-scale system is rank-deficient
-    (alpha = 2).
+    Entry (r, l) pairs row r of ``cur`` with row l of ``lagged`` and
+    equals :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d`
+    on that pair, up to rounding.  One :func:`_fit_pairs` call fits every
+    replicate's pairs in blocks of at most ``_BLOCK_ELEMENTS`` projection
+    values (one matrix product, in-place sort and quartile read per
+    block, then one NNLS per pair), so a replicate's matrix is the same
+    bits whatever block it rides in.  ``lagged is cur`` is lag 0: one
+    sort of the stack gives the diagonal ``(IQR(x_r)/c)^alpha K(alpha)``
+    (:func:`_diagonal_cv_constant`), and entry (l, r) reuses the fit of
+    (x_r, x_l) (:func:`_coordinate_swap`), so m(m-1)/2 pairs are fitted
+    at lag 0 and m^2 at other lags.  Returns the ``(M, m, m)`` matrices
+    and a dict that maps each replicate with a collapsed fit (a zero IQR
+    on the lag-0 diagonal; a shared fit fails both its entries) to its
+    :class:`NumericalError`, naming the first such 1-based entry (r, l)
+    in row-major order; that replicate's matrix holds no usable estimate.
+
+    Raises
+    ------
+    ValueError
+        For the whole block: fewer than ``MIN_QUANTILE_OBS`` observations,
+        a non-finite value, or alpha out of (1, 2].
+
+    Warns
+    -----
+    UserWarning
+        Once per call when the projection-scale system is rank-deficient
+        (alpha = 2).
     """
     lag0 = lagged is cur
     # At lag 0 both stacks hold the same observations: count them once.
@@ -458,49 +451,3 @@ def cv_phase_stack_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dict
             f"entry ({r + 1}, {l + 1}): {_COLLAPSED}"
         ))
     return out, failed
-
-
-def cv_phase_matrix_spectral(traj, T: int, v: int, h: int, alpha: float) -> np.ndarray:
-    """Per-phase covariation matrix via estimated pair spectral measures.
-
-    Entry (r, l) pairs the phase-v sub-sample of component r with the
-    h-lagged sub-sample of component l, estimates the 2-D spectral
-    measure of that pair by the projection method, and evaluates the
-    covariation from the measure.  The sub-samples come from
-    :func:`_phase_samples`, as for :func:`ncv_phase_matrix`, so the two
-    matrix families describe the same observations.  This is
-    :func:`cv_phase_stack_spectral` on one series.
-
-    The pair fits run in blocks of at most ``_BLOCK_ELEMENTS`` projection
-    values: one matrix product, one in-place sort and one quartile read
-    per block, then one NNLS per pair.  Each entry equals
-    :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d` on
-    its pair up to rounding.  At lag 0 the diagonal needs no pair fit:
-    entry (r, r) is ``(IQR(x_r)/c)^alpha K(alpha)`` (see
-    :func:`_diagonal_cv_constant`), and entries (r, l) and (l, r) share
-    the fit of (x_r, x_l) (see :func:`_coordinate_swap`), so an
-    m-component phase matrix fits m(m-1)/2 pairs at lag 0 and m^2 at
-    other lags.
-
-    Raises
-    ------
-    ValueError
-        If a phase sub-sample holds fewer than ``MIN_QUANTILE_OBS``
-        observations or a non-finite value, or if alpha is out of range.
-    NumericalError
-        If a pair fit collapses to the zero measure (at the lag-0
-        diagonal: the component's interquartile range is zero); the
-        message names the phase, the lag and the first such 1-based
-        entry (r, l) in row-major order.
-
-    Warns
-    -----
-    UserWarning
-        Once per call when the projection-scale system is rank-deficient
-        (alpha = 2).
-    """
-    values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
-    out, failed = cv_phase_stack_spectral(*_phase_samples(values[None], T, v, h), alpha)
-    if failed:
-        raise _phase_failure(failed[0], T, v, h)
-    return out[0]

@@ -11,11 +11,11 @@ phase sub-samples.  Two routes to those matrices give the two
 estimators:
 
 * YW-CV — normalized covariations from sign-weighted moment sums
-  (:func:`~stablepar.covariation.ncv_phase_stack`); no tail-index input
+  (:func:`~stablepar.covariation.ncv_phase_matrix`); no tail-index input
   needed;
 * YW-T — covariations read off estimated two-dimensional spectral
   measures, by the projection method
-  (:func:`~stablepar.covariation.cv_phase_stack_spectral`); uses alpha,
+  (:func:`~stablepar.covariation.cv_phase_matrix_spectral`); uses alpha,
   estimated from the data when not supplied.
 
 Both share the solve step, so on *exact* input matrices they return the
@@ -24,9 +24,9 @@ is why the normalized and unnormalized routes solve the same system.
 
 Both methods are block-first: :func:`estimate_block` estimates a
 ``(M, m, L)`` block of Monte Carlo replicates at once: one gather and
-two phase-stack calls per phase, M1 on (phase, lagged) and M0 on
-(lagged, lagged), and one stacked solve that routes every phase of every
-replicate once; the method only picks the phase-stack builder.
+two phase-matrix builder calls per phase, M1 on (phase, lagged) and M0
+on (lagged, lagged), and one stacked solve that routes every phase of
+every replicate once; the method only picks the phase-matrix builder.
 :func:`estimate` is its one-replicate case.  Failures stay per
 replicate: a vanishing conditioning component or a collapsed spectral
 fit fails only its replicate, and an ill-conditioned phase takes the
@@ -45,8 +45,7 @@ from functools import partial
 import numpy as np
 
 from .covariation import _phase_failure, _phase_samples
-from .covariation import cv_phase_stack_spectral, ncv_phase_stack
-from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix  # unused here; the benchmark tracer patches these names
+from .covariation import cv_phase_matrix_spectral, ncv_phase_matrix
 from .exceptions import DataError
 from .par_model import MultiTrajectory, _read_csv, _write_csv
 from .solvers import solve_stack, solve_yw
@@ -159,7 +158,7 @@ def _solve_phases(m0: np.ndarray, m1: np.ndarray, failures: dict) -> tuple:
     """Solve the ``(M, T, m, m)`` systems of every replicate not in ``failures``.
 
     One :func:`solve_stack` call routes each system once.  A replicate
-    fails at its first phase whose fallback ended in an error, and that
+    fails at its first phase whose solve ended in an error, and that
     error enters ``failures`` as ``(phase, error)``.  Returns ``theta``
     (``NaN`` for failed replicates) and each replicate's list of
     per-phase reports (empty for failed ones).
@@ -223,14 +222,14 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
     matrix pairs the two and the lag-0 matrix pairs the lagged vector
     with itself, so both sit on the same conditioning sub-sample, their
     columns share the normalization and the solve recovers Theta(v).
-    Each matrix is one phase-stack call for every replicate, and one
-    :func:`~stablepar.solvers.solve_stack` call routes every phase of
-    every replicate once.
+    Each matrix is one call of the method's phase-matrix builder for
+    every replicate, and one :func:`~stablepar.solvers.solve_stack` call
+    routes every phase of every replicate once.
 
     YW-CV reads normalized covariations
-    (:func:`~stablepar.covariation.ncv_phase_stack`) and ignores
+    (:func:`~stablepar.covariation.ncv_phase_matrix`) and ignores
     ``alpha``; YW-T reads spectral covariations
-    (:func:`~stablepar.covariation.cv_phase_stack_spectral`) at the known
+    (:func:`~stablepar.covariation.cv_phase_matrix_spectral`) at the known
     ``alpha``, which it requires.  Each replicate's result is the same
     bits as :func:`estimate` on it alone, and its failures stay its own:
 
@@ -240,10 +239,10 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
       fails that replicate at the first phase where it occurs, with the
       message prefixed ``phase v: `` and naming the vanishing sub-sample's
       phase (YW-CV) or the failed matrix's phase and lag (YW-T);
-    * a phase whose ``m0`` is not finite or whose condition estimate
-      exceeds ``COND_LIMIT`` takes the BiCGSTAB fallback
-      (:func:`~stablepar.solvers.solution1`) for that replicate and phase
-      only; if the fallback raises, the replicate fails at that phase.
+    * a phase whose ``m0`` or ``m1`` is not finite is a :class:`SolverError`;
+      one whose condition estimate exceeds ``COND_LIMIT`` takes the
+      BiCGSTAB fallback (:func:`~stablepar.solvers.solution1`) for that
+      replicate and phase only, and if it raises, the replicate fails there.
 
     The other replicates are estimated as if the failed ones were absent.
     """
@@ -257,8 +256,8 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
         raise ValueError("trajectory contains missing or non-finite entries")
     if method == "YW-T" and alpha is None:
         raise ValueError("YW-T on a block needs the known alpha")
-    build = (ncv_phase_stack if method == "YW-CV"
-             else partial(cv_phase_stack_spectral, alpha=alpha))
+    build = (ncv_phase_matrix if method == "YW-CV"
+             else partial(cv_phase_matrix_spectral, alpha=alpha))
     m0, m1 = np.empty((2, M, T, m, m))
     failures = {}
     for v in range(1, T + 1):

@@ -67,8 +67,8 @@ class McConfig:
     by :func:`~stablepar.estimators.method_name`.  The
     spectral-measure method receives the current alpha as known — the
     study setting is simulation, where it is.  ``L`` must meet the
-    sample floor of every method (four periods; ``101 T`` for YW-T), so
-    a shorter study is a :class:`DataError` before anything is simulated.
+    sample floor of every method (four periods; ``101 T`` for YW-T) and
+    each alpha :class:`ParModel`'s range; both are checked up front.
     """
 
     model: ParModel
@@ -85,6 +85,8 @@ class McConfig:
         object.__setattr__(self, "alphas", tuple(self.alphas) or (self.model.alpha,))
         if len(set(map(float, self.alphas))) < len(self.alphas):
             raise ValueError(f"alphas must be distinct, got {self.alphas}")
+        for alpha in self.alphas:  # ParModel's rule, before anything is simulated
+            dc_replace(self.model, alpha=float(alpha))
         object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")

@@ -188,18 +188,20 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
 def solve_stack(m0: np.ndarray, m1: np.ndarray) -> list:
     """Route each system ``Theta m0[k] = m1[k]`` of a ``(K, m, m)`` stack once.
 
-    One condition estimate covers the stack (a non-finite ``m0`` counts
-    as infinitely ill-conditioned).  Every system whose estimate is at
-    most ``COND_LIMIT`` goes through one factorized direct solve; each
-    other system goes through the column-wise fallback
+    A system whose ``m0`` or ``m1`` holds a non-finite entry is not
+    routed: its entry is a :class:`SolverError` naming the matrix.  One
+    condition estimate covers the finite systems.  Every system whose
+    estimate is at most ``COND_LIMIT`` goes through one factorized direct
+    solve; each other system goes through the column-wise fallback
     :func:`solution1`.  Entry k is system k's :class:`SolveReport`, or
-    the :class:`SolverError` or ``LinAlgError`` its fallback ended in.
-    Each system is solved, and its residual taken, exactly as on its own.
+    the :class:`SolverError` or ``LinAlgError`` it ended in.  Each system
+    is solved, and its residual taken, exactly as on its own.
     """
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
+    bad = [~np.isfinite(a).all(axis=(1, 2)) for a in (m0, m1)]
+    finite = ~(bad[0] | bad[1])
     cond = np.full(len(m0), np.inf)
-    finite = np.isfinite(m0).all(axis=(1, 2))
     if finite.any():
         cond[finite] = np.linalg.cond(m0[finite])
     direct = cond <= COND_LIMIT  # False for inf and NaN
@@ -220,7 +222,10 @@ def solve_stack(m0: np.ndarray, m1: np.ndarray) -> list:
                 converged=bool(res <= TOL * max(sc, 1e-300)),
                 detail=f"condition estimate {c:.3g}",
             )
-    for k in np.flatnonzero(~direct):
+    for k in np.flatnonzero(~finite):
+        names = " and ".join(n for n, flags in zip(("m0", "m1"), bad) if flags[k])
+        reports[k] = SolverError(f"non-finite entries in {names}; system not solved")
+    for k in np.flatnonzero(finite & ~direct):
         try:
             rep = solution1(m0[k], m1[k])
             if not np.all(np.isfinite(rep.solution)):
@@ -243,7 +248,7 @@ def solve_yw(m0: np.ndarray, m1: np.ndarray) -> SolveReport:
     Raises
     ------
     SolverError, numpy.linalg.LinAlgError
-        When the fallback ends in that error (the entry of :func:`solve_stack`).
+        When a matrix is not finite or the fallback ends in that error.
     """
     report = solve_stack([m0], [m1])[0]
     if isinstance(report, Exception):

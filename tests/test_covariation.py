@@ -2,6 +2,7 @@
 estimators, per-phase matrices, and the projection-method spectral fit."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -91,46 +92,57 @@ class TestNcvCross:
             assert abs(ncv_cross(traj, 1, 2, h)) < 0.1
 
 
+def _series_matrix(build, values, T, v, h, *args):
+    """``build`` on the phase-v, lag-h sub-samples of one ``(m, L)``
+    series: its matrix and its failure (``None`` when it has none)."""
+    out, failed = build(*_phase_samples(np.asarray(values)[None], T, v, h), *args)
+    return out[0], failed.get(0)
+
+
 class TestPhaseMatrix:
     def test_unit_diagonal_at_lag_zero(self):
         vals = RandomStream(3).generator().normal(size=(3, 600))
-        mat = ncv_phase_matrix(MultiTrajectory(values=vals), T=4, v=2, h=0)
+        mat, failed = _series_matrix(ncv_phase_matrix, vals, 4, 2, 0)
+        assert failed is None
         assert np.allclose(np.diag(mat), 1.0, atol=1e-14)
 
     def test_phase_zero_wraps(self):
-        # v = 0 addresses the phase preceding v = 1; it must not raise
+        # v = 0 addresses the phase preceding v = 1; it must not fail
         vals = RandomStream(4).generator().normal(size=(2, 400))
-        mat = ncv_phase_matrix(MultiTrajectory(values=vals), T=3, v=0, h=0)
+        mat, failed = _series_matrix(ncv_phase_matrix, vals, 3, 0, 0)
+        assert failed is None
         assert mat.shape == (2, 2)
         assert np.all(np.isfinite(mat))
 
-    def test_degenerate_phase_raises(self):
+    def test_degenerate_phase_fails(self):
         # component 1 vanishes on phase v=1 (t = 1, 3, 5, ...): the
         # normalizing sum is zero there
         vals = np.ones((2, 200))
         vals[0, ::2] = 0.0
-        with pytest.raises(DegenerateSeriesError):
-            ncv_phase_matrix(MultiTrajectory(values=vals), T=2, v=1, h=0)
+        mat, failed = _series_matrix(ncv_phase_matrix, vals, 2, 1, 0)
+        assert isinstance(failed, DegenerateSeriesError)
+        assert str(failed) == "sub-sample of component 1 is identically zero"
+        assert not np.all(np.isfinite(mat))
 
     @pytest.mark.parametrize("v, h", [(1, 0), (2, 1), (0, 0)])
     def test_degenerate_phase_names_the_lagged_phase(self, v, h):
-        """The message names the phase of the vanishing sub-sample, the
-        lagged one: phase 1 at (1, 0) and (2, 1); at v = 0 it is phase T."""
+        """:func:`_phase_failure` names the phase of the vanishing
+        sub-sample, the lagged one: phase 1 at (1, 0) and (2, 1); at
+        v = 0 it is phase T."""
         vals = np.ones((2, 200))
         vals[1, (v - h - 1) % 2 :: 2] = 0.0
         lagged = (v - h - 1) % 2 + 1
-        with pytest.raises(
-            DegenerateSeriesError,
-            match=f"^phase-{lagged} sub-sample of component 2 is identically zero$",
-        ):
-            ncv_phase_matrix(MultiTrajectory(values=vals), T=2, v=v, h=h)
+        _, failed = _series_matrix(ncv_phase_matrix, vals, 2, v, h)
+        named = covariation._phase_failure(failed, 2, v, h)
+        assert isinstance(named, DegenerateSeriesError)
+        assert str(named) == f"phase-{lagged} sub-sample of component 2 is identically zero"
 
     def test_lag_with_no_pair_of_times_is_a_value_error(self):
         """Lag 40 on 20 observations pairs no phase-1 time with one inside
         the series: the lag is wrong, not the data."""
         vals = RandomStream(5).generator().normal(size=(2, 20))
         with pytest.raises(ValueError, match="^lag 40 leaves no phase-1 pair"):
-            ncv_phase_matrix(vals, T=2, v=1, h=40)
+            _series_matrix(ncv_phase_matrix, vals, 2, 1, 40)
 
 
 class TestPhaseSamples:
@@ -336,33 +348,31 @@ class TestSpectralPhaseMatrix:
             3000,
             RandomStream(36),
         ).T
-        traj = MultiTrajectory(values=vals)
-        a = cv_phase_matrix_spectral(traj, T=3, v=1, h=1, alpha=1.6)
-        b = cv_phase_matrix_spectral(traj, T=3, v=1, h=1, alpha=1.6)
+        a, failed = _series_matrix(cv_phase_matrix_spectral, vals, 3, 1, 1, 1.6)
+        b, _ = _series_matrix(cv_phase_matrix_spectral, vals, 3, 1, 1, 1.6)
+        assert failed is None
         assert a.shape == (2, 2)
         assert np.array_equal(a, b)
 
     def test_lag_with_no_pair_of_times_is_a_value_error(self):
         vals = RandomStream(5).generator().normal(size=(2, 20))
         with pytest.raises(ValueError, match="^lag 40 leaves no phase-1 pair"):
-            cv_phase_matrix_spectral(vals, T=2, v=1, h=40, alpha=1.6)
+            _series_matrix(cv_phase_matrix_spectral, vals, 2, 1, 40, 1.6)
 
     def test_collapsed_pair_fit_names_its_entry(self):
         """A component that is identically zero makes its self-pair
-        collapse to the zero measure; the error must say which phase,
-        lag and matrix entry it came from."""
+        collapse to the zero measure; the named failure must say which
+        phase, lag and matrix entry it came from."""
         vals = RandomStream(38).generator().normal(size=(2, 600))
         vals[1] = 0.0
-        traj = MultiTrajectory(values=vals)
-        with pytest.raises(
-            NumericalError, match=r"^phase 1, lag 1, entry \(2, 2\): .*zero measure"
-        ):
-            cv_phase_matrix_spectral(traj, T=2, v=1, h=1, alpha=1.5)
+        _, failed = _series_matrix(cv_phase_matrix_spectral, vals, 2, 1, 1, 1.5)
+        named = covariation._phase_failure(failed, 2, 1, 1)
+        assert isinstance(named, NumericalError)
+        assert re.match(r"^phase 1, lag 1, entry \(2, 2\): .*zero measure", str(named))
 
     def test_requires_two_periods(self):
-        traj = MultiTrajectory(values=np.ones((2, 5)))
         with pytest.raises(ValueError):
-            cv_phase_matrix_spectral(traj, T=3, v=1, h=1, alpha=1.5)
+            _series_matrix(cv_phase_matrix_spectral, np.ones((2, 5)), 3, 1, 1, 1.5)
 
     @staticmethod
     def _reference_matrix(traj, T, v, h, alpha):
@@ -395,7 +405,9 @@ class TestSpectralPhaseMatrix:
             warnings.simplefilter("ignore")
             for v in range(T + 1):
                 for h in (0, 1):
-                    got = cv_phase_matrix_spectral(traj, T, v, h, alpha)
+                    got, failed = _series_matrix(
+                        cv_phase_matrix_spectral, traj.values, T, v, h, alpha)
+                    assert failed is None, (v, h)
                     ref = self._reference_matrix(traj, T, v, h, alpha)
                     scale = np.abs(ref).max()
                     assert np.abs(got - ref).max() <= 1e-13 * scale, (v, h)
@@ -407,9 +419,9 @@ class TestSpectralPhaseMatrix:
         of 5, or in one of 16 and a short one of 4, gives the default
         single-block matrix up to the rounding of the projections."""
         traj = simulate_par1(model2, 1200, RandomStream(40))
-        ref = cv_phase_matrix_spectral(traj, 2, 1, h, 1.8)
+        ref, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
         monkeypatch.setattr(covariation, "_BLOCK_ELEMENTS", block)
-        got = cv_phase_matrix_spectral(traj, 2, 1, h, 1.8)
+        got, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_zero_component_names_its_lag0_diagonal_entry(self):
@@ -418,25 +430,23 @@ class TestSpectralPhaseMatrix:
         collapsed pair fit."""
         vals = RandomStream(38).generator().normal(size=(3, 600))
         vals[1] = 0.0
-        traj = MultiTrajectory(values=vals)
-        with pytest.raises(
-            NumericalError, match=r"^phase 1, lag 0, entry \(2, 2\): .*zero measure"
-        ):
-            cv_phase_matrix_spectral(traj, T=2, v=1, h=0, alpha=1.5)
+        _, failed = _series_matrix(cv_phase_matrix_spectral, vals, 2, 1, 0, 1.5)
+        named = covariation._phase_failure(failed, 2, 1, 0)
+        assert isinstance(named, NumericalError)
+        assert re.match(r"^phase 1, lag 0, entry \(2, 2\): .*zero measure", str(named))
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_rejects_non_finite_phase_sample(self, h):
         vals = RandomStream(38).generator().normal(size=(2, 600))
         vals[1, 300] = np.nan  # 1-based time 301: phase 1 of period 2
         with pytest.raises(ValueError, match="sample contains 1 non-finite entries"):
-            cv_phase_matrix_spectral(vals, T=2, v=1, h=h, alpha=1.5)
+            _series_matrix(cv_phase_matrix_spectral, vals, 2, 1, h, 1.5)
 
     def test_warns_rank_deficient_on_every_call_at_alpha_2(self):
         z = RandomStream(33).generator().normal(size=(2, 600))
-        traj = MultiTrajectory(values=z)
         for h in (0, 1, 0):
             with pytest.warns(UserWarning, match="rank-deficient"):
-                cv_phase_matrix_spectral(traj, T=2, v=1, h=h, alpha=2.0)
+                _series_matrix(cv_phase_matrix_spectral, z, 2, 1, h, 2.0)
 
 
 class TestLagZeroSharedFit:
@@ -485,7 +495,7 @@ class TestLagZeroSharedFit:
         values = np.stack([simulate_par1(model, 1200, RandomStream(70 + k)).values
                            for k in range(M)])
         cur, lagged = _phase_samples(values, model.period, 1, h)  # lag 0: lagged is cur
-        out, failed = covariation.cv_phase_stack_spectral(cur, lagged, 1.8)
+        out, failed = covariation.cv_phase_matrix_spectral(cur, lagged, 1.8)
         assert not failed and np.all(np.isfinite(out))
         (rs, ls), = fitted_pairs
         assert len(rs) == M * (m * (m - 1) // 2 if h == 0 else m * m)
@@ -504,7 +514,7 @@ class TestLagZeroSharedFit:
 
         monkeypatch.setattr(covariation, "_fit_pairs", collapse_second_pair)
         cur = RandomStream(71).generator().normal(size=(2, 3, 300))
-        out, failed = covariation.cv_phase_stack_spectral(cur, cur, 1.5)
+        out, failed = covariation.cv_phase_matrix_spectral(cur, cur, 1.5)
         assert list(failed) == [0]
         assert str(failed[0]).startswith("entry (1, 3): ")
         assert out[0, 0, 2] == out[0, 2, 0] == 0.0

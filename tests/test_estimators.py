@@ -2,13 +2,20 @@
 both estimation routes on simulated data, and the result container."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepar.covariation import cv_phase_matrix_spectral, ncv_auto, ncv_phase_matrix
+import stablepar.estimators as estimators
+from stablepar.covariation import (
+    _phase_samples,
+    cv_phase_matrix_spectral,
+    ncv_auto,
+    ncv_phase_matrix,
+)
 from stablepar.estimators import (
     EstimationResult,
     estimate,
@@ -19,7 +26,7 @@ from stablepar.estimators import (
     yw_cv_estimate,
     yw_t_estimate,
 )
-from stablepar.exceptions import DataError, DegenerateSeriesError, NumericalError
+from stablepar.exceptions import DataError, DegenerateSeriesError, NumericalError, SolverError
 from stablepar.mc import REPLICATE_BLOCK
 from stablepar.par_model import (
     MultiTrajectory,
@@ -137,17 +144,30 @@ class TestExactRecovery:
         model = request.getfixturevalue(preset)
         T = model.period
         traj = simulate_par1(model, 1200, RandomStream(5))
-        if method == "YW-CV":
-            matrix = ncv_phase_matrix
-        else:
-            def matrix(traj, T, v, h):
-                return cv_phase_matrix_spectral(traj, T, v, h, model.alpha)
+        build = (ncv_phase_matrix if method == "YW-CV"
+                 else partial(cv_phase_matrix_spectral, alpha=model.alpha))
+
+        def matrix(v, h):
+            out, failed = build(*_phase_samples(traj.values[None], T, v, h))
+            assert not failed
+            return out[0]
+
         ref = theta_from_cov_matrices(
-            [matrix(traj, T, v - 1, 0) for v in range(1, T + 1)],
-            [matrix(traj, T, v, 1) for v in range(1, T + 1)],
+            [matrix(v - 1, 0) for v in range(1, T + 1)],
+            [matrix(v, 1) for v in range(1, T + 1)],
         )
         got = estimate(traj, T, method, alpha=model.alpha)
         assert np.array_equal(np.stack(got.theta_hat), np.stack(ref.theta_hat))
+
+    def test_non_finite_phase_matrix_raises_naming_it(self, model1):
+        """An inf in phase 2's m0 is an error, not a zero Theta(2) from a
+        fallback that did not converge."""
+        m0s = [theoretical_phase_matrix(model1, v - 1, 0) for v in (1, 2, 3)]
+        m1s = [theoretical_phase_matrix(model1, v, 1) for v in (1, 2, 3)]
+        m0s[1] = m0s[1].copy()
+        m0s[1][0, 1] = np.inf
+        with pytest.raises(SolverError, match="^non-finite entries in m0; "):
+            theta_from_cov_matrices(m0s, m1s)
 
     def test_mismatched_matrix_lists(self, model1):
         m0 = theoretical_phase_matrix(model1, 0, 0)
@@ -169,8 +189,8 @@ class TestYwCvEstimate:
         traj = simulate_par1(model, 4000, RandomStream(14))
         res = yw_cv_estimate(traj, 2)
         for v in (1, 2):
-            num = ncv_phase_matrix(traj, 2, v, 1)[0, 0]
-            den = ncv_phase_matrix(traj, 2, v - 1, 0)[0, 0]
+            num = ncv_phase_matrix(*_phase_samples(traj.values[None], 2, v, 1))[0][0, 0, 0]
+            den = ncv_phase_matrix(*_phase_samples(traj.values[None], 2, v - 1, 0))[0][0, 0, 0]
             assert res.theta_hat[v - 1][0, 0] == pytest.approx(num / den, rel=1e-10)
 
     def test_permutation_equivariance(self, model1):
@@ -266,6 +286,21 @@ class TestYwCvBlock:
         assert np.all(np.isnan(block.theta[4])) and block.solve_reports[4] == []
         others = [0, 1, 2, 3, 5]
         assert np.array_equal(block.theta[others], clean.theta[others])
+
+    def test_degenerate_phase_names_the_lagged_phase(self, model1):
+        """Replicate w - 1 has component 2 vanish on phase w.  Phase w
+        conditions the systems of phase w + 1 (phase 1 for w = T), and the
+        failure names phase w, the vanishing sub-sample's phase."""
+        values = _block(model1, 4)
+        for w in (1, 2, 3):
+            values[w - 1, 1, w - 1 :: 3] = 0.0
+        block = estimate_block(values, 3, "YW-CV")
+        assert sorted(block.failures) == [0, 1, 2]
+        for w in (1, 2, 3):
+            phase, exc = block.failures[w - 1]
+            assert phase == w % 3 + 1 and isinstance(exc, DegenerateSeriesError)
+            assert str(exc) == (f"phase {phase}: phase-{w} sub-sample "
+                                "of component 2 is identically zero")
 
     def test_singular_replicate_alone_takes_the_fallback(self, model1):
         values = _block(model1, 5)
@@ -402,6 +437,22 @@ class TestMethodDispatch:
             assert [(r.method, r.residual_norm, r.detail) for r in block.solve_reports[k]] == [
                 (r.method, r.residual_norm, r.detail) for r in single.solve_reports
             ]
+
+    @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
+    def test_block_driver_calls_the_builder_by_its_name(self, model1, method, monkeypatch):
+        """estimate_block looks each phase-matrix builder up by its module
+        name at call time: two calls per phase (M1 and M0) of the method's
+        builder, none of the other's."""
+        calls = {"YW-CV": 0, "YW-T": 0}
+        for name, key in [("ncv_phase_matrix", "YW-CV"), ("cv_phase_matrix_spectral", "YW-T")]:
+            def counted(*args, _fn=getattr(estimators, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, name, counted)
+        block = estimate_block(_block(model1, 2, L=303), 3, method, alpha=1.8)
+        assert block.failures == {}
+        assert calls == {"YW-CV": 0, "YW-T": 0, method: 2 * model1.period}
 
     def test_yw_t_block_needs_alpha(self, model1):
         with pytest.raises(ValueError, match="alpha"):

@@ -75,6 +75,17 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="distinct"):
             McConfig(model=m, L=100, M=4, alphas=(1.5, 1.9, 1.5))
 
+    def test_every_swept_alpha_is_checked_before_simulating(self, monkeypatch):
+        """An alpha that ParModel refuses fails the config, before the
+        study simulates and estimates the alphas ahead of it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before every alpha was checked")
+
+        monkeypatch.setattr(mc, "simulate_replicates", refuse)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\], got 2\.5"):
+            run_mc_study(McConfig(model=model1_preset(), L=120, M=4,
+                                  alphas=(1.5, 2.5), methods=("YW-CV",)))
+
 
 class TestRunMcStudy:
     def test_deterministic_given_seed(self):
@@ -169,7 +180,7 @@ class TestRunMcStudy:
             return np.broadcast_to(theta[v - 1], (len(cur), 2, 2)), failed
 
         monkeypatch.setattr(mc, "simulate_replicates", degenerate)
-        monkeypatch.setattr(estimators, "cv_phase_stack_spectral", yw_t_stub)
+        monkeypatch.setattr(estimators, "cv_phase_matrix_spectral", yw_t_stub)
         cfg = McConfig(model=model1_preset(), L=303, M=5, seed=2)
         rep = run_mc_study(cfg)
         assert rep.failures == {("YW-CV", 1.8): 1, ("YW-T", 1.8): 1}

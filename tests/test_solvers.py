@@ -1,11 +1,14 @@
 """Linear solvers behind the coefficient systems: stabilized bi-conjugate
 gradients, the column-wise matrix solve, and the direct/iterative router."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablepar.exceptions import SolverError
 from stablepar.solvers import (
     COND_LIMIT,
     SolveReport,
@@ -177,7 +180,8 @@ class TestSolveYw:
 class TestSolveStack:
     def test_each_entry_is_the_system_solved_alone(self):
         """A well-conditioned, a consistent singular and a NaN system in one
-        stack: each entry is what solve_yw gives or raises on it alone."""
+        stack: each entry is what solve_yw gives or raises on it alone.  The
+        NaN system is refused before routing."""
         gen = np.random.default_rng(28)
         singular = gen.normal(size=(3, 2)) @ gen.normal(size=(2, 3))
         m0 = np.stack([_well_conditioned(gen, 3), singular, np.full((3, 3), np.nan)])
@@ -189,6 +193,22 @@ class TestSolveStack:
             assert (rep.method, rep.residual_norm, rep.detail) == (
                 alone.method, alone.residual_norm, alone.detail)
             assert rep.solution.tobytes() == alone.solution.tobytes()
-        assert isinstance(reports[2], np.linalg.LinAlgError)
-        with pytest.raises(np.linalg.LinAlgError, match=str(reports[2])):
+        assert isinstance(reports[2], SolverError)
+        assert str(reports[2]) == "non-finite entries in m0 and m1; system not solved"
+        with pytest.raises(SolverError, match=f"^{re.escape(str(reports[2]))}$"):
             solve_yw(m0[2], m1[2])
+
+    def test_non_finite_system_is_an_error_naming_its_matrix(self):
+        """An inf in m0 or a NaN in m1 alone makes its system a SolverError
+        naming that matrix; the finite system beside them is solved as
+        on its own."""
+        gen = np.random.default_rng(29)
+        m0 = np.stack([_well_conditioned(gen, 3)] * 3)
+        m1 = gen.normal(size=(3, 3, 3))
+        m0[1, 0, 2] = np.inf
+        m1[2, 1, 1] = np.nan
+        good, bad0, bad1 = solve_stack(m0, m1)
+        assert good.solution.tobytes() == solve_yw(m0[0], m1[0]).solution.tobytes()
+        assert isinstance(bad0, SolverError) and isinstance(bad1, SolverError)
+        assert str(bad0) == "non-finite entries in m0; system not solved"
+        assert str(bad1) == "non-finite entries in m1; system not solved"
