@@ -42,7 +42,6 @@ from .par_model import (
     check_boundedness,
     g_product,
     simulate_par1,
-    simulate_replicates,
     theoretical_cv,
     theoretical_cv_diagonal,
     theoretical_phase_matrix,

@@ -133,7 +133,7 @@ def cmd_simulate(args, config: dict) -> int:
     L = _setting(config, "L", int, required=True)
     seed = _setting(config, "seed", int, args.seed)
     burn_in = _setting(config, "burn_in", int)
-    traj = simulate_par1(model, L, RandomStream(seed), burn_in=burn_in)
+    traj = MultiTrajectory(simulate_par1(model, L, [RandomStream(seed)], burn_in=burn_in)[0])
     traj.to_csv(args.out)
     print(f"wrote {traj.dim}x{traj.length} trajectory to {args.out}")
     return 0

@@ -155,11 +155,13 @@ def ncv_phase_matrix(cur, lagged) -> tuple[np.ndarray, dict]:
 
 
 def _phase_failure(exc, T: int, v: int, h: int):
-    """Failure ``exc`` of the (phase v, lag h) matrix, naming the phase of a
-    vanishing sub-sample (v - h, in 1..T) or the matrix's phase and lag."""
+    """Failure ``exc`` of the (phase v, lag h) matrix, worded to follow the
+    ``phase s: `` prefix of the Yule-Walker system it enters (s = v at lag
+    1, v + 1 at lag 0): the phase of a vanishing sub-sample (v - h, in
+    1..T), or the matrix's lag, and at lag 0 its phase, which is not s."""
     if isinstance(exc, DegenerateSeriesError):
         return DegenerateSeriesError(f"phase-{(v - h - 1) % T + 1} {exc}")
-    return type(exc)(f"phase {v}, lag {h}, {exc}")
+    return type(exc)(f"lag {h}, {exc}" if h else f"phase {v}, lag 0, {exc}")
 
 
 def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:

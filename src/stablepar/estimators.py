@@ -238,7 +238,8 @@ def estimate_block(values, T: int, method, alpha: float | None = None) -> BlockE
       that collapses to the zero measure (YW-T, :class:`NumericalError`)
       fails that replicate at the first phase where it occurs, with the
       message prefixed ``phase v: `` and naming the vanishing sub-sample's
-      phase (YW-CV) or the failed matrix's phase and lag (YW-T);
+      phase (YW-CV) or the failed matrix's lag, and at lag 0 its phase
+      v - 1 (YW-T);
     * a phase whose ``m0`` or ``m1`` is not finite is a :class:`SolverError`;
       one whose condition estimate exceeds ``COND_LIMIT`` takes the
       BiCGSTAB fallback (:func:`~stablepar.solvers.solution1`) for that

@@ -16,10 +16,10 @@ makes the width comparison between the methods a paired one.
 
 Replicates are simulated together, in blocks of at most
 ``REPLICATE_BLOCK``, by one recursion over time
-(:func:`~stablepar.par_model.simulate_replicates`); replicate ``i``
-still draws from ``substream(k, i)`` and its trajectory equals
-``simulate_par1`` on that stream.  Boundedness is checked once per
-alpha, on the first block.  Each method estimates each block in one
+(:func:`~stablepar.par_model.simulate_par1`); replicate ``i`` still
+draws from ``substream(k, i)`` and its trajectory equals a one-stream
+simulation on that stream.  Boundedness is checked once per alpha, on
+the first block.  Each method estimates each block in one
 :func:`~stablepar.estimators.estimate_block` call, whose failures stay
 per replicate and carry the phase where they occurred.
 """
@@ -34,8 +34,7 @@ import numpy as np
 from .estimators import METHODS, _check_shape, estimate_block, method_name
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import NumericalError
-from .par_model import ParModel, _write_csv, simulate_replicates
-from .par_model import simulate_par1  # unused here; the benchmark tracer patches this name
+from .par_model import ParModel, _write_csv, simulate_par1
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure
 
@@ -215,7 +214,7 @@ def run_mc_study(config: McConfig) -> McReport:
         causes = {meth: Counter() for meth in config.methods}
         streams = [base.substream(k, rep) for rep in range(config.M)]
         for start in range(0, config.M, REPLICATE_BLOCK):
-            paths = simulate_replicates(
+            paths = simulate_par1(
                 model,
                 config.L,
                 streams[start : start + REPLICATE_BLOCK],

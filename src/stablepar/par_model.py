@@ -13,7 +13,8 @@ products
     g(t, t-j+1) = Theta(t) Theta(t-1) ... Theta(t-j+1),   g(t, t+1) = I,
 
 and every pairwise covariation of the solution is an explicit series in
-those products.  This module provides simulation, the g-products, the
+those products.  This module provides simulation (:func:`simulate_par1`,
+one recursion for one replicate stream or many), the g-products, the
 boundedness check, and the theoretical covariations that serve as
 oracles for the estimators.  One kernel sums the series for every phase
 and component pair at a given lag, one period per step, until a further
@@ -41,7 +42,6 @@ __all__ = [
     "MultiTrajectory",
     "BoundednessReport",
     "simulate_par1",
-    "simulate_replicates",
     "g_product",
     "check_boundedness",
     "theoretical_cv",
@@ -310,46 +310,25 @@ def check_boundedness(model: ParModel) -> BoundednessReport:
 def simulate_par1(
     model: ParModel,
     L: int,
-    rng: RandomStream,
-    burn_in: int | None = None,
-    allow_unbounded: bool = False,
-) -> MultiTrajectory:
-    """Simulate ``X(1..L)`` from the periodic recursion.
-
-    The recursion starts at the zero vector ``burn_in`` steps before time
-    1 (default ``50 * T``) so the retained stretch is effectively a draw
-    from the periodically stationary solution; the phase of the retained
-    samples is anchored so that ``X(t)`` uses ``Theta(t)``.  This is
-    :func:`simulate_replicates` with one stream.
-
-    Raises
-    ------
-    UnboundedModelError
-        When the model fails :func:`check_boundedness` and
-        ``allow_unbounded`` is not set.
-    """
-    paths = simulate_replicates(model, L, [rng], burn_in, allow_unbounded)
-    return MultiTrajectory(values=paths[0], t0=1)
-
-
-def simulate_replicates(
-    model: ParModel,
-    L: int,
     streams: list[RandomStream],
     burn_in: int | None = None,
     allow_unbounded: bool = False,
 ) -> np.ndarray:
     """Simulate one trajectory ``X(1..L)`` per stream, all in one pass.
 
-    Replicate ``i`` draws its ``burn_in + L`` noise vectors from
-    ``streams[i]`` exactly as :func:`simulate_par1` does, and the
-    recursion runs once over time for all replicates, so row ``i`` equals
-    ``simulate_par1(model, L, streams[i], burn_in).values``.  Once per
+    The recursion starts at the zero vector ``burn_in`` steps before time
+    1 (default ``50 * T``) so the retained stretch is effectively a draw
+    from the periodically stationary solution; the phase of the retained
+    samples is anchored so that ``X(t)`` uses ``Theta(t)``.  Replicate
+    ``i`` draws its ``burn_in + L`` noise vectors from ``streams[i]``, and
+    the recursion runs once over time for all replicates, so row ``i``
+    does not depend on which other streams share the call.  Once per
     call, the model is checked and its noise measure is folded to one atom
     per mirror pair (:meth:`~stablepar.stable.DiscreteSpectralMeasure.folded`:
     the same law, one draw per pair instead of two).  Returns an
     ``(M, m, L)`` view of the ``(burn_in + L, M, m)`` noise buffer the
-    recursion overwrote.
+    recursion overwrote; one path is
+    ``MultiTrajectory(simulate_par1(model, L, [rng])[0])``.
 
     Raises
     ------

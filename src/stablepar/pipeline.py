@@ -12,8 +12,9 @@ Stages
 ------
 1. :func:`fit_deterministic` — least-squares line per component, then
    per-phase means of the detrended series; exactly invertible.
-2. :func:`yw_cv_estimate` / :func:`yw_t_estimate` and the predictive
-   model via :func:`fit_model`.
+2. :func:`fit_model` — one :func:`~stablepar.estimators.estimate` call
+   (YW-CV or YW-T) on the deseasonalized series, its one-step residuals,
+   and the predictive model.
 3. :func:`diagnose_residuals` — tail-index and scale fits, bootstrap
    goodness-of-fit p-values and dependence screens over lags;
    :func:`fit_par1` is :func:`fit_model` plus this stage.  The joint

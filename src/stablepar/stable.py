@@ -230,7 +230,7 @@ def sample_stable_vector(
 
     Every atom gets its own factor, so a measure with mirror pairs
     ``s, -s`` takes twice the draws its law needs;
-    :func:`~stablepar.par_model.simulate_replicates` passes
+    :func:`~stablepar.par_model.simulate_par1` passes
     :meth:`DiscreteSpectralMeasure.folded` measures, folded once per call.
     """
     if not (1.0 < alpha <= 2.0):
@@ -325,7 +325,8 @@ def mcculloch_estimate(sample) -> StableParams:
     Raises
     ------
     DataError
-        If the sample is shorter than ``MIN_QUANTILE_OBS`` observations.
+        If the sample is shorter than ``MIN_QUANTILE_OBS`` observations or
+        holds a NaN or infinite value.
     TableRangeError
         If the quantile ratio exceeds ``NU_MAX`` (heavier tails than
         alpha = 0.6) or the interquartile range vanishes.
@@ -338,6 +339,10 @@ def _mcculloch_sorted(x: np.ndarray) -> StableParams:
     if x.size < MIN_QUANTILE_OBS:
         raise DataError(f"need at least {MIN_QUANTILE_OBS} observations "
                         f"for quantile estimation, got {x.size}")
+    # NaN sorts last and -inf, inf to the ends, so the ends tell
+    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):
+        raise DataError("sample holds non-finite values (NaN or infinite); "
+                        "quantile estimation needs finite data")
     q05, q25, q75, q95 = sorted_quantiles(x, (0.05, 0.25, 0.75, 0.95))
     iqr = q75 - q25
     if iqr <= 0.0:
@@ -624,8 +629,8 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
     Raises
     ------
     DataError
-        If ``n_sims < 100``, or the sample is too short to fit (see
-        :func:`mcculloch_estimate`).
+        If ``n_sims < 100``, or the sample is too short to fit or holds a
+        non-finite value (see :func:`mcculloch_estimate`).
     TableRangeError
         Propagated from the quantile fit.
     """

@@ -1,8 +1,15 @@
-"""Test-only oracle: many forward paths of a periodic AR(1) model."""
+"""Test-only helpers: many forward paths of a periodic AR(1) model from an
+independent loop, and one trajectory from the package's simulator."""
 
 import numpy as np
 
+from stablepar.par_model import MultiTrajectory, simulate_par1
 from stablepar.stable import sample_stable_vector
+
+
+def one_path(model, L, rng, **kwargs):
+    """One trajectory: :func:`simulate_par1` on the single stream ``rng``."""
+    return MultiTrajectory(simulate_par1(model, L, [rng], **kwargs)[0])
 
 
 def simulate_paths(model, x0, t_start, n_steps, n_paths, rng):

@@ -19,7 +19,6 @@ from stablepar.mc import McConfig, model1_preset, model2_preset, run_mc_study
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
-    simulate_par1,
     theoretical_cv,
     theoretical_cv_diagonal,
     theoretical_phase_matrix,
@@ -41,6 +40,8 @@ from stablepar.stable import (
     sample_sas_1d,
     sample_stable_vector,
 )
+
+from path_oracle import one_path
 
 
 # one line per criterion, echoed by the terminal-summary hook in conftest
@@ -320,7 +321,7 @@ def test_criterion_11_pipeline_round_trip():
         periodic_mean=[[0.5, -0.3, -0.2], [1.0, 0.0, -1.0]],
     )
     L = 3000
-    data = simulate_par1(model, L, RandomStream(21))
+    data = one_path(model, L, RandomStream(21))
     obs = data.values + det0.evaluate(np.arange(1, L + 1))
 
     # marginal quantile-line coverage on data from the same model
@@ -341,7 +342,7 @@ def test_criterion_11_pipeline_round_trip():
     )
     thetas = []
     for rep in range(50):
-        sim = simulate_par1(gen_fit.model, 2000, RandomStream(31).substream(rep))
+        sim = one_path(gen_fit.model, 2000, RandomStream(31).substream(rep))
         sim_obs = sim.values + gen_fit.deterministic.evaluate(np.arange(1, 2001))
         refit = fit_par1(
             MultiTrajectory(values=sim_obs), 3, method="yw-cv",

@@ -15,15 +15,17 @@ from stablepar.cli import load_config, load_trajectory, main, model_from_config
 from stablepar.estimators import EstimationResult
 from stablepar.exceptions import DataError
 from stablepar.mc import McConfig, model1_preset, model2_preset, run_mc_study
-from stablepar.par_model import MultiTrajectory, simulate_par1
+from stablepar.par_model import MultiTrajectory
 from stablepar.rng import RandomStream
+
+from path_oracle import one_path
 
 
 @pytest.fixture(scope="module")
 def sim_csv(tmp_path_factory):
     """A simulated benchmark trajectory written the way the CLI expects."""
     path = tmp_path_factory.mktemp("data") / "traj.csv"
-    traj = simulate_par1(model1_preset(), 1500, RandomStream(60))
+    traj = one_path(model1_preset(), 1500, RandomStream(60))
     traj.to_csv(path)
     return path
 
@@ -268,7 +270,7 @@ class TestEstimateCommand:
     def test_time_column_anchors_the_phase(self, tmp_path):
         """A series whose t starts at 2 is estimated by its true phases."""
         model = model1_preset()
-        values = simulate_par1(model, 30_000, RandomStream(1)).values
+        values = one_path(model, 30_000, RandomStream(1)).values
         path = tmp_path / "from2.csv"
         MultiTrajectory(values=values[:, 1:], t0=2).to_csv(path)
         out = tmp_path / "coef.csv"
@@ -504,7 +506,7 @@ class TestFitFamily:
 
     def test_fit_below_the_quantile_floor_exits_2(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
-        simulate_par1(model1_preset(), 12, RandomStream(0)).to_csv(short)
+        one_path(model1_preset(), 12, RandomStream(0)).to_csv(short)
         rc = main(["fit", str(short), "--period", "3", "--out", str(tmp_path / "a")])
         assert rc == 2
         assert "(L >= 101), got L = 12" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from stablepar.covariation import (
     ncv_phase_matrix,
 )
 from stablepar.exceptions import DegenerateSeriesError, NumericalError
-from stablepar.par_model import MultiTrajectory, simulate_par1
+from stablepar.par_model import MultiTrajectory
 from stablepar.rng import RandomStream
 from stablepar.stable import (
     DiscreteSpectralMeasure,
@@ -32,6 +32,8 @@ from stablepar.stable import (
     sample_sas_1d,
     sample_stable_vector,
 )
+
+from path_oracle import one_path
 
 
 class TestNcvAuto:
@@ -361,14 +363,15 @@ class TestSpectralPhaseMatrix:
 
     def test_collapsed_pair_fit_names_its_entry(self):
         """A component that is identically zero makes its self-pair
-        collapse to the zero measure; the named failure must say which
-        phase, lag and matrix entry it came from."""
+        collapse to the zero measure; the named failure must say which lag
+        and matrix entry it came from (the system's ``phase v: `` prefix
+        names the phase of a lag-1 matrix)."""
         vals = RandomStream(38).generator().normal(size=(2, 600))
         vals[1] = 0.0
         _, failed = _series_matrix(cv_phase_matrix_spectral, vals, 2, 1, 1, 1.5)
         named = covariation._phase_failure(failed, 2, 1, 1)
         assert isinstance(named, NumericalError)
-        assert re.match(r"^phase 1, lag 1, entry \(2, 2\): .*zero measure", str(named))
+        assert re.match(r"^lag 1, entry \(2, 2\): .*zero measure", str(named))
 
     def test_requires_two_periods(self):
         with pytest.raises(ValueError):
@@ -400,7 +403,7 @@ class TestSpectralPhaseMatrix:
         separate fit per entry at every phase and lag 0 and 1."""
         model = dataclasses.replace(request.getfixturevalue(preset), alpha=alpha)
         T = model.period
-        traj = simulate_par1(model, 1200, RandomStream(39))
+        traj = one_path(model, 1200, RandomStream(39))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for v in range(T + 1):
@@ -418,7 +421,7 @@ class TestSpectralPhaseMatrix:
         """One projection per block, a pair's 20 directions in four blocks
         of 5, or in one of 16 and a short one of 4, gives the default
         single-block matrix up to the rounding of the projections."""
-        traj = simulate_par1(model2, 1200, RandomStream(40))
+        traj = one_path(model2, 1200, RandomStream(40))
         ref, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
         monkeypatch.setattr(covariation, "_BLOCK_ELEMENTS", block)
         got, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
@@ -492,7 +495,7 @@ class TestLagZeroSharedFit:
         on model2, M on model1), m^2 at lag 1."""
         model = request.getfixturevalue(preset)
         M = 5
-        values = np.stack([simulate_par1(model, 1200, RandomStream(70 + k)).values
+        values = np.stack([one_path(model, 1200, RandomStream(70 + k)).values
                            for k in range(M)])
         cur, lagged = _phase_samples(values, model.period, 1, h)  # lag 0: lagged is cur
         out, failed = covariation.cv_phase_matrix_spectral(cur, lagged, 1.8)

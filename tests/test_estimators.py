@@ -32,11 +32,12 @@ from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
     simulate_par1,
-    simulate_replicates,
     theoretical_phase_matrix,
 )
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
+
+from path_oracle import one_path
 
 
 class TestEstimationResult:
@@ -143,7 +144,7 @@ class TestExactRecovery:
         lag 1 at phase v."""
         model = request.getfixturevalue(preset)
         T = model.period
-        traj = simulate_par1(model, 1200, RandomStream(5))
+        traj = one_path(model, 1200, RandomStream(5))
         build = (ncv_phase_matrix if method == "YW-CV"
                  else partial(cv_phase_matrix_spectral, alpha=model.alpha))
 
@@ -186,7 +187,7 @@ class TestYwCvEstimate:
             alpha=1.7,
             noise=DiscreteSpectralMeasure.symmetric([[1.0]], [0.5]),
         )
-        traj = simulate_par1(model, 4000, RandomStream(14))
+        traj = one_path(model, 4000, RandomStream(14))
         res = yw_cv_estimate(traj, 2)
         for v in (1, 2):
             num = ncv_phase_matrix(*_phase_samples(traj.values[None], 2, v, 1))[0][0, 0, 0]
@@ -196,7 +197,7 @@ class TestYwCvEstimate:
     def test_permutation_equivariance(self, model1):
         """Relabeling components permutes the estimate's rows and columns
         accordingly: estimating on (x2, x1) gives P Theta P^T."""
-        traj = simulate_par1(model1, 3000, RandomStream(15))
+        traj = one_path(model1, 3000, RandomStream(15))
         swapped = MultiTrajectory(values=traj.values[::-1].copy(), t0=traj.t0)
         res = yw_cv_estimate(traj, 3)
         res_sw = yw_cv_estimate(swapped, 3)
@@ -211,7 +212,7 @@ class TestYwCvEstimate:
         """Scaling the components by D maps the estimate to D Theta D^-1,
         exact to rounding (Kruczek et al. 2017)."""
         model = request.getfixturevalue(preset)
-        traj = simulate_par1(model, 3000, RandomStream(18))
+        traj = one_path(model, 3000, RandomStream(18))
         d = np.array([0.01, 250.0, 3.0])[: model.dim]
         scaled = MultiTrajectory(values=d[:, None] * traj.values, t0=traj.t0)
         res = yw_cv_estimate(traj, model.period)
@@ -221,7 +222,7 @@ class TestYwCvEstimate:
             np.testing.assert_allclose(res_sc.theta_hat[v], expected, rtol=1e-12, atol=0)
 
     def test_recovers_model1_on_moderate_sample(self, model1):
-        traj = simulate_par1(model1, 10**4, RandomStream(16))
+        traj = one_path(model1, 10**4, RandomStream(16))
         res = yw_cv_estimate(traj, 3)
         dev = np.max(np.abs(np.stack(res.theta_hat) - np.stack(model1.theta)))
         assert dev < 0.2
@@ -229,7 +230,7 @@ class TestYwCvEstimate:
         assert len(res.solve_reports) == 3
 
     def test_too_short_series(self, model1):
-        traj = simulate_par1(model1, 50, RandomStream(17))
+        traj = one_path(model1, 50, RandomStream(17))
         short = MultiTrajectory(values=traj.values[:, :11])
         with pytest.raises(DataError):
             yw_cv_estimate(short, 3)
@@ -250,7 +251,7 @@ class TestYwCvEstimate:
 
 
 def _block(model, M, L=300, seed=23):
-    return simulate_replicates(model, L, [RandomStream(seed).substream(i) for i in range(M)])
+    return simulate_par1(model, L, [RandomStream(seed).substream(i) for i in range(M)])
 
 
 class TestYwCvBlock:
@@ -334,7 +335,7 @@ class TestYwCvBlock:
 
 class TestYwTEstimate:
     def test_recovers_model1_with_known_alpha(self, model1):
-        traj = simulate_par1(model1, 10**4, RandomStream(16))
+        traj = one_path(model1, 10**4, RandomStream(16))
         res = yw_t_estimate(traj, 3, alpha=1.8)
         dev = np.max(np.abs(np.stack(res.theta_hat) - np.stack(model1.theta)))
         assert dev < 0.25
@@ -342,13 +343,13 @@ class TestYwTEstimate:
         assert res.alpha_used == 1.8
 
     def test_alpha_estimated_when_not_given(self, model1):
-        traj = simulate_par1(model1, 3000, RandomStream(19))
+        traj = one_path(model1, 3000, RandomStream(19))
         res = yw_t_estimate(traj, 3)
         assert res.alpha_used is not None
         assert 1.0 < res.alpha_used <= 2.0
 
     def test_rejects_alpha_out_of_range(self, model1):
-        traj = simulate_par1(model1, 500, RandomStream(19))
+        traj = one_path(model1, 500, RandomStream(19))
         with pytest.raises(ValueError):
             yw_t_estimate(traj, 3, alpha=0.8)
 
@@ -357,7 +358,7 @@ class TestYwTEstimate:
         """Relabeling the components permutes the estimate's rows and
         columns accordingly, exact to rounding."""
         model = request.getfixturevalue(preset)
-        traj = simulate_par1(model, 3000, RandomStream(15))
+        traj = one_path(model, 3000, RandomStream(15))
         perm = np.roll(np.arange(model.dim), 1)
         permuted = MultiTrajectory(values=traj.values[perm], t0=traj.t0)
         res = np.stack(yw_t_estimate(traj, model.period, alpha=1.8).theta_hat)
@@ -370,7 +371,7 @@ class TestYwTEstimate:
         """Scaling the whole series by one factor scales every covariation
         by the same power of it, which the solve cancels."""
         model = request.getfixturevalue(preset)
-        traj = simulate_par1(model, 3000, RandomStream(18))
+        traj = one_path(model, 3000, RandomStream(18))
         res = np.stack(yw_t_estimate(traj, model.period, alpha=1.8).theta_hat)
         for c in (0.01, 250.0):
             scaled = MultiTrajectory(values=c * traj.values, t0=traj.t0)
@@ -401,7 +402,7 @@ class TestMethodDispatch:
         assert list(block.failures) == [2]
         phase, exc = block.failures[2]
         assert phase == 1 and isinstance(exc, NumericalError)
-        assert str(exc).startswith("phase 1: phase 1, lag 1, entry (2, 2)")
+        assert str(exc).startswith("phase 1: lag 1, entry (2, 2)")
         assert np.all(np.isnan(block.theta[2])) and block.solve_reports[2] == []
         for k in (0, 1, 3):
             single = yw_t_estimate(MultiTrajectory(values=values[k]), 3, alpha=1.8)
@@ -466,7 +467,7 @@ class TestPhaseAnchor:
     @pytest.mark.parametrize("method", ["YW-CV", "YW-T"])
     @pytest.mark.parametrize("t0", [2, 3, -4])
     def test_series_is_read_from_its_first_phase_one_time(self, model1, t0, method):
-        values = simulate_par1(model1, 1200, RandomStream(1)).values
+        values = one_path(model1, 1200, RandomStream(1)).values
         skip = (1 - t0) % 3  # columns before the first t = 1 (mod 3)
         got = estimate(MultiTrajectory(values=values, t0=t0), 3, method, alpha=1.8)
         trimmed = estimate(MultiTrajectory(values=values[:, skip:]), 3, method, alpha=1.8)
@@ -480,7 +481,7 @@ class TestPhaseAnchor:
             estimate(traj, 3, method)
 
     def test_yw_t_alpha_reads_the_whole_series(self, model1):
-        traj = MultiTrajectory(values=simulate_par1(model1, 400, RandomStream(3)).values, t0=2)
+        traj = MultiTrajectory(values=one_path(model1, 400, RandomStream(3)).values, t0=2)
         assert estimate(traj, 3, "YW-T").alpha_used == estimate_alpha(traj)
 
 
@@ -491,7 +492,7 @@ class TestSampleFloors:
     @pytest.mark.parametrize("preset, floor", [("model1", 303), ("model2", 202)])
     def test_yw_t_runs_from_101_periods(self, preset, floor, request):
         model = request.getfixturevalue(preset)
-        values = simulate_par1(model, floor, RandomStream(4)).values
+        values = one_path(model, floor, RandomStream(4)).values
         short = values[:, :-1]
         with pytest.raises(DataError, match=f"L >= {floor}"):
             estimate(MultiTrajectory(values=short), model.period, "YW-T", alpha=1.8)
@@ -503,7 +504,7 @@ class TestSampleFloors:
         assert np.array_equal(block.theta[0], np.stack(single.theta_hat))
 
     def test_yw_cv_runs_at_four_periods(self, model1):
-        values = simulate_par1(model1, 12, RandomStream(5)).values
+        values = one_path(model1, 12, RandomStream(5)).values
         res = estimate(MultiTrajectory(values=values), 3, "YW-CV")
         assert len(res.solve_reports) == 3
         assert not estimate_block(values[None], 3, "YW-CV").failures
@@ -511,12 +512,12 @@ class TestSampleFloors:
 
 class TestEstimateAlpha:
     def test_close_to_truth_on_long_sample(self, model1):
-        traj = simulate_par1(model1, 10**4, RandomStream(16))
+        traj = one_path(model1, 10**4, RandomStream(16))
         a = estimate_alpha(traj)
         assert a == pytest.approx(1.8, abs=0.15)
 
     @given(seed=st.integers(0, 30))
     @settings(max_examples=10, deadline=None)
     def test_always_in_valid_range(self, seed, model1):
-        traj = simulate_par1(model1, 600, RandomStream(seed))
+        traj = one_path(model1, 600, RandomStream(seed))
         assert 1.0 < estimate_alpha(traj) <= 2.0

@@ -21,9 +21,11 @@ from stablepar.mc import (
     model2_preset,
     run_mc_study,
 )
-from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness, simulate_par1
+from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
+
+from path_oracle import one_path
 
 
 class TestPresets:
@@ -81,7 +83,7 @@ class TestMcConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated before every alpha was checked")
 
-        monkeypatch.setattr(mc, "simulate_replicates", refuse)
+        monkeypatch.setattr(mc, "simulate_par1", refuse)
         with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\], got 2\.5"):
             run_mc_study(McConfig(model=model1_preset(), L=120, M=4,
                                   alphas=(1.5, 2.5), methods=("YW-CV",)))
@@ -109,14 +111,14 @@ class TestRunMcStudy:
     def test_degenerate_replication_collapses_quantiles(self, monkeypatch):
         """Identical trajectories in every replicate make every estimate
         identical, so all aggregates coincide."""
-        original = mc.simulate_replicates
+        original = mc.simulate_par1
 
         def identical(*args, **kwargs):
             values = original(*args, **kwargs)
             values[1:] = values[0]
             return values
 
-        monkeypatch.setattr(mc, "simulate_replicates", identical)
+        monkeypatch.setattr(mc, "simulate_par1", identical)
         cfg = McConfig(model=model1_preset(), L=120, M=4, methods=("YW-CV",), seed=7)
         rep = run_mc_study(cfg)
         stats = rep.stats[("YW-CV", 1.8)]
@@ -127,8 +129,8 @@ class TestRunMcStudy:
         reversing the replicate order changes nothing."""
         cfg = McConfig(model=model1_preset(), L=120, M=5, methods=("YW-CV",), seed=11)
         r1 = run_mc_study(cfg)
-        original = mc.simulate_replicates
-        monkeypatch.setattr(mc, "simulate_replicates",
+        original = mc.simulate_par1
+        monkeypatch.setattr(mc, "simulate_par1",
                             lambda *a, **kw: original(*a, **kw)[::-1])
         r2 = run_mc_study(cfg)
         assert np.array_equal(r1.stats[("YW-CV", 1.8)], r2.stats[("YW-CV", 1.8)])
@@ -160,7 +162,7 @@ class TestRunMcStudy:
         phase 2 (the system that phase conditions); a YW-T failure in the
         lag-1 stack of phase 2 is kept at phase 2.  Each is one failure of
         its method, the others aggregate."""
-        original = mc.simulate_replicates
+        original = mc.simulate_par1
 
         def degenerate(*args, **kwargs):
             values = original(*args, **kwargs)
@@ -179,7 +181,7 @@ class TestRunMcStudy:
             failed = {2: SolverError("stub")} if v == 2 else {}
             return np.broadcast_to(theta[v - 1], (len(cur), 2, 2)), failed
 
-        monkeypatch.setattr(mc, "simulate_replicates", degenerate)
+        monkeypatch.setattr(mc, "simulate_par1", degenerate)
         monkeypatch.setattr(estimators, "cv_phase_matrix_spectral", yw_t_stub)
         cfg = McConfig(model=model1_preset(), L=303, M=5, seed=2)
         rep = run_mc_study(cfg)
@@ -194,7 +196,7 @@ class TestRunMcStudy:
         """stats[(method, alpha)] is np.median and np.quantile of the
         per-replicate estimates with the failed replicate left out, and
         failures is failure_causes summed per (method, alpha)."""
-        original = mc.simulate_replicates
+        original = mc.simulate_par1
         blocks = []
 
         def degenerate(*args, **kwargs):
@@ -203,7 +205,7 @@ class TestRunMcStudy:
             blocks.append(values)
             return values
 
-        monkeypatch.setattr(mc, "simulate_replicates", degenerate)
+        monkeypatch.setattr(mc, "simulate_par1", degenerate)
         # YW-T needs L >= 303 with period 3
         cfg = McConfig(model=model1_preset(), L=400, M=5, seed=2)
         rep = run_mc_study(cfg)
@@ -249,7 +251,7 @@ class TestBatchedReplicates:
         self, monkeypatch, boundedness_calls, preset
     ):
         """Replicates run in blocks, yet replicate i of the k-th alpha is
-        exactly simulate_par1 on substream (k, i); M spans two blocks."""
+        exactly a one-stream simulation on substream (k, i); M spans two blocks."""
         seen = _record_trajectories(monkeypatch)
         M = REPLICATE_BLOCK + 3
         cfg = McConfig(model=preset(), L=40, M=M, alphas=(1.4, 1.9),
@@ -262,7 +264,7 @@ class TestBatchedReplicates:
         for k, alpha in enumerate(cfg.alphas):
             model = replace(cfg.model, alpha=alpha)
             for i in range(M):
-                expected = simulate_par1(model, 40, base.substream(k, i), burn_in=12)
+                expected = one_path(model, 40, base.substream(k, i), burn_in=12)
                 assert np.array_equal(seen[k * M + i], expected.values), (k, i)
 
     def test_unbounded_model_raises_once(self, boundedness_calls):

@@ -17,7 +17,6 @@ from stablepar.par_model import (
     check_boundedness,
     g_product,
     simulate_par1,
-    simulate_replicates,
     theoretical_cv,
     theoretical_cv_diagonal,
     theoretical_phase_matrix,
@@ -32,7 +31,7 @@ from stablepar.stable import (
     signed_power,
 )
 
-from path_oracle import simulate_paths
+from path_oracle import one_path, simulate_paths
 
 
 def _diagonal_model(diags, alpha=1.5, weights=None):
@@ -184,7 +183,7 @@ class TestBoundedness:
         near = _diagonal_model([[1.0 - 1e-9, 0.5]])
         assert not check_boundedness(near).bounded
         with pytest.raises(UnboundedModelError, match="monodromy spectral radius"):
-            simulate_par1(near, 10, RandomStream(12))
+            one_path(near, 10, RandomStream(12))
 
     def test_model2_spectral_radius(self, model2):
         """The over-one-period coefficient product of the 3-D benchmark has
@@ -201,21 +200,21 @@ class TestBoundedness:
 
 class TestSimulate:
     def test_deterministic_given_stream(self, model1):
-        a = simulate_par1(model1, 300, RandomStream(9))
-        b = simulate_par1(model1, 300, RandomStream(9))
+        a = one_path(model1, 300, RandomStream(9))
+        b = one_path(model1, 300, RandomStream(9))
         assert np.array_equal(a.values, b.values)
 
     def test_shape_and_t0(self, model2):
-        traj = simulate_par1(model2, 250, RandomStream(10))
+        traj = one_path(model2, 250, RandomStream(10))
         assert traj.values.shape == (3, 250)
         assert traj.t0 == 1
 
     def test_refuses_unbounded_model(self):
         bad = _diagonal_model([[1.2]])
         with pytest.raises(UnboundedModelError):
-            simulate_par1(bad, 100, RandomStream(11))
+            one_path(bad, 100, RandomStream(11))
         # explicit override simulates anyway
-        traj = simulate_par1(bad, 100, RandomStream(11), allow_unbounded=True)
+        traj = one_path(bad, 100, RandomStream(11), allow_unbounded=True)
         assert traj.values.shape == (1, 100)
 
     def test_zero_coefficients_give_iid_noise(self):
@@ -227,7 +226,7 @@ class TestSimulate:
             alpha=1.8,
             noise=DiscreteSpectralMeasure.symmetric([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
         )
-        traj = simulate_par1(model, 5000, RandomStream(12))
+        traj = one_path(model, 5000, RandomStream(12))
         x = traj.values
         lag1 = np.mean(x[:, 1:] * x[:, :-1], axis=1) / np.mean(x**2, axis=1)
         assert np.all(np.abs(lag1) < 0.1)
@@ -237,7 +236,7 @@ class TestSimulate:
         Gaussian AR(1) with innovation variance 2 and lag-one
         autocorrelation theta."""
         ar = _diagonal_model([[0.5]], alpha=2.0)
-        x = simulate_par1(ar, 2 * 10**4, RandomStream(6)).values[0]
+        x = one_path(ar, 2 * 10**4, RandomStream(6)).values[0]
         rho = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert rho == pytest.approx(0.5, abs=0.05)
         assert x.var() == pytest.approx(2.0 / (1.0 - 0.25), rel=0.1)
@@ -246,7 +245,7 @@ class TestSimulate:
         """Consistency check at L = 10^6: every recovered coefficient within
         0.02 of the truth (heavy-tailed noise keeps shorter runs noisier
         than Gaussian intuition suggests)."""
-        traj = simulate_par1(model1, 10**6, RandomStream(1))
+        traj = one_path(model1, 10**6, RandomStream(1))
         est = yw_cv_estimate(traj, 3)
         dev = np.max(np.abs(np.stack(est.theta_hat) - np.stack(model1.theta)))
         assert dev < 0.02
@@ -275,7 +274,7 @@ class TestSimulateReplicates:
     def test_matches_reference_loop(self, preset, burn_in, request):
         model = request.getfixturevalue(preset)
         streams = [RandomStream(31).substream(i) for i in range(5)]
-        paths = simulate_replicates(model, 40, streams, burn_in=burn_in)
+        paths = simulate_par1(model, 40, streams, burn_in=burn_in)
         assert paths.shape == (5, model.dim, 40)
         n_burn = 50 * model.period if burn_in is None else burn_in
         noise = model.noise.folded()
@@ -288,9 +287,9 @@ class TestSimulateReplicates:
     def test_rows_equal_single_stream_runs(self, preset, request):
         model = request.getfixturevalue(preset)
         streams = [RandomStream(32).substream(0, i) for i in range(40)]
-        paths = simulate_replicates(model, 60, streams, burn_in=9)
+        paths = simulate_par1(model, 60, streams, burn_in=9)
         for i, rng in enumerate(streams):
-            assert np.array_equal(paths[i], simulate_par1(model, 60, rng, burn_in=9).values)
+            assert np.array_equal(paths[i], one_path(model, 60, rng, burn_in=9).values)
 
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_noise_has_the_measure_law(self, preset, request):
@@ -300,29 +299,29 @@ class TestSimulateReplicates:
         model = request.getfixturevalue(preset)
         zero = ParModel(model.period, [np.zeros((model.dim, model.dim))] * model.period,
                         model.alpha, model.noise)
-        z = simulate_replicates(zero, 10**5, [RandomStream(123).substream(4)], burn_in=0)[0]
+        z = simulate_par1(zero, 10**5, [RandomStream(123).substream(4)], burn_in=0)[0]
         grid = np.array(list(itertools.product((-2.0, 0.0, 2.0), repeat=model.dim)))
         dev = empirical_char_function(z.T, grid) - char_function(model.noise, model.alpha, grid)
         assert np.max(np.abs(dev)) <= 0.02
 
     def test_checks_boundedness_once_per_call(self, boundedness_calls, model1):
         calls = boundedness_calls
-        simulate_replicates(model1, 30, [RandomStream(33).substream(i) for i in range(8)])
+        simulate_par1(model1, 30, [RandomStream(33).substream(i) for i in range(8)])
         assert len(calls) == 1
         bad = _diagonal_model([[1.2]])
         with pytest.raises(UnboundedModelError):
-            simulate_replicates(bad, 30, [RandomStream(34).substream(i) for i in range(8)])
+            simulate_par1(bad, 30, [RandomStream(34).substream(i) for i in range(8)])
         assert len(calls) == 2
-        paths = simulate_replicates(
+        paths = simulate_par1(
             bad, 30, [RandomStream(34)], burn_in=0, allow_unbounded=True
         )
         assert len(calls) == 2 and paths.shape == (1, 1, 30)
 
     def test_input_validation(self, model1):
         with pytest.raises(ValueError, match="burn_in"):
-            simulate_replicates(model1, 30, [RandomStream(1)], burn_in=-1)
+            simulate_par1(model1, 30, [RandomStream(1)], burn_in=-1)
         with pytest.raises(ValueError, match="one period"):
-            simulate_replicates(model1, 2, [RandomStream(1)])
+            simulate_par1(model1, 2, [RandomStream(1)])
 
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_simulate_paths_matches_reference_loop(self, preset, request):

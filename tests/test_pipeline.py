@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from stablepar import pipeline
-from stablepar.estimators import EstimationResult, estimate_alpha
+from stablepar.estimators import EstimationResult, estimate, estimate_alpha
 from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
 from stablepar.par_model import (
     MultiTrajectory,
     ParModel,
-    simulate_par1,
+    check_boundedness,
     theoretical_cv,
 )
 from stablepar.pipeline import (
@@ -39,7 +39,7 @@ from stablepar.stable import (
     stable_quantile,
 )
 
-from path_oracle import simulate_paths
+from path_oracle import one_path, simulate_paths
 
 
 def _zero_det(model):
@@ -64,7 +64,7 @@ def _within_binomial_error(x, lines, q_arr, n_se=4.0):
 def observed_model1():
     """Model-1 trajectory plus a known trend and seasonal profile."""
     m1 = model1_preset()
-    traj = simulate_par1(m1, 2000, RandomStream(43))
+    traj = one_path(m1, 2000, RandomStream(43))
     t = np.arange(1, 2001)
     trend = np.vstack([1.0 + 0.002 * t, -0.5 + 0.0 * t])
     profile = np.array([[0.5, -0.3, -0.2], [1.0, 0.0, -1.0]])
@@ -203,7 +203,7 @@ class TestResiduals:
     def test_matches_per_step_loop(self, model1, t0):
         """Phase-by-phase residuals equal the per-step loop exactly, also
         when t0 is not 1 modulo the period."""
-        traj = simulate_par1(model1, 500, RandomStream(61))
+        traj = one_path(model1, 500, RandomStream(61))
         detrended = MultiTrajectory(values=traj.values, t0=t0)
         est = EstimationResult(
             theta_hat=tuple(th + 0.01 for th in model1.theta), method="YW-CV"
@@ -248,7 +248,7 @@ class TestBuildPredictiveModel:
         ``(sum_a gamma_a |s_{a,r}|^alpha)^(1/alpha)`` match each residual
         component's quantile-based scale (within 2.3 % at these seeds)."""
         for seed in range(1, 6):
-            fit = fit_model(simulate_par1(model1, 3000, RandomStream(seed)), 3)
+            fit = fit_model(one_path(model1, 3000, RandomStream(seed)), 3)
             noise, alpha = fit.model.noise, fit.model.alpha
             assert noise.is_symmetric(tol=1e-8), seed
             sigma = ((np.abs(noise.points) ** alpha).T @ noise.weights) ** (1.0 / alpha)
@@ -259,9 +259,9 @@ class TestBuildPredictiveModel:
         """The predictive index is the median of the residual indices,
         :func:`estimate_alpha` of the residuals; for two components that
         is their mean, so model1 keeps the clipped mean bit for bit."""
-        fit = fit_model(simulate_par1(model2, 2000, RandomStream(7)), 2)
+        fit = fit_model(one_path(model2, 2000, RandomStream(7)), 2)
         assert fit.model.alpha == estimate_alpha(fit.residuals)
-        fit = fit_model(simulate_par1(model1, 3000, RandomStream(7)), 3)
+        fit = fit_model(one_path(model1, 3000, RandomStream(7)), 3)
         alphas = [mcculloch_estimate(x).alpha for x in fit.residuals.values]
         assert fit.model.alpha == float(np.clip(np.mean(alphas), ALPHA_FLOOR, 2.0))
 
@@ -310,14 +310,14 @@ class TestFitModelEdges:
     def test_four_periods_fail_at_the_quantile_floor(self, model1):
         """L = 4T passes the estimator's floor, but the 11 residuals
         fall short of the 100 observations a quantile fit needs."""
-        traj = simulate_par1(model1, 12, RandomStream(0))
+        traj = one_path(model1, 12, RandomStream(0))
         with pytest.raises(DataError, match=r"\(L >= 101\), got L = 12$"):
             fit_model(traj, 3, "yw-cv")
 
     def test_quantile_floor_is_checked_before_estimating(self, model1, monkeypatch):
         """100 rows pass YW-CV's floor (4T = 12) but leave 99 residuals:
         the fit refuses them before it estimates anything."""
-        traj = simulate_par1(model1, 100, RandomStream(0))
+        traj = one_path(model1, 100, RandomStream(0))
 
         def no_estimate(*args, **kwargs):
             raise AssertionError("estimate called below the fit floor")
@@ -329,7 +329,7 @@ class TestFitModelEdges:
     def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):
         """Gaussian data pool to alpha-hat = 2, where the noise fit warns
         that its design is rank-deficient; the bands stay finite."""
-        traj = simulate_par1(dataclasses.replace(model1, alpha=2.0), 2000, RandomStream(2))
+        traj = one_path(dataclasses.replace(model1, alpha=2.0), 2000, RandomStream(2))
         with pytest.warns(UserWarning, match="rank-deficient"):
             fit = fit_model(traj, 3, "yw-cv")
         assert fit.model.alpha == 2.0
@@ -337,6 +337,46 @@ class TestFitModelEdges:
         lines = simulate_quantile_lines(fit.model, fit.deterministic, q, 30)
         one_step = one_step_quantiles(fit.model, fit.deterministic, traj, q)
         assert np.all(np.isfinite(lines.lines)) and np.all(np.isfinite(one_step.lines))
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.02])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_index_near_one_stays_finite(self, model1, alpha, seed):
+        """Near the Cauchy end both estimators give finite coefficients,
+        YW-T's pooled index stays just above the floor, and a YW-T fit
+        gives finite quantile lines."""
+        traj = one_path(dataclasses.replace(model1, alpha=alpha), 1200, RandomStream(seed))
+        assert np.all(np.isfinite(estimate(traj, 3, "yw-cv").theta_hat))
+        yw_t = estimate(traj, 3, "yw-t")
+        assert np.all(np.isfinite(yw_t.theta_hat))
+        assert ALPHA_FLOOR <= yw_t.alpha_used < 1.1
+        fit = fit_model(traj, 3, "yw-t")
+        lines = simulate_quantile_lines(fit.model, fit.deterministic, (0.05, 0.5, 0.95), 30)
+        assert np.all(np.isfinite(lines.lines))
+
+    @pytest.mark.filterwarnings("ignore:projection-scale system is rank-deficient")
+    @pytest.mark.parametrize("method", ["yw-cv", "yw-t"])
+    def test_near_unit_root_gives_bands_or_a_named_error(self, model1, method):
+        """A non-diagonal period-2 model with monodromy radius 0.99: a
+        fitted model may land past the unit circle, but every run ends in
+        finite bands from both builders or in a named error, never in a
+        NaN; at least one of three seeds gives bands."""
+        theta = [np.array([[0.5, 0.3], [0.2, 0.4]]), np.array([[1.2, -0.3], [0.4, 1.1]])]
+        rho = check_boundedness(ParModel(2, theta, 1.5, model1.noise)).spectral_radius
+        model = ParModel(2, [th * np.sqrt(0.99 / rho) for th in theta], 1.5, model1.noise)
+        assert check_boundedness(model).spectral_radius == pytest.approx(0.99, rel=1e-12)
+        q = (0.05, 0.5, 0.95)
+        banded = 0
+        for seed in (1, 2, 3):
+            traj = one_path(model, 3000, RandomStream(seed))
+            try:
+                fit = fit_model(traj, 2, method)
+                lines = simulate_quantile_lines(fit.model, fit.deterministic, q, 30)
+                one_step = one_step_quantiles(fit.model, fit.deterministic, traj, q)
+            except (UnboundedModelError, NumericalError):
+                continue
+            assert np.all(np.isfinite(lines.lines)) and np.all(np.isfinite(one_step.lines))
+            banded += 1
+        assert banded >= 1
 
 
 class TestQuantilePaths:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from stablepar.covariation import estimate_spectral_measure_2d
-from stablepar.exceptions import TableRangeError
+from stablepar.exceptions import DataError, TableRangeError
 from stablepar.rng import RandomStream
 from stablepar.stable import (
     ALPHA_FLOOR,
@@ -307,6 +307,21 @@ class TestMcculloch:
         assert q.alpha == pytest.approx(p.alpha, abs=1e-12)
         assert q.scale == pytest.approx(10.0 * p.scale, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_a_data_error(self, bad):
+        """One NaN or infinite value among 500 Cauchy draws is named as
+        such, not reported as an index outside (1, 2]."""
+        x = _cauchy_with(bad)
+        with pytest.raises(DataError, match="^sample holds non-finite values"):
+            mcculloch_estimate(x)
+
+
+def _cauchy_with(bad):
+    """500 Cauchy draws with ``bad`` at position 123."""
+    x = RandomStream(40).generator().standard_cauchy(500)
+    x[123] = bad
+    return x
+
 
 class TestStableCdf:
     def test_median_is_half(self):
@@ -513,6 +528,11 @@ class TestAdTest:
         x = RandomStream(11).generator().uniform(0.0, 1.0, size=1000)
         p = ad_stable_test(x, n_sims=100, rng=RandomStream(12))
         assert p < 0.05
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_a_data_error(self, bad):
+        with pytest.raises(DataError, match="^sample holds non-finite values"):
+            ad_stable_test(_cauchy_with(bad), n_sims=100, rng=RandomStream(41))
 
 
 class TestTailSeries:
