@@ -229,6 +229,10 @@ class DiagnosticsReport:
         )
 
 
+#: fewest residuals :func:`diagnose_residuals` screens
+MIN_DIAGNOSTIC_RESIDUALS = 200
+
+
 def diagnose_residuals(
     res: MultiTrajectory,
     h_max: int = 10,
@@ -243,10 +247,9 @@ def diagnose_residuals(
     curves over lags ``-h_max..h_max`` — for an adequate model these
     show no structure beyond lag 0.
     """
-    if res.length < 200:
-        raise DataError(
-            f"need at least 200 residuals for diagnostics, got {res.length}"
-        )
+    if res.length < MIN_DIAGNOSTIC_RESIDUALS:
+        raise DataError(f"need at least {MIN_DIAGNOSTIC_RESIDUALS} residuals "
+                        f"for diagnostics, got {res.length}")
     if rng is None:
         rng = RandomStream(0)
     comps = []
@@ -342,6 +345,14 @@ class FitResult:
     model: ParModel = field(repr=False)
 
 
+def _require_residuals(traj: MultiTrajectory, count: int, purpose: str) -> None:
+    """Refuse, before anything is fitted, a series whose residuals (one per
+    observation after the first) number fewer than ``count``."""
+    if traj.length - 1 < count:
+        raise DataError(f"fit needs {count} residuals for its {purpose} "
+                        f"(L >= {count + 1}), got L = {traj.length}")
+
+
 def fit_model(
     traj: MultiTrajectory,
     T: int,
@@ -358,9 +369,7 @@ def fit_model(
     A series of fewer than ``MIN_QUANTILE_OBS + 1`` rows, whose residuals
     are too few for a quantile fit, is a :class:`DataError` up front.
     """
-    if traj.length < MIN_QUANTILE_OBS + 1:
-        raise DataError(f"fit needs {MIN_QUANTILE_OBS} residuals for its quantile fits "
-                        f"(L >= {MIN_QUANTILE_OBS + 1}), got L = {traj.length}")
+    _require_residuals(traj, MIN_QUANTILE_OBS, "quantile fits")
     det, detrended = fit_deterministic(traj, T)
     result = estimate(detrended, T, method, alpha=alpha)
     residuals = residuals_from_estimate(detrended, result)
@@ -386,7 +395,16 @@ def fit_par1(
 ) -> FitResult:
     """Full pipeline: :func:`fit_model` followed by
     :func:`diagnose_residuals` on its residuals (``h_max``, ``n_sims``
-    and ``rng`` go to the diagnostics)."""
+    and ``rng`` go to the diagnostics).
+
+    The residuals run along the whole series, one per observation after
+    the first, whatever phase it starts in.  A series of fewer than
+    ``MIN_DIAGNOSTIC_RESIDUALS + 1`` rows leaves too few for the
+    diagnostics and is a :class:`DataError` before anything is fitted
+    (one that names :func:`fit_model`'s floor when it is below that too).
+    """
+    _require_residuals(traj, MIN_QUANTILE_OBS, "quantile fits")
+    _require_residuals(traj, MIN_DIAGNOSTIC_RESIDUALS, "diagnostics")
     fit = fit_model(traj, T, method=method, alpha=alpha)
     fit.diagnostics = diagnose_residuals(
         fit.residuals, h_max=h_max, n_sims=n_sims, rng=rng
@@ -450,6 +468,9 @@ def _bands(center, sigma, alpha: float, q_list, t0: int) -> QuantilePaths:
     q_arr = np.asarray(sorted(float(q) for q in q_list))
     if q_arr.size == 0 or np.any((q_arr <= 0) | (q_arr >= 1)):
         raise ValueError("quantile orders must lie strictly between 0 and 1")
+    repeated = q_arr[1:][np.diff(q_arr) == 0]
+    if repeated.size:
+        raise ValueError(f"quantile order {repeated[0]:g} is given more than once")
     unit = StableParams(alpha, 1.0)
     z_q = np.array([stable_quantile(unit, q) for q in q_arr])
     lines = center[None] + z_q[:, None, None] * sigma[None]

@@ -194,11 +194,18 @@ def signed_power(x, a):
     return out
 
 
-def _sample_standard_sas(alpha: float, size, gen: np.random.Generator):
-    """Standard (unit-scale) SaS draws via the trigonometric construction
-    of Chambers, Mallows and Stuck (symmetric case, alpha in (1, 2])."""
+def _sas_draws(gen: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms on (-pi/2, pi/2), then the standard exponentials, that
+    :func:`_cms` turns into standard SaS draws of shape ``size``."""
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     e = gen.standard_exponential(size=size)
+    return u, e
+
+
+def _cms(u: np.ndarray, e: np.ndarray, alpha: float) -> np.ndarray:
+    """Standard (unit-scale) SaS draws from :func:`_sas_draws` via the
+    trigonometric construction of Chambers, Mallows and Stuck (symmetric
+    case, alpha in (1, 2]), element by element for any shape."""
     return (
         np.sin(alpha * u)
         / np.cos(u) ** (1.0 / alpha)
@@ -214,8 +221,7 @@ def sample_sas_1d(params: StableParams, n: int, rng: RandomStream) -> np.ndarray
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = rng.generator()
-    return params.scale * _sample_standard_sas(params.alpha, n, gen)
+    return params.scale * _cms(*_sas_draws(rng.generator(), n), params.alpha)
 
 
 def sample_stable_vector(
@@ -237,8 +243,7 @@ def sample_stable_vector(
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = rng.generator()
-    w = _sample_standard_sas(alpha, (n, measure.n_atoms), gen)
+    w = _cms(*_sas_draws(rng.generator(), (n, measure.n_atoms)), alpha)
     return (w * measure.weights ** (1.0 / alpha)) @ measure.points
 
 
@@ -331,33 +336,42 @@ def mcculloch_estimate(sample) -> StableParams:
         If the quantile ratio exceeds ``NU_MAX`` (heavier tails than
         alpha = 0.6) or the interquartile range vanishes.
     """
-    return _mcculloch_sorted(np.sort(np.asarray(sample, dtype=float).ravel()))
+    alpha, scale = _mcculloch_sorted(np.sort(np.asarray(sample, dtype=float).ravel()))
+    return StableParams(alpha=float(alpha), scale=float(scale))
 
 
-def _mcculloch_sorted(x: np.ndarray) -> StableParams:
-    """:func:`mcculloch_estimate` of a sorted 1-D float sample."""
-    if x.size < MIN_QUANTILE_OBS:
+def _mcculloch_sorted(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mcculloch_estimate` of every sample of ``x``, sorted along its
+    last axis: ``(alpha, scale)`` arrays of shape ``x.shape[:-1]``.  When
+    samples fail, the first of them in C order raises the error its own
+    fit would raise."""
+    n = x.shape[-1]
+    if n < MIN_QUANTILE_OBS:
         raise DataError(f"need at least {MIN_QUANTILE_OBS} observations "
-                        f"for quantile estimation, got {x.size}")
+                        f"for quantile estimation, got {n}")
     # NaN sorts last and -inf, inf to the ends, so the ends tell
-    if not (np.isfinite(x[0]) and np.isfinite(x[-1])):
-        raise DataError("sample holds non-finite values (NaN or infinite); "
-                        "quantile estimation needs finite data")
-    q05, q25, q75, q95 = sorted_quantiles(x, (0.05, 0.25, 0.75, 0.95))
-    iqr = q75 - q25
-    if iqr <= 0.0:
-        raise TableRangeError("interquartile range is zero; degenerate sample")
-    nu = (q95 - q05) / iqr
-    if nu > NU_MAX:
+    finite = np.isfinite(x[..., 0]) & np.isfinite(x[..., -1])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        q05, q25, q75, q95 = sorted_quantiles(x, (0.05, 0.25, 0.75, 0.95))
+        iqr = q75 - q25
+        nu = (q95 - q05) / iqr
+    bad = ~finite | (iqr <= 0.0) | (nu > NU_MAX)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if not finite.flat[k]:
+            raise DataError("sample holds non-finite values (NaN or infinite); "
+                            "quantile estimation needs finite data")
+        if iqr.flat[k] <= 0.0:
+            raise TableRangeError("interquartile range is zero; degenerate sample")
         raise TableRangeError(
-            f"quantile ratio {nu:.3f} beyond nu(0.6) = {NU_MAX:.3f}; "
+            f"quantile ratio {nu.flat[k]:.3f} beyond nu(0.6) = {NU_MAX:.3f}; "
             "tails too heavy to invert"
         )
     # np.interp clamps: nu <= nu(2) reads 2, and nu >= nu(1) reads 1,
-    # which the floor lifts.
-    _, _, nu_rising, alpha_falling = _quantile_functionals()
-    alpha_hat = max(float(np.interp(nu, nu_rising, alpha_falling)), ALPHA_FLOOR)
-    return StableParams(alpha=alpha_hat, scale=float(iqr) / iqr_constant(alpha_hat))
+    # which the floor lifts.  The scale divides by iqr_constant's read.
+    alpha_grid, c, nu_rising, alpha_falling = _quantile_functionals()
+    alpha_hat = np.maximum(np.interp(nu, nu_rising, alpha_falling), ALPHA_FLOOR)
+    return alpha_hat, iqr / np.interp(alpha_hat, alpha_grid, c)
 
 
 def iqr_constant(alpha: float) -> float:
@@ -588,31 +602,44 @@ def _gof_table() -> np.ndarray:
 
 def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
     """Anderson-Darling statistic of a sample against the fitted law."""
-    return _ad_sorted(np.sort(np.asarray(sample, dtype=float)), params)
+    x = np.sort(np.asarray(sample, dtype=float))
+    return float(_ad_sorted(x, params.alpha, params.scale))
 
 
-def _ad_sorted(x: np.ndarray, params: StableParams) -> float:
-    """:func:`_ad_statistic` of a sorted sample."""
-    n = x.size
-    z = x / params.scale
-    # G(|z|) by linear interpolation in asinh z and in alpha
-    a = min(max(params.alpha, _GOF_ALPHAS[0]), _GOF_ALPHAS[-1])
-    ia = min(int(np.searchsorted(_GOF_ALPHAS, a, side="right") - 1), len(_GOF_ALPHAS) - 2)
-    frac = (a - _GOF_ALPHAS[ia]) / (_GOF_ALPHAS[ia + 1] - _GOF_ALPHAS[ia])
+def _ad_sorted(x: np.ndarray, alpha, scale) -> np.ndarray:
+    """:func:`_ad_statistic` of every sample of ``x``, sorted along its last
+    axis, against SaS(alpha, scale) with one ``alpha`` and ``scale`` per
+    sample: an array of shape ``x.shape[:-1]``."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    a = np.clip(np.ravel(alpha), _GOF_ALPHAS[0], _GOF_ALPHAS[-1])
+    z = rows / np.ravel(scale)[:, None]
+    # G(|z|) by linear interpolation in asinh z and in alpha, per table cell
+    cell = np.minimum(np.searchsorted(_GOF_ALPHAS, a, side="right") - 1,
+                      len(_GOF_ALPHAS) - 2)
+    frac = (a - _GOF_ALPHAS[cell]) / (_GOF_ALPHAS[cell + 1] - _GOF_ALPHAS[cell])
     table = _gof_table()
     az = np.abs(z)
+    zi = np.arcsinh(az)
     g = np.empty_like(az)
-    inside = az < _GOF_Z_MAX
-    zi = np.arcsinh(az[inside])
-    lo = np.interp(zi, _GOF_Z_ASINH, table[ia])
-    hi = np.interp(zi, _GOF_Z_ASINH, table[ia + 1])
-    g[inside] = (1.0 - frac) * lo + frac * hi
-    if not inside.all():
-        g[~inside] = 0.5 - _tail_upper_prob(az[~inside], a)
+    for ia in np.unique(cell):
+        same = np.flatnonzero(cell == ia)
+        lo = np.interp(zi[same], _GOF_Z_ASINH, table[ia])
+        hi = np.interp(zi[same], _GOF_Z_ASINH, table[ia + 1])
+        f = frac[same, None]
+        g[same] = (1.0 - f) * lo + f * hi
+    # past _GOF_Z_MAX the power-tail series, row by row at its own alpha
+    tail = az >= _GOF_Z_MAX
+    for r in np.flatnonzero(tail.any(axis=1)):
+        g[r, tail[r]] = 0.5 - _tail_upper_prob(az[r, tail[r]], float(a[r]))
     u = np.clip(0.5 + np.sign(z) * g, 1e-15, 1.0 - 1e-15)
     i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
-    return float(-n - s / n)
+    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[:, ::-1])), axis=-1)
+    return (-n - s / n).reshape(x.shape[:-1])
+
+
+#: most simulated values in one bootstrap block (512 KB of float64)
+_GOF_BLOCK = 2**16
 
 
 def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
@@ -626,24 +653,39 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
     the fraction of simulated statistics at least as large as the
     observed one.
 
+    Replicate k is ``sample_sas_1d(fitted, n, rng.substream(k))``, so its
+    draws do not depend on how the replicates are grouped.  They run in
+    blocks of ``_GOF_BLOCK // n`` rows (at least one): each row draws from
+    its own substream, then one CMS transform, one in-place row sort, one
+    quantile fit and one statistic serve the whole block.  Every
+    statistic is bit for bit the one a replicate computed alone.
+
     Raises
     ------
     DataError
         If ``n_sims < 100``, or the sample is too short to fit or holds a
         non-finite value (see :func:`mcculloch_estimate`).
     TableRangeError
-        Propagated from the quantile fit.
+        Propagated from the quantile fit; among failing replicates, the
+        lowest k raises.
     """
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
     # Each sample is sorted once and shared by its quantile fit and its
     # statistic.
     x = np.sort(np.asarray(sample, dtype=float).ravel())
-    params = _mcculloch_sorted(x)
-    observed = _ad_sorted(x, params)
+    alpha, scale = _mcculloch_sorted(x)
+    observed = _ad_sorted(x, alpha, scale)
+    n = x.size
+    rows = max(1, _GOF_BLOCK // n)
     exceed = 0
-    for k in range(n_sims):
-        sim = np.sort(sample_sas_1d(params, x.size, rng.substream(k)))
-        if _ad_sorted(sim, _mcculloch_sorted(sim)) >= observed:
-            exceed += 1
+    for start in range(0, n_sims, rows):
+        ks = range(start, min(start + rows, n_sims))
+        u = np.empty((len(ks), n))
+        e = np.empty_like(u)
+        for r, k in enumerate(ks):
+            u[r], e[r] = _sas_draws(rng.substream(k).generator(), n)
+        sim = scale * _cms(u, e, float(alpha))
+        sim.sort(axis=-1)
+        exceed += int(np.count_nonzero(_ad_sorted(sim, *_mcculloch_sorted(sim)) >= observed))
     return exceed / n_sims

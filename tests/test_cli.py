@@ -511,6 +511,28 @@ class TestFitFamily:
         assert rc == 2
         assert "(L >= 101), got L = 12" in capsys.readouterr().err
 
+    def test_fit_below_the_diagnostic_floor_exits_2(self, sim_csv, tmp_path, capsys):
+        """150 rows clear the quantile floor but leave 149 residuals, below
+        the 200 the diagnostics screen: exit 2 with no artifacts."""
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(sim_csv.read_text().splitlines()[:151]) + "\n")
+        out = tmp_path / "a"
+        rc = main(["fit", str(short), "--period", "3", "--out", str(out)])
+        assert rc == 2
+        assert "(L >= 201), got L = 150" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_quantile_order_exits_2(self, sim_csv, tmp_path, capsys):
+        cfg = tmp_path / "q.yaml"
+        cfg.write_text("quantiles: [0.9, 0.5, 0.9]\n")
+        for cmd in ("one-step", "quantile-lines"):
+            out = tmp_path / f"{cmd}.csv"
+            rc = main([cmd, str(sim_csv), "--period", "3",
+                       "--config", str(cfg), "--out", str(out)])
+            assert rc == 2
+            assert "quantile order 0.9 is given more than once" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(
             ["fit", str(tmp_path / "none.csv"), "--period", "3",

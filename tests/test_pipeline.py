@@ -326,6 +326,31 @@ class TestFitModelEdges:
         with pytest.raises(DataError, match=r"\(L >= 101\), got L = 100$"):
             fit_model(traj, 3, "yw-cv")
 
+    @pytest.mark.parametrize("t0", [1, 2])
+    @pytest.mark.parametrize("L", [150, 200])
+    def test_diagnostic_floor_is_checked_before_estimating(
+        self, model1, monkeypatch, L, t0
+    ):
+        """``fit_par1`` leaves L - 1 residuals, from whatever phase the
+        series starts in; below MIN_DIAGNOSTIC_RESIDUALS it refuses the
+        series before it estimates anything."""
+        traj = one_path(model1, L, RandomStream(0))
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimate called below the fit floor")
+
+        monkeypatch.setattr(pipeline, "estimate", no_estimate)
+        with pytest.raises(DataError, match=rf"\(L >= 201\), got L = {L}$"):
+            fit_par1(MultiTrajectory(traj.values, t0=t0), 3, n_sims=100)
+
+    @pytest.mark.parametrize("t0", [1, 2])
+    def test_diagnostic_floor_admits_201_rows(self, model1, t0):
+        assert pipeline.MIN_DIAGNOSTIC_RESIDUALS == 200
+        traj = one_path(model1, 201, RandomStream(0))
+        fit = fit_par1(MultiTrajectory(traj.values, t0=t0), 3, n_sims=100)
+        assert fit.residuals.length == 200
+        assert len(fit.diagnostics.components) == 2
+
     def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):
         """Gaussian data pool to alpha-hat = 2, where the noise fit warns
         that its design is rank-deficient; the bands stay finite."""
@@ -443,6 +468,16 @@ class TestSimulateQuantileLines:
                 simulate_quantile_lines(model1, det, q_list=q_list, L=5)
         with pytest.raises(ValueError):
             simulate_quantile_lines(model1, det, q_list=[0.5], L=0)
+
+    def test_repeated_orders_are_refused(self, model1, observed_model1):
+        """Both band builders refuse an order given twice, which would
+        write two identical columns."""
+        det = _zero_det(model1)
+        with pytest.raises(ValueError, match="^quantile order 0.9 is given more than once$"):
+            simulate_quantile_lines(model1, det, q_list=[0.9, 0.5, 0.9], L=5)
+        traj = MultiTrajectory(observed_model1[1].values[:, :50])
+        with pytest.raises(ValueError, match="^quantile order 0.25 is given more than once$"):
+            one_step_quantiles(model1, det, traj, q_list=[0.25, 0.75, 0.25])
 
     @pytest.mark.parametrize("L", [20, 4000])
     def test_unbounded_model_is_named(self, L):

@@ -16,12 +16,16 @@ from stablepar.stable import (
     ALPHA_FLOOR,
     NU_MAX,
     _GOF_ALPHAS,
+    _GOF_BLOCK,
+    _GOF_Z_MAX,
     _GOF_Z_ASINH,
     DiscreteSpectralMeasure,
     StableParams,
+    _ad_sorted,
     _ad_statistic,
     _gof_table,
     _inversion,
+    _mcculloch_sorted,
     _quantile_functionals,
     ad_stable_test,
     char_function,
@@ -117,6 +121,27 @@ class TestSamplers:
         a = sample_sas_1d(p, 100, rng)
         b = sample_sas_1d(p, 100, rng)
         assert np.array_equal(a, b)
+
+    def test_draws_are_the_cms_formula_on_the_stream(self):
+        """Both samplers are the Chambers-Mallows-Stuck expression on the
+        stream's uniforms, then its exponentials, bit for bit: a
+        ``(seed, path)`` pair keeps its draws."""
+        def cms(alpha, size, rng):
+            gen = rng.generator()
+            u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+            e = gen.standard_exponential(size=size)
+            return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+                    * (np.cos(u - alpha * u) / e) ** ((1.0 - alpha) / alpha))
+
+        rng = RandomStream(123).substream(7)
+        for alpha in (1.05, 1.5, 2.0):
+            got = sample_sas_1d(StableParams(alpha, 1.7), 2999, rng)
+            assert np.array_equal(got, 1.7 * cms(alpha, 2999, rng))
+        md = DiscreteSpectralMeasure(
+            [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]], [0.3, 0.5, 0.2])
+        got = sample_stable_vector(md, 1.7, 501, rng)
+        w = cms(1.7, (501, 3), rng)
+        assert np.array_equal(got, (w * md.weights ** (1.0 / 1.7)) @ md.points)
 
     def test_gaussian_case_variance(self):
         # alpha = 2 is Gaussian with variance 2 * scale^2
@@ -522,6 +547,60 @@ class TestAdTest:
             sim = sample_sas_1d(params, x.size, rng.substream(k))
             exceed += _ad_statistic(sim, mcculloch_estimate(sim)) >= observed
         assert ad_stable_test(x, n_sims=100, rng=rng) == exceed / 100
+
+    @pytest.mark.parametrize("alpha", [1.05, 2.0])
+    def test_blocks_match_the_public_path_per_replicate(self, alpha):
+        """At n = 600 a block holds 109 replicates, so 250 make two full
+        blocks and a short one of 32.  The p-value is still the count from
+        ``sample_sas_1d``, ``mcculloch_estimate`` and ``_ad_statistic`` on
+        each ``rng.substream(k)``, and the vectorized fit and statistic
+        give every replicate's values bit for bit.  At alpha 1.05 fits
+        clip to ALPHA_FLOOR in the table's first cell and every replicate
+        has points past _GOF_Z_MAX; at 2.0 fits clip to the last edge."""
+        n, n_sims = 600, 250
+        assert 2 * (_GOF_BLOCK // n) < n_sims < 3 * (_GOF_BLOCK // n)
+        x = sample_sas_1d(StableParams(alpha, 2.0), n, RandomStream(0).substream(0))
+        rng = RandomStream(0).substream(1)
+        params = mcculloch_estimate(x)
+        observed = _ad_statistic(x, params)
+        sims, fits, stats = [], [], []
+        for k in range(n_sims):
+            sims.append(sample_sas_1d(params, n, rng.substream(k)))
+            fits.append(mcculloch_estimate(sims[-1]))
+            stats.append(_ad_statistic(sims[-1], fits[-1]))
+        stats = np.array(stats)
+        assert ad_stable_test(x, n_sims=n_sims, rng=rng) == np.mean(stats >= observed)
+
+        block = np.sort(np.stack(sims), axis=-1)
+        alphas, scales = _mcculloch_sorted(block)
+        assert np.array_equal(alphas, [f.alpha for f in fits])
+        assert np.array_equal(scales, [f.scale for f in fits])
+        assert np.array_equal(_ad_sorted(block, alphas, scales), stats)
+        tail_rows = np.any(np.abs(block) >= _GOF_Z_MAX * scales[:, None], axis=1)
+        if alpha == 2.0:
+            assert np.sum(alphas == 2.0) > 20 and tail_rows.any()
+        else:
+            assert np.sum(alphas == ALPHA_FLOOR) > 20 and tail_rows.all()
+
+    def test_failing_row_of_a_block_raises_its_own_error(self):
+        """The vectorized fit raises the error of the lowest failing row,
+        with the text that row's one-sample fit raises."""
+        gen = RandomStream(43).generator()
+        good = np.sort(gen.standard_cauchy(101))
+        flat = np.sort(np.r_[np.zeros(80), gen.standard_cauchy(21)])
+        heavy = _sample_with_quartiles(1.0, 2.0 * NU_MAX)
+        with pytest.raises(TableRangeError) as one_row:
+            mcculloch_estimate(flat)
+        with pytest.raises(TableRangeError) as block:
+            _mcculloch_sorted(np.stack([good, flat, heavy, good]))
+        assert str(block.value) == str(one_row.value)
+        assert str(block.value).startswith("interquartile range is zero")
+        with pytest.raises(TableRangeError, match="^quantile ratio"):
+            _mcculloch_sorted(np.stack([good, heavy, flat]))
+        bad = good.copy()
+        bad[-1] = np.nan
+        with pytest.raises(DataError, match="^sample holds non-finite values"):
+            _mcculloch_sorted(np.stack([good, good, bad, flat]))
 
     def test_rejects_clearly_non_stable_data(self):
         # uniform on [0, 1] is nowhere near any symmetric stable law
