@@ -614,24 +614,22 @@ def _ad_sorted(x: np.ndarray, alpha, scale) -> np.ndarray:
     rows = x.reshape(-1, n)
     a = np.clip(np.ravel(alpha), _GOF_ALPHAS[0], _GOF_ALPHAS[-1])
     z = rows / np.ravel(scale)[:, None]
-    # G(|z|) by linear interpolation in asinh z and in alpha, per table cell
     cell = np.minimum(np.searchsorted(_GOF_ALPHAS, a, side="right") - 1,
                       len(_GOF_ALPHAS) - 2)
     frac = (a - _GOF_ALPHAS[cell]) / (_GOF_ALPHAS[cell + 1] - _GOF_ALPHAS[cell])
     table = _gof_table()
     az = np.abs(z)
     zi = np.arcsinh(az)
-    g = np.empty_like(az)
-    for ia in np.unique(cell):
-        same = np.flatnonzero(cell == ia)
-        lo = np.interp(zi[same], _GOF_Z_ASINH, table[ia])
-        hi = np.interp(zi[same], _GOF_Z_ASINH, table[ia + 1])
-        f = frac[same, None]
-        g[same] = (1.0 - f) * lo + f * hi
-    # past _GOF_Z_MAX the power-tail series, row by row at its own alpha
     tail = az >= _GOF_Z_MAX
-    for r in np.flatnonzero(tail.any(axis=1)):
-        g[r, tail[r]] = 0.5 - _tail_upper_prob(az[r, tail[r]], float(a[r]))
+    g = np.empty_like(az)
+    for r, (ia, f) in enumerate(zip(cell, frac)):
+        # G(|z|) by linear interpolation in asinh z and in alpha, and past
+        # _GOF_Z_MAX by the power-tail series at the row's own alpha
+        lo = np.interp(zi[r], _GOF_Z_ASINH, table[ia])
+        hi = np.interp(zi[r], _GOF_Z_ASINH, table[ia + 1])
+        g[r] = (1.0 - f) * lo + f * hi
+        if tail[r].any():
+            g[r, tail[r]] = 0.5 - _tail_upper_prob(az[r, tail[r]], float(a[r]))
     u = np.clip(0.5 + np.sign(z) * g, 1e-15, 1.0 - 1e-15)
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[:, ::-1])), axis=-1)
