@@ -233,6 +233,14 @@ class DiagnosticsReport:
 MIN_DIAGNOSTIC_RESIDUALS = 200
 
 
+def _check_h_max(h_max: int, residuals: int) -> None:
+    """Refuse a lag range the dependence curves cannot span: every lag in
+    ``-h_max..h_max`` must be smaller in size than the residual count."""
+    if not 0 <= h_max < residuals:
+        raise ValueError(f"h_max must lie in [0, {residuals - 1}] for "
+                         f"{residuals} residuals, got {h_max}")
+
+
 def diagnose_residuals(
     res: MultiTrajectory,
     h_max: int = 10,
@@ -243,13 +251,17 @@ def diagnose_residuals(
 
     Per component: quantile-based (alpha, scale) fit and a parametric
     bootstrap goodness-of-fit p-value with ``n_sims`` simulations.
+    ``n_sims`` is the bootstrap's cap: it stops early at its
+    ``_GOF_EXCEEDANCES``-th exceedance (see :func:`ad_stable_test`).
     Dependence is screened by normalized auto- and cross-covariation
     curves over lags ``-h_max..h_max`` — for an adequate model these
-    show no structure beyond lag 0.
+    show no structure beyond lag 0.  An ``h_max`` outside
+    ``[0, res.length)`` is a ``ValueError`` before any bootstrap runs.
     """
     if res.length < MIN_DIAGNOSTIC_RESIDUALS:
         raise DataError(f"need at least {MIN_DIAGNOSTIC_RESIDUALS} residuals "
                         f"for diagnostics, got {res.length}")
+    _check_h_max(h_max, res.length)
     if rng is None:
         rng = RandomStream(0)
     comps = []
@@ -402,9 +414,11 @@ def fit_par1(
     ``MIN_DIAGNOSTIC_RESIDUALS + 1`` rows leaves too few for the
     diagnostics and is a :class:`DataError` before anything is fitted
     (one that names :func:`fit_model`'s floor when it is below that too).
+    So is, as a ``ValueError``, an ``h_max`` outside ``[0, L - 1)``.
     """
     _require_residuals(traj, MIN_QUANTILE_OBS, "quantile fits")
     _require_residuals(traj, MIN_DIAGNOSTIC_RESIDUALS, "diagnostics")
+    _check_h_max(h_max, traj.length - 1)
     fit = fit_model(traj, T, method=method, alpha=alpha)
     fit.diagnostics = diagnose_residuals(
         fit.residuals, h_max=h_max, n_sims=n_sims, rng=rng

@@ -638,6 +638,8 @@ def _ad_sorted(x: np.ndarray, alpha, scale) -> np.ndarray:
 
 #: most simulated values in one bootstrap block (512 KB of float64)
 _GOF_BLOCK = 2**16
+#: exceedances at which the bootstrap stops (h of the sequential p-value)
+_GOF_EXCEEDANCES = 10
 
 
 def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
@@ -645,18 +647,30 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
 
     Fits ``(alpha, scale)`` to the sample by quantiles, computes the
     Anderson-Darling distance to the fitted distribution, then simulates
-    ``n_sims`` samples of the same length from the fitted law, re-fitting
-    the parameters on each replicate before computing its statistic
-    (parametric bootstrap with re-estimation).  The returned p-value is
-    the fraction of simulated statistics at least as large as the
-    observed one.
+    samples of the same length from the fitted law, re-fitting the
+    parameters on each replicate before computing its statistic
+    (parametric bootstrap with re-estimation).
+
+    The p-value is sequential (Besag & Clifford 1991, "Sequential Monte
+    Carlo p-values", Biometrika 78): the bootstrap stops at the replicate
+    l whose statistic is the h-th, ``h = _GOF_EXCEEDANCES``, at least as
+    large as the observed one, and returns ``h / l``.  ``n_sims`` is a
+    cap: if fewer than h replicates exceed by then, the p-value is the
+    fraction ``exceed / n_sims`` of the full count.  Either way it is a
+    valid Monte Carlo p-value.  Since ``h / l >= h / n_sims`` and
+    ``exceed / n_sims < h / n_sims``, the p-value is below ``h / n_sims``
+    exactly when fewer than h of the ``n_sims`` replicates would exceed:
+    with h = 10 and ``n_sims`` = 200 every 5 %-level decision is the one
+    the full count gives.
 
     Replicate k is ``sample_sas_1d(fitted, n, rng.substream(k))``, so its
     draws do not depend on how the replicates are grouped.  They run in
     blocks of ``_GOF_BLOCK // n`` rows (at least one): each row draws from
     its own substream, then one CMS transform, one in-place row sort, one
     quantile fit and one statistic serve the whole block.  Every
-    statistic is bit for bit the one a replicate computed alone.
+    statistic is bit for bit the one a replicate computed alone.  The
+    stop is found by row, not by block, so the p-value does not depend
+    on ``_GOF_BLOCK``.
 
     Raises
     ------
@@ -664,8 +678,9 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
         If ``n_sims < 100``, or the sample is too short to fit or holds a
         non-finite value (see :func:`mcculloch_estimate`).
     TableRangeError
-        Propagated from the quantile fit; among failing replicates, the
-        lowest k raises.
+        Propagated from the quantile fit.  Every row of a block that runs
+        is fitted, so among the failing rows of that block the lowest k
+        raises, even one past the stopping replicate.
     """
     if n_sims < 100:
         raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
@@ -685,5 +700,8 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
             u[r], e[r] = _sas_draws(rng.substream(k).generator(), n)
         sim = scale * _cms(u, e, float(alpha))
         sim.sort(axis=-1)
-        exceed += int(np.count_nonzero(_ad_sorted(sim, *_mcculloch_sorted(sim)) >= observed))
+        hits = np.flatnonzero(_ad_sorted(sim, *_mcculloch_sorted(sim)) >= observed)
+        if exceed + hits.size >= _GOF_EXCEEDANCES:
+            return _GOF_EXCEEDANCES / (start + int(hits[_GOF_EXCEEDANCES - exceed - 1]) + 1)
+        exceed += hits.size
     return exceed / n_sims

@@ -522,6 +522,20 @@ class TestFitFamily:
         assert "(L >= 201), got L = 150" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("h_max", [-1, 5000])
+    def test_out_of_range_h_max_exits_2(self, sim_csv, tmp_path, capsys, h_max):
+        """1500 rows leave 1499 residuals: an h_max outside [0, 1498]
+        exits 2 before the fit, with no artifacts."""
+        cfg = tmp_path / "h.yaml"
+        cfg.write_text(f"h_max: {h_max}\n")
+        out = tmp_path / "a"
+        rc = main(["fit", str(sim_csv), "--period", "3", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"h_max must lie in [0, 1498] for 1499 residuals, got {h_max}" in err
+        assert not out.exists()
+
     def test_repeated_quantile_order_exits_2(self, sim_csv, tmp_path, capsys):
         cfg = tmp_path / "q.yaml"
         cfg.write_text("quantiles: [0.9, 0.5, 0.9]\n")

@@ -293,7 +293,8 @@ class TestFitPar1:
     def test_is_model_fit_plus_diagnostics(self, observed_model1, method):
         """Splitting off fit_model changes nothing: same coefficients and
         model, and the bootstrap p-values pinned at this seed (pinned again
-        when the noise sampler folded its mirror atoms)."""
+        when the noise sampler folded its mirror atoms, and when the
+        bootstrap began to stop at its tenth exceedance)."""
         _, obs = observed_model1
         fr = fit_par1(obs, 3, method=method, n_sims=100, rng=RandomStream(44))
         fm = fit_model(obs, 3, method=method)
@@ -303,7 +304,7 @@ class TestFitPar1:
         diag = diagnose_residuals(fm.residuals, n_sims=100, rng=RandomStream(44))
         assert fr.diagnostics.table_rows() == diag.table_rows()
         p_values = [c.ad_p_value for c in fr.diagnostics.components]
-        assert p_values == {"yw-cv": [0.95, 0.5], "yw-t": [0.96, 0.68]}[method]
+        assert p_values == {"yw-cv": [10 / 11, 10 / 20], "yw-t": [10 / 11, 10 / 19]}[method]
 
 
 class TestFitModelEdges:
@@ -350,6 +351,32 @@ class TestFitModelEdges:
         fit = fit_par1(MultiTrajectory(traj.values, t0=t0), 3, n_sims=100)
         assert fit.residuals.length == 200
         assert len(fit.diagnostics.components) == 2
+
+    @pytest.mark.parametrize("h_max", [-1, 200, 5000])
+    def test_h_max_is_checked_before_estimating(self, model1, monkeypatch, h_max):
+        """201 rows leave 200 residuals, so the lags -h_max..h_max fit only
+        for h_max in [0, 199]: ``fit_par1`` refuses any other before it
+        estimates anything, and ``diagnose_residuals`` before its
+        bootstrap."""
+        traj = one_path(model1, 201, RandomStream(0))
+        residuals = fit_model(traj, 3, "yw-cv").residuals
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("called with an out-of-range h_max")
+
+        monkeypatch.setattr(pipeline, "estimate", no_call)
+        monkeypatch.setattr(pipeline, "ad_stable_test", no_call)
+        message = rf"^h_max must lie in \[0, 199\] for 200 residuals, got {h_max}$"
+        with pytest.raises(ValueError, match=message):
+            fit_par1(traj, 3, h_max=h_max, n_sims=100)
+        with pytest.raises(ValueError, match=message):
+            diagnose_residuals(residuals, h_max=h_max, n_sims=100)
+
+    def test_h_max_admits_one_less_than_the_residuals(self, model1):
+        traj = one_path(model1, 201, RandomStream(0))
+        fit = fit_par1(traj, 3, h_max=199, n_sims=100)
+        assert fit.diagnostics.lags.tolist() == list(range(-199, 200))
+        assert all(np.all(np.isfinite(c)) for c in fit.diagnostics.auto_ncv.values())
 
     def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):
         """Gaussian data pool to alpha-hat = 2, where the noise fit warns

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from stablepar import stable
 from stablepar.covariation import estimate_spectral_measure_2d
 from stablepar.exceptions import DataError, TableRangeError
 from stablepar.rng import RandomStream
@@ -17,6 +18,7 @@ from stablepar.stable import (
     NU_MAX,
     _GOF_ALPHAS,
     _GOF_BLOCK,
+    _GOF_EXCEEDANCES,
     _GOF_Z_MAX,
     _GOF_Z_ASINH,
     DiscreteSpectralMeasure,
@@ -526,6 +528,34 @@ class TestStableQuantile:
                 stable_quantile(StableParams(1.5, 1.0), q)
 
 
+def _sequential_p(stats, observed) -> float:
+    """The bootstrap's p-value rule replayed on every replicate's statistic
+    in replicate order: h / l at the replicate l that makes the h-th
+    exceedance, else the fraction of all replicates that exceed."""
+    exceed = 0
+    for l, stat in enumerate(stats, start=1):
+        exceed += bool(stat >= observed)
+        if exceed == _GOF_EXCEEDANCES:
+            return _GOF_EXCEEDANCES / l
+    return exceed / len(stats)
+
+
+def _public_statistics(x, rng, n_sims):
+    """Observed statistic and every replicate's, each from the one-sample
+    ``sample_sas_1d``, ``mcculloch_estimate`` and ``_ad_statistic``."""
+    params = mcculloch_estimate(x)
+    stats = []
+    for k in range(n_sims):
+        sim = sample_sas_1d(params, x.size, rng.substream(k))
+        stats.append(_ad_statistic(sim, mcculloch_estimate(sim)))
+    return _ad_statistic(x, params), np.array(stats)
+
+
+def _t3_sample(seed: int, n: int = 400) -> np.ndarray:
+    """Student t(3): finite variance, so large samples can fail the test."""
+    return RandomStream(seed).substream(0).generator().standard_t(3, size=n)
+
+
 class TestAdTest:
     def test_p_value_range_and_determinism(self):
         x = sample_sas_1d(StableParams(1.5, 1.0), 1000, RandomStream(123).substream(9))
@@ -536,25 +566,27 @@ class TestAdTest:
 
     def test_p_value_is_the_public_fit_and_statistic_per_replicate(self):
         """Sorting each sample once changes no bootstrap statistic: the
-        p-value equals the count from ``mcculloch_estimate`` and
-        ``_ad_statistic`` on every unsorted replicate."""
+        p-value equals the sequential rule replayed on
+        ``mcculloch_estimate`` and ``_ad_statistic`` of every unsorted
+        replicate."""
         x = sample_sas_1d(StableParams(1.3, 2.0), 400, RandomStream(31).substream(0))
         rng = RandomStream(31).substream(1)
         params = mcculloch_estimate(x)
         observed = _ad_statistic(x, params)
-        exceed = 0
+        stats = []
         for k in range(100):
             sim = sample_sas_1d(params, x.size, rng.substream(k))
-            exceed += _ad_statistic(sim, mcculloch_estimate(sim)) >= observed
-        assert ad_stable_test(x, n_sims=100, rng=rng) == exceed / 100
+            stats.append(_ad_statistic(sim, mcculloch_estimate(sim)))
+        assert ad_stable_test(x, n_sims=100, rng=rng) == _sequential_p(stats, observed)
 
     @pytest.mark.parametrize("alpha", [1.05, 2.0])
     def test_blocks_match_the_public_path_per_replicate(self, alpha):
         """At n = 600 a block holds 109 replicates, so 250 make two full
-        blocks and a short one of 32.  The p-value is still the count from
-        ``sample_sas_1d``, ``mcculloch_estimate`` and ``_ad_statistic`` on
-        each ``rng.substream(k)``, and the vectorized fit and statistic
-        give every replicate's values bit for bit.  At alpha 1.05 fits
+        blocks and a short one of 32.  The p-value is still the sequential
+        rule replayed on ``sample_sas_1d``, ``mcculloch_estimate`` and
+        ``_ad_statistic`` of each ``rng.substream(k)``, and the vectorized
+        fit and statistic give every replicate's values bit for bit.  At
+        alpha 1.05 fits
         clip to ALPHA_FLOOR in the table's first cell and every replicate
         has points past _GOF_Z_MAX; at 2.0 fits clip to the last edge."""
         n, n_sims = 600, 250
@@ -569,7 +601,7 @@ class TestAdTest:
             fits.append(mcculloch_estimate(sims[-1]))
             stats.append(_ad_statistic(sims[-1], fits[-1]))
         stats = np.array(stats)
-        assert ad_stable_test(x, n_sims=n_sims, rng=rng) == np.mean(stats >= observed)
+        assert ad_stable_test(x, n_sims=n_sims, rng=rng) == _sequential_p(stats, observed)
 
         block = np.sort(np.stack(sims), axis=-1)
         alphas, scales = _mcculloch_sorted(block)
@@ -612,6 +644,72 @@ class TestAdTest:
     def test_non_finite_sample_is_a_data_error(self, bad):
         with pytest.raises(DataError, match="^sample holds non-finite values"):
             ad_stable_test(_cauchy_with(bad), n_sims=100, rng=RandomStream(41))
+
+
+class TestSequentialPValue:
+    """The bootstrap stops at the replicate l of its h-th exceedance and
+    returns h / l, else the full fraction at the ``n_sims`` cap."""
+
+    @pytest.mark.parametrize("where", ["inside", "first", "last"])
+    def test_stop_row_anywhere_in_a_block(self, monkeypatch, where):
+        """The 10th exceedance is replicate 47 (row 46): inside the one
+        default block, first of the second block of 46 rows, last of the
+        first block of 47."""
+        n, n_sims = 200, 100
+        x = sample_sas_1d(StableParams(1.5, 1.0), n, RandomStream(2).substream(0))
+        rng = RandomStream(2).substream(1)
+        observed, stats = _public_statistics(x, rng, n_sims)
+        stop = np.flatnonzero(stats >= observed)[_GOF_EXCEEDANCES - 1]
+        rows = {"inside": _GOF_BLOCK // n, "first": stop, "last": stop + 1}[where]
+        monkeypatch.setattr(stable, "_GOF_BLOCK", rows * n)
+        row = stop % rows
+        assert {"inside": 0 < row < min(rows, n_sims) - 1,
+                "first": row == 0 and stop > 0,
+                "last": row == rows - 1}[where]
+        p = ad_stable_test(x, n_sims=n_sims, rng=rng)
+        assert type(p) is float
+        assert p == _sequential_p(stats, observed) == 10 / 47
+
+    def test_fewer_than_h_exceedances_give_the_full_fraction(self):
+        """A t(3) sample that only 9 of 200 replicates reach: the
+        bootstrap runs to its cap and returns 9 / 200."""
+        x = _t3_sample(14)
+        rng = RandomStream(14).substream(1)
+        observed, stats = _public_statistics(x, rng, 200)
+        p = ad_stable_test(x, n_sims=200, rng=rng)
+        assert type(p) is float
+        assert p == _sequential_p(stats, observed) == np.mean(stats >= observed) == 9 / 200
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_block_size_does_not_move_the_p_value(self, monkeypatch, rows):
+        """The stop is found by row, so blocks of 1, 3 or 16 replicates
+        give the default block's p-value, at a stop and at the cap."""
+        cases = [(sample_sas_1d(StableParams(1.5, 1.0), 200, RandomStream(seed).substream(0)),
+                  RandomStream(seed).substream(1), 100) for seed in (2, 5, 9)]
+        cases.append((_t3_sample(14), RandomStream(14).substream(1), 200))
+        default = [ad_stable_test(x, n_sims=n_sims, rng=rng) for x, rng, n_sims in cases]
+        monkeypatch.setattr(stable, "_GOF_BLOCK", rows * 200)
+        for (x, rng, n_sims), p in zip(cases, default):
+            assert ad_stable_test(x, n_sims=n_sims, rng=rng) == p
+            observed, stats = _public_statistics(x, rng, n_sims)
+            assert p == _sequential_p(stats, observed)
+
+    def test_five_percent_decisions_match_the_full_count(self):
+        """At n_sims 200 with h = 10, p < 0.05 exactly when fewer than 10
+        replicates exceed, so each decision is the full count's.  The t(3)
+        samples at seeds 0-19 include a rejection (9 exceed) and
+        near-misses (13 and 21 exceed)."""
+        decisions = []
+        for seed in range(20):
+            x = _t3_sample(seed)
+            rng = RandomStream(seed).substream(1)
+            observed, stats = _public_statistics(x, rng, 200)
+            p = ad_stable_test(x, n_sims=200, rng=rng)
+            assert p == _sequential_p(stats, observed)
+            full = np.mean(stats >= observed)
+            assert (p < 0.05) == (full < 0.05)
+            decisions.append(p < 0.05)
+        assert any(decisions) and not all(decisions)
 
 
 class TestTailSeries:
