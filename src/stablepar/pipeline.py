@@ -250,9 +250,9 @@ def diagnose_residuals(
     """Screen residuals against the i.i.d. symmetric-stable hypothesis.
 
     Per component: quantile-based (alpha, scale) fit and a parametric
-    bootstrap goodness-of-fit p-value with ``n_sims`` simulations.
-    ``n_sims`` is the bootstrap's cap: it stops early at its
-    ``_GOF_EXCEEDANCES``-th exceedance (see :func:`ad_stable_test`).
+    bootstrap goodness-of-fit p-value.  ``n_sims`` caps the bootstrap's
+    simulations: it stops at its 10th exceedance (see
+    :func:`~stablepar.stable.ad_stable_test`).
     Dependence is screened by normalized auto- and cross-covariation
     curves over lags ``-h_max..h_max`` — for an adequate model these
     show no structure beyond lag 0.  An ``h_max`` outside
