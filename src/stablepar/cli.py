@@ -36,10 +36,7 @@ from .rng import RandomStream
 PRESETS = {"model1": model1_preset, "model2": model2_preset}
 
 CONFIG_DEFAULTS = {
-    "period": None,
     "method": "yw-cv",
-    "alpha": None,
-    "burn_in": None,
     "seed": 0,
     "quantiles": (0.1, 0.5, 0.9),
     "h_max": 10,

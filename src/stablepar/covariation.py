@@ -79,10 +79,15 @@ def ncv_cross(traj, i: int, j: int, h: int) -> float:
 
     Raises
     ------
+    ValueError
+        If i or j lies outside 1..m.
     DegenerateSeriesError
         If the denominator vanishes.
     """
     values = traj.values if hasattr(traj, "values") else np.atleast_2d(traj)
+    for name, k in (("i", i), ("j", j)):
+        if not 1 <= k <= len(values):
+            raise ValueError(f"{name} must lie in 1..{len(values)}, got {k}")
     xi = np.asarray(values[i - 1], dtype=float)
     xj = np.asarray(values[j - 1], dtype=float)
     L = xi.size

@@ -18,8 +18,8 @@ Replicates are simulated together, in blocks of at most
 ``REPLICATE_BLOCK``, by one recursion over time
 (:func:`~stablepar.par_model.simulate_par1`); replicate ``i`` still
 draws from ``substream(k, i)`` and its trajectory equals a one-stream
-simulation on that stream.  Boundedness is checked once per alpha, on
-the first block.  Each method estimates each block in one
+simulation on that stream.  Boundedness is checked once per block, by
+the simulation itself.  Each method estimates each block in one
 :func:`~stablepar.estimators.estimate_block` call, whose failures stay
 per replicate and carry the phase where they occurred.
 """
@@ -219,7 +219,6 @@ def run_mc_study(config: McConfig) -> McReport:
                 config.L,
                 streams[start : start + REPLICATE_BLOCK],
                 burn_in=config.burn_in,
-                allow_unbounded=start > 0,  # the first block checked this model
             )
             for meth in config.methods:
                 block = estimate_block(paths, T, meth, alpha=float(alpha))

@@ -307,12 +307,20 @@ def check_boundedness(model: ParModel) -> BoundednessReport:
     )
 
 
+def _require_bounded(model: ParModel) -> BoundednessReport:
+    """The model's :func:`check_boundedness` report, or an
+    :class:`UnboundedModelError` when it has no bounded solution."""
+    report = check_boundedness(model)
+    if not report.bounded:
+        raise UnboundedModelError(f"no bounded solution: {report.detail}")
+    return report
+
+
 def simulate_par1(
     model: ParModel,
     L: int,
     streams: list[RandomStream],
     burn_in: int | None = None,
-    allow_unbounded: bool = False,
 ) -> np.ndarray:
     """Simulate one trajectory ``X(1..L)`` per stream, all in one pass.
 
@@ -333,8 +341,7 @@ def simulate_par1(
     Raises
     ------
     UnboundedModelError
-        When the model fails :func:`check_boundedness` and
-        ``allow_unbounded`` is not set.
+        When the model fails :func:`check_boundedness`.
     """
     if L < model.period:
         raise ValueError(f"need L >= one period ({model.period}), got {L}")
@@ -342,13 +349,7 @@ def simulate_par1(
         burn_in = 50 * model.period
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if not allow_unbounded:
-        report = check_boundedness(model)
-        if not report.bounded:
-            raise UnboundedModelError(
-                f"no bounded solution: {report.detail}; "
-                "pass allow_unbounded=True to simulate anyway"
-            )
+    _require_bounded(model)
     n_steps = burn_in + L
     noise = model.noise.folded()
     buf = np.empty((n_steps, len(streams), model.dim))
@@ -393,9 +394,7 @@ def _covariation_stack(model: ParModel, h: int) -> np.ndarray:
         When the series has not converged after ``_MAX_PERIODS`` periods
         (a near-unit monodromy); the message names its spectral radius.
     """
-    report = check_boundedness(model)
-    if not report.bounded:
-        raise UnboundedModelError(f"no bounded solution: {report.detail}")
+    report = _require_bounded(model)
     T = model.period
     thetas = np.stack(model.theta)
     phases = np.arange(T)  # phase v - 1, also the lag j within a period

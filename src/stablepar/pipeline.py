@@ -32,17 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariation import (
-    estimate_spectral_measure_2d,
-    ncv_auto,
-    ncv_cross,
-)
+from .covariation import estimate_spectral_measure_2d, ncv_cross
 from .estimators import EstimationResult, estimate, pooled_alpha
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import DataError
 from .par_model import MultiTrajectory, ParModel, _covariation_stack, _write_csv
 from .rng import RandomStream
 from .stable import (
+    MIN_GOF_SIMS,
     MIN_QUANTILE_OBS,
     DiscreteSpectralMeasure,
     StableParams,
@@ -171,60 +168,48 @@ def fit_deterministic(
 
 
 @dataclass
-class ComponentDiagnostics:
-    """Marginal fit and goodness-of-fit summary for one residual component."""
-
-    name: str
-    params: StableParams
-    ad_p_value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.ad_p_value <= 1.0):
-            raise ValueError(f"p-value out of range: {self.ad_p_value}")
-
-
-@dataclass
 class DiagnosticsReport:
     """Residual screens: marginals and dependence curves.
 
-    ``auto_ncv[i]`` maps lag h in -h_max..h_max to the normalized
-    auto-covariation of component i+1 (exactly 1 at lag 0);
-    ``cross_ncv[(i, j)]`` holds the pairwise curves for i < j.
+    ``params[i]`` is the quantile-based fit of component i+1 (named
+    ``x{i+1}`` in the tables) and ``p_values[i]`` its bootstrap
+    goodness-of-fit p-value.  ``ncv[(i, j)]``, i <= j, maps lag h in
+    -h_max..h_max to the normalized covariation curve of components i+1
+    and j+1: the auto curves (i == j, exactly 1 at lag 0) come first,
+    then the cross curves.
     """
 
-    components: list
+    params: list
+    p_values: list
     lags: np.ndarray
-    auto_ncv: dict
-    cross_ncv: dict
+    ncv: dict
 
     @property
     def alphas(self) -> np.ndarray:
-        return np.array([c.params.alpha for c in self.components])
+        return np.array([p.alpha for p in self.params])
 
     def table_rows(self) -> list:
         """Rows of (name, A-D p-value, alpha-hat) for a summary table."""
         return [
-            (c.name, round(c.ad_p_value, 4), round(c.params.alpha, 4))
-            for c in self.components
+            (f"x{i + 1}", round(p_val, 4), round(p.alpha, 4))
+            for i, (p, p_val) in enumerate(zip(self.params, self.p_values))
         ]
 
     def to_csv(self, path) -> None:
         _write_csv(
             path,
             ["component", "alpha_hat", "sigma_hat", "ad_p_value"],
-            ([c.name, repr(c.params.alpha), repr(c.params.scale), repr(c.ad_p_value)]
-             for c in self.components),
+            ([f"x{i + 1}", repr(p.alpha), repr(p.scale), repr(p_val)]
+             for i, (p, p_val) in enumerate(zip(self.params, self.p_values))),
         )
 
     def ncv_to_csv(self, path) -> None:
         """Long-format dependence curves: ``kind,i,j,lag,value``."""
-        curves = [("auto", i, i, curve) for i, curve in self.auto_ncv.items()]
-        curves += [("cross", i, j, curve) for (i, j), curve in self.cross_ncv.items()]
         _write_csv(
             path,
             ["kind", "i", "j", "lag", "value"],
-            ([kind, i + 1, j + 1, h, repr(float(val))]
-             for kind, i, j, curve in curves
+            (["auto" if i == j else "cross", i + 1, j + 1, h, repr(float(val))]
+             for (i, j), curve in self.ncv.items()
              for h, val in zip(self.lags, curve)),
         )
 
@@ -233,12 +218,16 @@ class DiagnosticsReport:
 MIN_DIAGNOSTIC_RESIDUALS = 200
 
 
-def _check_h_max(h_max: int, residuals: int) -> None:
-    """Refuse a lag range the dependence curves cannot span: every lag in
-    ``-h_max..h_max`` must be smaller in size than the residual count."""
+def _check_screens(h_max: int, n_sims: int, residuals: int) -> None:
+    """Refuse a lag range the dependence curves cannot span (every lag in
+    ``-h_max..h_max`` must be smaller in size than the residual count), as
+    a ``ValueError``, and a bootstrap below ``MIN_GOF_SIMS``, as a
+    :class:`DataError`."""
     if not 0 <= h_max < residuals:
         raise ValueError(f"h_max must lie in [0, {residuals - 1}] for "
                          f"{residuals} residuals, got {h_max}")
+    if n_sims < MIN_GOF_SIMS:
+        raise DataError(f"need at least {MIN_GOF_SIMS} bootstrap simulations, got {n_sims}")
 
 
 def diagnose_residuals(
@@ -256,41 +245,27 @@ def diagnose_residuals(
     Dependence is screened by normalized auto- and cross-covariation
     curves over lags ``-h_max..h_max`` — for an adequate model these
     show no structure beyond lag 0.  An ``h_max`` outside
-    ``[0, res.length)`` is a ``ValueError`` before any bootstrap runs.
+    ``[0, res.length)`` is a ``ValueError``, and an ``n_sims`` below
+    ``MIN_GOF_SIMS`` a :class:`DataError`, before anything is fitted.
     """
     if res.length < MIN_DIAGNOSTIC_RESIDUALS:
         raise DataError(f"need at least {MIN_DIAGNOSTIC_RESIDUALS} residuals "
                         f"for diagnostics, got {res.length}")
-    _check_h_max(h_max, res.length)
+    _check_screens(h_max, n_sims, res.length)
     if rng is None:
         rng = RandomStream(0)
-    comps = []
-    for i in range(res.dim):
-        x = res.values[i]
-        params = mcculloch_estimate(x)
-        p_val = ad_stable_test(x, n_sims=n_sims, rng=rng.substream(i))
-        comps.append(
-            ComponentDiagnostics(name=f"x{i + 1}", params=params, ad_p_value=p_val)
-        )
+    params, p_values = [], []
+    for i, x in enumerate(res.values):
+        params.append(mcculloch_estimate(x))
+        p_values.append(ad_stable_test(x, n_sims=n_sims, rng=rng.substream(i)))
     lags = np.arange(-h_max, h_max + 1)
-    auto = {
-        i: np.array([ncv_auto(res.values[i], int(h)) for h in lags])
-        for i in range(res.dim)
+    pairs = [(i, i) for i in range(res.dim)]
+    pairs += [(i, j) for i in range(res.dim) for j in range(i + 1, res.dim)]
+    ncv = {
+        (i, j): np.array([ncv_cross(res, i + 1, j + 1, int(h)) for h in lags])
+        for i, j in pairs
     }
-    cross = {
-        (i, j): np.array(
-            [ncv_cross(res, i + 1, j + 1, int(h)) for h in lags]
-        )
-        for i in range(res.dim)
-        for j in range(res.dim)
-        if i < j
-    }
-    return DiagnosticsReport(
-        components=comps,
-        lags=lags,
-        auto_ncv=auto,
-        cross_ncv=cross,
-    )
+    return DiagnosticsReport(params=params, p_values=p_values, lags=lags, ncv=ncv)
 
 
 def residuals_from_estimate(
@@ -310,30 +285,25 @@ def residuals_from_estimate(
 
 
 def build_predictive_model(
-    residuals: MultiTrajectory,
-    marginals: list,
-    estimate: EstimationResult,
+    residuals: MultiTrajectory, estimate: EstimationResult
 ) -> ParModel:
     """Assemble the simulation model implied by a fit.
 
-    ``marginals`` holds the per-component :func:`mcculloch_estimate` of
-    the residuals.  The noise vector gets one stability index, their
+    Each residual component gets its :func:`mcculloch_estimate`; the
+    noise vector gets one stability index, their
     :func:`~stablepar.estimators.pooled_alpha` (the median).  For
     two-component fits the noise measure is the projection-method
     estimate on the raw residual pairs; otherwise an
     independent-components fallback puts mass ``sigma_i^alpha / 2`` on
     each signed coordinate axis, reproducing the marginal scales.
     """
+    marginals = [mcculloch_estimate(x) for x in residuals.values]
     alpha = pooled_alpha(marginals)
-    m = residuals.dim
-    if m == 2:
+    if residuals.dim == 2:
         noise = estimate_spectral_measure_2d(residuals.values.T, alpha)
     else:
-        eye = np.eye(m)
-        points = np.vstack([eye, -eye])
         scales = np.array([p.scale for p in marginals])
-        weights = np.concatenate([scales**alpha / 2.0] * 2)
-        noise = DiscreteSpectralMeasure(points=points, weights=weights)
+        noise = DiscreteSpectralMeasure.symmetric(np.eye(residuals.dim), scales**alpha / 2.0)
     return ParModel(
         period=estimate.period,
         theta=estimate.theta_hat,
@@ -385,14 +355,13 @@ def fit_model(
     det, detrended = fit_deterministic(traj, T)
     result = estimate(detrended, T, method, alpha=alpha)
     residuals = residuals_from_estimate(detrended, result)
-    marginals = [mcculloch_estimate(x) for x in residuals.values]
     return FitResult(
         deterministic=det,
         estimate=result,
         diagnostics=None,
         detrended=detrended,
         residuals=residuals,
-        model=build_predictive_model(residuals, marginals, result),
+        model=build_predictive_model(residuals, result),
     )
 
 
@@ -414,11 +383,12 @@ def fit_par1(
     ``MIN_DIAGNOSTIC_RESIDUALS + 1`` rows leaves too few for the
     diagnostics and is a :class:`DataError` before anything is fitted
     (one that names :func:`fit_model`'s floor when it is below that too).
-    So is, as a ``ValueError``, an ``h_max`` outside ``[0, L - 1)``.
+    So is an ``n_sims`` below ``MIN_GOF_SIMS``, and, as a ``ValueError``,
+    an ``h_max`` outside ``[0, L - 1)``.
     """
     _require_residuals(traj, MIN_QUANTILE_OBS, "quantile fits")
     _require_residuals(traj, MIN_DIAGNOSTIC_RESIDUALS, "diagnostics")
-    _check_h_max(h_max, traj.length - 1)
+    _check_screens(h_max, n_sims, traj.length - 1)
     fit = fit_model(traj, T, method=method, alpha=alpha)
     fit.diagnostics = diagnose_residuals(
         fit.residuals, h_max=h_max, n_sims=n_sims, rng=rng
@@ -458,6 +428,8 @@ class QuantilePaths:
             qi = self.quantiles.index(float(q))
         except ValueError:
             raise KeyError(f"quantile {q} not among {self.quantiles}") from None
+        if not 1 <= component <= self.dim:
+            raise ValueError(f"component must lie in 1..{self.dim}, got {component}")
         return self.lines[qi, component - 1]
 
     def to_csv(self, path) -> None:

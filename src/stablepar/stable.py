@@ -53,6 +53,9 @@ ALPHA_FLOOR = 1.0001
 #: fewest observations a quantile-based fit (McCulloch or projection) accepts
 MIN_QUANTILE_OBS = 100
 
+#: fewest bootstrap simulations :func:`ad_stable_test` accepts
+MIN_GOF_SIMS = 100
+
 #: nu(0.6) of the standard law, the heaviest tail an estimate accepts.  The
 #: inversion rule is accurate only for alpha >= 1, so nu is derived on
 #: [1, 2] only; a ratio between nu(1) and this bound clips to ALPHA_FLOOR.
@@ -675,15 +678,15 @@ def ad_stable_test(sample, n_sims: int, rng: RandomStream) -> float:
     Raises
     ------
     DataError
-        If ``n_sims < 100``, or the sample is too short to fit or holds a
-        non-finite value (see :func:`mcculloch_estimate`).
+        If ``n_sims < MIN_GOF_SIMS``, or the sample is too short to fit
+        or holds a non-finite value (see :func:`mcculloch_estimate`).
     TableRangeError
         Propagated from the quantile fit.  Every row of a block that runs
         is fitted, so among the failing rows of that block the lowest k
         raises, even one past the stopping replicate.
     """
-    if n_sims < 100:
-        raise DataError(f"need at least 100 bootstrap simulations, got {n_sims}")
+    if n_sims < MIN_GOF_SIMS:
+        raise DataError(f"need at least {MIN_GOF_SIMS} bootstrap simulations, got {n_sims}")
     # Each sample is sorted once and shared by its quantile fit and its
     # statistic.
     x = np.sort(np.asarray(sample, dtype=float).ravel())

@@ -536,6 +536,18 @@ class TestFitFamily:
         assert f"h_max must lie in [0, 1498] for 1499 residuals, got {h_max}" in err
         assert not out.exists()
 
+    def test_too_few_bootstrap_simulations_exit_2(self, sim_csv, tmp_path, capsys):
+        """An n_sims below the bootstrap floor exits 2 before the fit,
+        with no artifacts."""
+        cfg = tmp_path / "n.yaml"
+        cfg.write_text("n_sims: 50\n")
+        out = tmp_path / "a"
+        rc = main(["fit", str(sim_csv), "--period", "3", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "need at least 100 bootstrap simulations, got 50" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_quantile_order_exits_2(self, sim_csv, tmp_path, capsys):
         cfg = tmp_path / "q.yaml"
         cfg.write_text("quantiles: [0.9, 0.5, 0.9]\n")

@@ -93,6 +93,15 @@ class TestNcvCross:
         for h in (-2, -1, 0, 1, 2):
             assert abs(ncv_cross(traj, 1, 2, h)) < 0.1
 
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_refuses_a_component_outside_1_to_m(self, k):
+        """Index 0 or -1 would wrap to the last row and 3 would be past it."""
+        traj = MultiTrajectory(values=RandomStream(3).generator().normal(size=(2, 50)))
+        with pytest.raises(ValueError, match=rf"^i must lie in 1\.\.2, got {k}$"):
+            ncv_cross(traj, k, 1, 1)
+        with pytest.raises(ValueError, match=rf"^j must lie in 1\.\.2, got {k}$"):
+            ncv_cross(traj, 1, k, 1)
+
 
 def _series_matrix(build, values, T, v, h, *args):
     """``build`` on the phase-v, lag-h sub-samples of one ``(m, L)``

@@ -258,8 +258,8 @@ class TestBatchedReplicates:
                        methods=("YW-CV",), seed=17, burn_in=12)
         run_mc_study(cfg)
         assert len(seen) == 2 * M
-        # one check per alpha, not per block
-        assert [m.alpha for m in boundedness_calls] == [1.4, 1.9]
+        # one check per replicate block, two blocks per alpha
+        assert [m.alpha for m in boundedness_calls] == [1.4, 1.4, 1.9, 1.9]
         base = RandomStream(17)
         for k, alpha in enumerate(cfg.alphas):
             model = replace(cfg.model, alpha=alpha)

@@ -213,9 +213,6 @@ class TestSimulate:
         bad = _diagonal_model([[1.2]])
         with pytest.raises(UnboundedModelError):
             one_path(bad, 100, RandomStream(11))
-        # explicit override simulates anyway
-        traj = one_path(bad, 100, RandomStream(11), allow_unbounded=True)
-        assert traj.values.shape == (1, 100)
 
     def test_zero_coefficients_give_iid_noise(self):
         """With Theta = 0 the trajectory is exactly the noise sequence, so
@@ -312,10 +309,6 @@ class TestSimulateReplicates:
         with pytest.raises(UnboundedModelError):
             simulate_par1(bad, 30, [RandomStream(34).substream(i) for i in range(8)])
         assert len(calls) == 2
-        paths = simulate_par1(
-            bad, 30, [RandomStream(34)], burn_in=0, allow_unbounded=True
-        )
-        assert len(calls) == 2 and paths.shape == (1, 1, 30)
 
     def test_input_validation(self, model1):
         with pytest.raises(ValueError, match="burn_in"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stablepar import pipeline
+from stablepar.covariation import ncv_auto
 from stablepar.estimators import EstimationResult, estimate, estimate_alpha
 from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
@@ -154,19 +155,19 @@ class TestFitDeterministic:
 class TestDiagnoseResiduals:
     def test_marginal_fits(self, iid_diagnostics):
         assert np.allclose(iid_diagnostics.alphas, 1.8, atol=0.15)
-        for c in iid_diagnostics.components:
-            assert 0.0 <= c.ad_p_value <= 1.0
+        for p_val in iid_diagnostics.p_values:
+            assert 0.0 <= p_val <= 1.0
             # correctly specified marginals should not be rejected here
-            assert c.ad_p_value > 0.05
+            assert p_val > 0.05
 
     def test_dependence_curves(self, iid_diagnostics):
         rep = iid_diagnostics
         assert np.array_equal(rep.lags, np.arange(-10, 11))
         for i in range(2):
-            curve = rep.auto_ncv[i]
+            curve = rep.ncv[(i, i)]
             assert curve[rep.lags == 0][0] == pytest.approx(1.0, abs=1e-14)
             assert np.max(np.abs(curve[rep.lags != 0])) < 0.15
-        assert np.max(np.abs(rep.cross_ncv[(0, 1)])) < 0.15
+        assert np.max(np.abs(rep.ncv[(0, 1)])) < 0.15
 
     def test_csv_outputs(self, iid_diagnostics, tmp_path):
         p1 = tmp_path / "diag.csv"
@@ -183,6 +184,30 @@ class TestDiagnoseResiduals:
     def test_requires_enough_data(self):
         with pytest.raises(DataError):
             diagnose_residuals(MultiTrajectory(values=np.ones((1, 150))))
+
+    def test_csv_order_and_plain_float_p_values(self, tmp_path):
+        """Three components: ``ncv.csv`` lists the three auto curves, each
+        bit for bit :func:`ncv_auto`, before the three cross curves, and
+        ``diagnostics.csv`` writes each p-value as a plain float."""
+        gen_stream = RandomStream(49)
+        vals = np.vstack([sample_sas_1d(StableParams(1.8, 1.0), 300, gen_stream.substream(i))
+                          for i in range(3)])
+        res = MultiTrajectory(values=vals)
+        rep = diagnose_residuals(res, h_max=2, n_sims=100, rng=RandomStream(149))
+        assert all(type(p_val) is float for p_val in rep.p_values)
+        for i in range(3):
+            auto = [ncv_auto(vals[i], h) for h in range(-2, 3)]
+            assert np.array_equal(rep.ncv[(i, i)], auto)
+        rep.ncv_to_csv(tmp_path / "ncv.csv")
+        rows = [r.split(",") for r in (tmp_path / "ncv.csv").read_text().splitlines()[1:]]
+        curves = [tuple(r[:3]) for r in rows[::5]]
+        assert curves == [("auto", "1", "1"), ("auto", "2", "2"), ("auto", "3", "3"),
+                          ("cross", "1", "2"), ("cross", "1", "3"), ("cross", "2", "3")]
+        rep.to_csv(tmp_path / "diag.csv")
+        rows = [r.split(",") for r in (tmp_path / "diag.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["x1", "x2", "x3"]
+        assert [float(r[3]) for r in rows] == rep.p_values
+        assert [r[3] for r in rows] == [repr(p_val) for p_val in rep.p_values]
 
 
 class TestResiduals:
@@ -229,11 +254,10 @@ class TestBuildPredictiveModel:
             ]
         )
         res = MultiTrajectory(values=vals)
-        marginals = [mcculloch_estimate(x) for x in res.values]
         est = EstimationResult(
             theta_hat=(np.zeros((3, 3)), np.zeros((3, 3))), method="YW-CV"
         )
-        model = build_predictive_model(res, marginals, est)
+        model = build_predictive_model(res, est)
         assert model.noise.n_atoms == 6
         assert model.noise.is_symmetric(tol=1e-12)
         # per-axis mass is sigma_i^alpha / 2, so the mass ordering must
@@ -303,8 +327,8 @@ class TestFitPar1:
         assert fr.model.to_dict() == fm.model.to_dict()
         diag = diagnose_residuals(fm.residuals, n_sims=100, rng=RandomStream(44))
         assert fr.diagnostics.table_rows() == diag.table_rows()
-        p_values = [c.ad_p_value for c in fr.diagnostics.components]
-        assert p_values == {"yw-cv": [10 / 11, 10 / 20], "yw-t": [10 / 11, 10 / 19]}[method]
+        expected = {"yw-cv": [10 / 11, 10 / 20], "yw-t": [10 / 11, 10 / 19]}[method]
+        assert fr.diagnostics.p_values == expected
 
 
 class TestFitModelEdges:
@@ -350,7 +374,7 @@ class TestFitModelEdges:
         traj = one_path(model1, 201, RandomStream(0))
         fit = fit_par1(MultiTrajectory(traj.values, t0=t0), 3, n_sims=100)
         assert fit.residuals.length == 200
-        assert len(fit.diagnostics.components) == 2
+        assert len(fit.diagnostics.params) == len(fit.diagnostics.p_values) == 2
 
     @pytest.mark.parametrize("h_max", [-1, 200, 5000])
     def test_h_max_is_checked_before_estimating(self, model1, monkeypatch, h_max):
@@ -372,11 +396,30 @@ class TestFitModelEdges:
         with pytest.raises(ValueError, match=message):
             diagnose_residuals(residuals, h_max=h_max, n_sims=100)
 
+    @pytest.mark.parametrize("n_sims", [0, 50, 99])
+    def test_n_sims_is_checked_before_estimating(self, model1, monkeypatch, n_sims):
+        """A bootstrap below MIN_GOF_SIMS is refused by ``fit_par1`` before
+        it estimates anything, and by ``diagnose_residuals`` before its
+        bootstrap."""
+        traj = one_path(model1, 201, RandomStream(0))
+        residuals = fit_model(traj, 3, "yw-cv").residuals
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("called with too few bootstrap simulations")
+
+        monkeypatch.setattr(pipeline, "estimate", no_call)
+        monkeypatch.setattr(pipeline, "ad_stable_test", no_call)
+        message = rf"^need at least 100 bootstrap simulations, got {n_sims}$"
+        with pytest.raises(DataError, match=message):
+            fit_par1(traj, 3, n_sims=n_sims)
+        with pytest.raises(DataError, match=message):
+            diagnose_residuals(residuals, n_sims=n_sims)
+
     def test_h_max_admits_one_less_than_the_residuals(self, model1):
         traj = one_path(model1, 201, RandomStream(0))
         fit = fit_par1(traj, 3, h_max=199, n_sims=100)
         assert fit.diagnostics.lags.tolist() == list(range(-199, 200))
-        assert all(np.all(np.isfinite(c)) for c in fit.diagnostics.auto_ncv.values())
+        assert all(np.all(np.isfinite(c)) for c in fit.diagnostics.ncv.values())
 
     def test_pooled_alpha_at_the_gaussian_endpoint(self, model1):
         """Gaussian data pool to alpha-hat = 2, where the noise fit warns
@@ -444,6 +487,13 @@ class TestQuantilePaths:
         assert np.array_equal(qp.line(0.9, 1), [4.0, 5.0, 6.0, 7.0])
         with pytest.raises(KeyError):
             qp.line(0.5, 1)
+
+    @pytest.mark.parametrize("component", [0, 3])
+    def test_line_refuses_a_component_outside_1_to_m(self, component):
+        """Component 0 would wrap to the last line and 3 would be past it."""
+        qp = QuantilePaths(t0=1, quantiles=(0.5,), lines=np.zeros((1, 2, 4)))
+        with pytest.raises(ValueError, match=rf"^component must lie in 1\.\.2, got {component}$"):
+            qp.line(0.5, component)
 
     def test_csv_header(self, tmp_path):
         lines = np.arange(8.0).reshape(2, 1, 4)
