@@ -34,6 +34,8 @@ from .exceptions import DegenerateSeriesError, NumericalError
 from .stable import (
     MIN_QUANTILE_OBS,
     DiscreteSpectralMeasure,
+    _linear_index,
+    _linear_read,
     iqr_constant,
     signed_power,
     sorted_quantiles,
@@ -181,10 +183,12 @@ def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
     return float(np.sum(s1 * signed_power(s2, alpha - 1.0) * measure2d.weights))
 
 
-#: Most projection values one sort handles at once (128 KB of float64).
-#: A long pair's directions are split over several blocks.  Larger blocks
-#: raised the peak resident memory (by 8 MB on a 10^5-row model2
-#: estimate at 2^20) for no measurable speed gain there.
+#: Most projection values one block holds (128 KB of float64).  A long
+#: pair's directions are split over several blocks, and a projection
+#: longer than half a block fills one alone; :func:`_quartiles` selects
+#: its quartiles instead of sorting it.  Larger blocks raised the peak
+#: resident memory (by 8 MB on a 10^5-row model2 estimate at 2^20) for no
+#: measurable speed gain there.
 _BLOCK_ELEMENTS = 1 << 14
 
 #: Equally spaced directions of the projection-method grid on the full
@@ -302,6 +306,29 @@ def _checked_design(alpha: float, *samples: np.ndarray) -> tuple:
     return design
 
 
+def _quartiles(rows: np.ndarray) -> list:
+    """``sorted_quantiles(np.sort(rows), (0.25, 0.75))`` of finite ``rows``
+    (observations along the last axis), bit for bit; ``rows`` is
+    reordered in place.
+
+    Rows longer than ``_BLOCK_ELEMENTS // 2`` are not sorted.  One
+    partition at the upper quartile's index ``lo`` and one, in the part
+    below it, at the lower quartile's put both order statistics in place,
+    and the one at ``lo + 1`` is the minimum of the part above ``lo``.
+    Partitions with one ``kth`` take numpy's SIMD selection, linear in n;
+    on a few hundred values the sort is faster.
+    """
+    n = rows.shape[-1]
+    if n <= _BLOCK_ELEMENTS // 2:
+        rows.sort(axis=-1)
+        return sorted_quantiles(rows, (0.25, 0.75))
+    (lo25, t25), (lo75, t75) = _linear_index(n, 0.25), _linear_index(n, 0.75)
+    rows.partition(lo75, axis=-1)
+    rows[..., :lo75].partition(lo25, axis=-1)
+    return [_linear_read(rows[..., lo25], rows[..., lo25 + 1 : lo75 + 1].min(axis=-1), t25),
+            _linear_read(rows[..., lo75], rows[..., lo75 + 1 :].min(axis=-1), t75)]
+
+
 def _fit_pairs(x: np.ndarray, y: np.ndarray, rs, ls, alpha: float) -> np.ndarray:
     """Projection-method weights of the pairs ``(x[rs[p]], y[ls[p]])``.
 
@@ -310,8 +337,8 @@ def _fit_pairs(x: np.ndarray, y: np.ndarray, rs, ls, alpha: float) -> np.ndarray
     image) for each of the P pairs.  Each pair's projections are built
     block by block, each block one matrix product of at most
     ``_BLOCK_ELEMENTS`` values (or one projection, if that is longer),
-    sorted in place along the observations; the quartiles are read from
-    the sorted rows.
+    whose quartiles :func:`_quartiles` reads in place: by a sort, or by
+    selection on a projection that fills its block alone.
     """
     dirs, a_aug, c, _ = _projection_design(alpha)
     half, n = dirs.shape[0], x.shape[1]
@@ -325,9 +352,7 @@ def _fit_pairs(x: np.ndarray, y: np.ndarray, rs, ls, alpha: float) -> np.ndarray
         pair[0], pair[1] = x[r], y[l]
         for k in range(0, half, n_dirs):
             d = dirs[k : k + n_dirs]
-            proj = np.matmul(d, pair, out=proj_buf[: len(d)])
-            proj.sort(axis=-1)
-            q25, q75 = sorted_quantiles(proj, (0.25, 0.75))
+            q25, q75 = _quartiles(np.matmul(d, pair, out=proj_buf[: len(d)]))
             iqr[p, k : k + len(d)] = q75 - q25
     return _nnls_weights(a_aug, (np.maximum(iqr, 0.0) / c) ** alpha)
 
@@ -356,8 +381,8 @@ def estimate_spectral_measure_2d(sample, alpha: float) -> DiscreteSpectralMeasur
     matrix with its ridge rows, the rank check and the IQR constant) is
     built once per alpha and cached, so many pair fits pay for it once.
     This is the one-pair case of the block fit that
-    :func:`cv_phase_matrix_spectral` runs: the projections are sorted and
-    their quartiles read by index.
+    :func:`cv_phase_matrix_spectral` runs: each projection's quartiles
+    are read by :func:`_quartiles`, exactly as from the sorted projection.
 
     Parameters
     ----------
@@ -402,10 +427,11 @@ def cv_phase_matrix_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dic
     equals :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d`
     on that pair, up to rounding.  One :func:`_fit_pairs` call fits every
     replicate's pairs in blocks of at most ``_BLOCK_ELEMENTS`` projection
-    values (one matrix product, in-place sort and quartile read per
-    block, then one NNLS per pair), so a replicate's matrix is the same
-    bits whatever block it rides in.  ``lagged is cur`` is lag 0: one
-    sort of the stack gives the diagonal ``(IQR(x_r)/c)^alpha K(alpha)``
+    values (one matrix product and one in-place :func:`_quartiles` read
+    per block, then one NNLS per pair), so a replicate's matrix is the
+    same bits whatever block it rides in.  ``lagged is cur`` is lag 0: one
+    :func:`_quartiles` read of a copy of the stack gives the diagonal
+    ``(IQR(x_r)/c)^alpha K(alpha)``
     (:func:`_diagonal_cv_constant`), and entry (l, r) reuses the fit of
     (x_r, x_l) (:func:`_coordinate_swap`), so m(m-1)/2 pairs are fitted
     at lag 0 and m^2 at other lags.  Returns the ``(M, m, m)`` matrices
@@ -447,7 +473,7 @@ def cv_phase_matrix_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dic
     if lag0:
         out[:, ls, rs] = np.sum(g * weights[_coordinate_swap()], axis=1).reshape(M, -1)
         collapsed[:, ls, rs] = collapsed[:, rs, ls]
-        q25, q75 = sorted_quantiles(np.sort(cur, axis=-1), (0.25, 0.75))
+        q25, q75 = _quartiles(cur.copy())
         iqr = np.maximum(q75 - q25, 0.0)
         diag = np.arange(m)
         out[:, diag, diag] = (iqr / c) ** alpha * _diagonal_cv_constant(alpha)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,30 +238,43 @@ def _read_csv(path, select) -> tuple[np.ndarray, bool]:
     skipped; one :func:`numpy.loadtxt` call parses the rest.  A key column
     whose first cell is not a number holds non-blank labels, read as 0, and
     the returned flag is True.  Every other cell must be a finite number.
+    The file is UTF-8 text, with or without a byte-order mark; a malformed
+    row is named by its 1-based line in the file.
     """
     if not Path(path).is_file():
         raise DataError(f"input file not found: {path}")
-    with open(path) as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        usecols = select([h.strip() for h in header])
-        key = usecols[0]
-        rows = (line for line in fh if line.strip(_BLANK))
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows")
-        try:
-            float(next(csv.reader([first]))[key])
-            converters = None
-        except (ValueError, IndexError):
-            # a blank label fails float(), so loadtxt rejects it
-            converters = {key: lambda cell: float(cell) if not cell.strip() else 0.0}
-        try:
-            data = np.loadtxt(itertools.chain([first], rows), delimiter=",", quotechar='"',
-                              comments=None, usecols=usecols, converters=converters, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed data row ({exc})") from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            usecols = select([h.strip() for h in header])
+            key = usecols[0]
+            rows = (line for line in fh if line.strip(_BLANK))
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: no data rows")
+            try:
+                float(next(csv.reader([first]))[key])
+                converters = None
+            except (ValueError, IndexError):
+                # a blank label fails float(), so loadtxt rejects it
+                converters = {key: lambda cell: float(cell) if not cell.strip() else 0.0}
+            try:
+                data = np.loadtxt(itertools.chain([first], rows), delimiter=",", quotechar='"',
+                                  comments=None, usecols=usecols, converters=converters,
+                                  ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                # loadtxt stops at the bad row, so it is the last line read;
+                # its "row" counts the non-blank rows after the header
+                with open(path, encoding="utf-8-sig") as again:
+                    line = sum(1 for _ in again) - sum(1 for _ in fh)
+                detail = re.sub(r" at row \d+", "", str(exc))
+                raise DataError(f"{path}: malformed data row on line {line} ({detail})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: non-finite values present")
     return data, converters is not None

@@ -287,6 +287,21 @@ def empirical_char_function(sample: np.ndarray, theta) -> np.ndarray:
 # Quantile-based parameter estimation
 # ---------------------------------------------------------------------------
 
+def _linear_index(n: int, q: float) -> tuple[int, float]:
+    """``(lo, t)`` of numpy's ``linear`` rule for level q of n values: the
+    virtual index ``i = (n-1) q``, ``lo = floor(i)`` and ``t = i - lo``."""
+    i = (n - 1) * float(q)
+    lo = math.floor(i)
+    return lo, i - lo
+
+
+def _linear_read(a, b, t: float):
+    """The ``linear`` rule's value between the order statistics ``a`` at
+    index ``lo`` and ``b`` at ``lo + 1`` (see :func:`sorted_quantiles`)."""
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
 def sorted_quantiles(x_sorted: np.ndarray, qs) -> list:
     """Quantiles of samples already sorted along the last axis.
 
@@ -303,13 +318,8 @@ def sorted_quantiles(x_sorted: np.ndarray, qs) -> list:
     n = x_sorted.shape[-1]
     out = []
     for q in qs:
-        i = (n - 1) * float(q)
-        lo = math.floor(i)
-        t = i - lo
-        a = x_sorted[..., lo]
-        b = x_sorted[..., min(lo + 1, n - 1)]
-        d = b - a
-        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+        lo, t = _linear_index(n, q)
+        out.append(_linear_read(x_sorted[..., lo], x_sorted[..., min(lo + 1, n - 1)], t))
     has_nan = np.isnan(x_sorted[..., -1])
     if np.any(has_nan):
         out = [np.where(has_nan, np.nan, v) for v in out]

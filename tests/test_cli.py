@@ -223,6 +223,45 @@ class TestLoadTrajectory:
         assert traj.t0 == 1
         assert np.array_equal(traj.values, [[1.0, 0.5], [-2.0, 3.0]])
 
+    @pytest.mark.parametrize("columns", [None, "t,x2,x1"], ids=["default", "columns"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, columns):
+        """Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark."""
+        text = b"t,x1,x2\n1,1.0,-2.0\n2,0.5,3.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = load_trajectory(str(plain), columns=columns)
+        got = load_trajectory(str(marked), columns=columns)
+        assert got.t0 == want.t0
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize(
+        "raw", [b"t,x\xe9\n1,1.0\n", b"t,x1\n1,1.0\n2,1\xe9\n"], ids=["header", "row"]
+    )
+    def test_latin1_byte_is_a_data_error_naming_the_file(self, tmp_path, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text"):
+            load_trajectory(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("t,x1\n1,1.0\n\n   \n2,abc\n", 5),
+            ("t,x1\n\n1,abc\n2,1.0\n", 3),
+            ("t,x1,x2\n1,1.0,2.0\n,,\n\n2,1.5\n3,1.0,2.0\n", 5),
+        ],
+        ids=["text-cell", "first-row", "short-row"],
+    )
+    def test_malformed_row_names_its_file_line(self, tmp_path, text, line):
+        """Blank rows are skipped but counted: the message names the bad
+        row's 1-based line in the file, not its index among the rows."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"bad\.csv: malformed data row on line {line} \(") as exc:
+            load_trajectory(str(path))
+        assert "at row" not in str(exc.value)
+
 
 class TestSimulateCommand:
     def test_writes_deterministic_csv(self, tmp_path):

@@ -31,6 +31,7 @@ from stablepar.stable import (
     iqr_constant,
     sample_sas_1d,
     sample_stable_vector,
+    sorted_quantiles,
 )
 
 from path_oracle import one_path
@@ -459,6 +460,66 @@ class TestSpectralPhaseMatrix:
         for h in (0, 1, 0):
             with pytest.warns(UserWarning, match="rank-deficient"):
                 _series_matrix(cv_phase_matrix_spectral, z, 2, 1, h, 2.0)
+
+
+def _sorted_quartiles(rows):
+    """The reference read: quartiles of the sorted rows."""
+    return sorted_quantiles(np.sort(rows, axis=-1), (0.25, 0.75))
+
+
+class TestQuartiles:
+    """``_quartiles`` reads the quartiles of the sorted rows bit for bit:
+    by a sort up to ``_BLOCK_ELEMENTS // 2`` values, by selection above."""
+
+    SWITCH = covariation._BLOCK_ELEMENTS // 2
+
+    @staticmethod
+    def _assert_reads_sorted(x):
+        got = covariation._quartiles(x.copy())
+        want = _sorted_quartiles(x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    # (n-1)/4 is whole at n = 4k+1; its fraction is 0.25, 0.5 and 0.75 at
+    # 4k+2, 4k+3 and 4k+4, so each quartile takes both interpolation branches
+    @pytest.mark.parametrize("offset", range(-3, 5))
+    def test_lengths_around_the_switch(self, offset):
+        n = self.SWITCH + offset
+        self._assert_reads_sorted(RandomStream(41).generator().standard_cauchy(n))
+
+    @pytest.mark.parametrize("n", [50_001, 50_002, 50_003, 50_004])
+    def test_long_rows(self, n):
+        self._assert_reads_sorted(RandomStream(42).generator().standard_cauchy(n))
+
+    @pytest.mark.parametrize("n", [601, 8_193, 10_002, 20_003])
+    def test_rounded_cauchy_rows_with_many_ties(self, n):
+        x = np.round(RandomStream(43).generator().standard_cauchy(n))
+        assert len(np.unique(x)) < n // 10
+        self._assert_reads_sorted(x)
+
+    @pytest.mark.parametrize("n", [500, 8_192, 8_193, 12_345])
+    def test_block_of_rows(self, n):
+        x = RandomStream(44).generator().standard_cauchy((3, n))
+        x[1] = np.round(x[1])
+        self._assert_reads_sorted(x)
+
+    def test_long_row_is_selected_not_sorted(self):
+        """Above the switch the row is partitioned in place, not sorted."""
+        x = RandomStream(45).generator().standard_cauchy(self.SWITCH + 1)
+        covariation._quartiles(x)
+        assert not np.all(np.diff(x) >= 0.0)
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_spectral_matrix_matches_the_sorted_read(self, model2, monkeypatch, h):
+        """Each phase of a 20 000-row period-2 series holds 10 000 values,
+        so every projection and the lag-0 diagonal take the selection; the
+        matrix equals, bit for bit, the one built from sorted rows."""
+        traj = one_path(model2, 20_000, RandomStream(46))
+        cur, _ = _phase_samples(traj.values, 2, 1, h)
+        assert cur.shape[-1] > self.SWITCH
+        got, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
+        monkeypatch.setattr(covariation, "_quartiles", _sorted_quartiles)
+        want, _ = _series_matrix(cv_phase_matrix_spectral, traj.values, 2, 1, h, 1.8)
+        assert np.array_equal(got, want)
 
 
 class TestLagZeroSharedFit:

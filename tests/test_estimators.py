@@ -64,6 +64,16 @@ class TestEstimationResult:
         for a, b in zip(back.theta_hat, res.theta_hat):
             assert np.array_equal(a, b)
 
+    def test_from_csv_skips_a_byte_order_mark(self, tmp_path, model2):
+        path = tmp_path / "coef.csv"
+        EstimationResult(theta_hat=model2.theta, method="YW-T").to_csv(path)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        want, got = EstimationResult.from_csv(path), EstimationResult.from_csv(marked)
+        assert got.period == want.period
+        for a, b in zip(got.theta_hat, want.theta_hat):
+            assert np.array_equal(a, b)
+
     def test_from_csv_rejects_non_square_layout(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v,theta_11,theta_12\n1,0.5,0.2\n")
