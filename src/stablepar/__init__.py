@@ -5,10 +5,8 @@ benchmarking, and a fitting pipeline for seasonal heavy-tailed series.
 """
 
 from .covariation import (
-    cv_from_spectral,
     cv_phase_matrix_spectral,
     estimate_spectral_measure_2d,
-    ncv_auto,
     ncv_cross,
     ncv_phase_matrix,
 )
@@ -42,9 +40,6 @@ from .par_model import (
     check_boundedness,
     g_product,
     simulate_par1,
-    theoretical_cv,
-    theoretical_cv_diagonal,
-    theoretical_phase_matrix,
 )
 from .pipeline import (
     DeterministicComponents,
@@ -65,8 +60,6 @@ from .stable import (
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
-    char_function,
-    empirical_char_function,
     mcculloch_estimate,
     sample_sas_1d,
     sample_stable_vector,

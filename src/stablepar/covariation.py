@@ -42,10 +42,8 @@ from .stable import (
 )
 
 __all__ = [
-    "ncv_auto",
     "ncv_cross",
     "ncv_phase_matrix",
-    "cv_from_spectral",
     "estimate_spectral_measure_2d",
     "cv_phase_matrix_spectral",
 ]
@@ -54,17 +52,6 @@ __all__ = [
 def _check_lag(n: int, h: int) -> None:
     if abs(h) >= n:
         raise ValueError(f"|lag| must be smaller than the series length ({n})")
-
-
-def ncv_auto(series, h: int) -> float:
-    """Normalized auto-covariation estimate of a stationary series at lag h:
-    :func:`ncv_cross` of a one-component trajectory with itself,
-
-        sum_{t=r..l} x(t) sign(x(t-h))  /  sum_{t=r..L} |x(t)|.
-
-    At h = 0 the value is exactly 1.
-    """
-    return ncv_cross(np.ravel(series), 1, 1, h)
 
 
 def ncv_cross(traj, i: int, j: int, h: int) -> float:
@@ -171,18 +158,6 @@ def _phase_failure(exc, T: int, v: int, h: int):
     return type(exc)(f"lag {h}, {exc}" if h else f"phase {v}, lag 0, {exc}")
 
 
-def cv_from_spectral(measure2d: DiscreteSpectralMeasure, alpha: float) -> float:
-    """Covariation of a 2-D jointly stable pair read off its (discrete)
-    spectral measure: ``sum_j s_{1,j} * s_{2,j}^<alpha-1> * gamma_j``."""
-    if measure2d.dim != 2:
-        raise ValueError(f"need a 2-D measure, got dimension {measure2d.dim}")
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    s1 = measure2d.points[:, 0]
-    s2 = measure2d.points[:, 1]
-    return float(np.sum(s1 * signed_power(s2, alpha - 1.0) * measure2d.weights))
-
-
 #: Most projection values one block holds (128 KB of float64).  A long
 #: pair's directions are split over several blocks, and a projection
 #: longer than half a block fills one alone; :func:`_quartiles` selects
@@ -245,7 +220,8 @@ def _nnls_weights(a_aug: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cv_weights(dirs: np.ndarray, alpha: float) -> np.ndarray:
     """Covariation per unit weight of each +- atom pair on the grid, so
-    that ``cv_from_spectral`` of a fit with weights g is their dot."""
+    that the covariation ``sum_j s_1j s_2j^<alpha-1> gamma_j`` of a fit
+    with weights g is their dot."""
     return 2.0 * dirs[:, 0] * signed_power(dirs[:, 1], alpha - 1.0)
 
 
@@ -424,8 +400,9 @@ def cv_phase_matrix_spectral(cur, lagged, alpha: float) -> tuple[np.ndarray, dic
     :func:`_phase_samples` from estimated pair spectral measures.
 
     Entry (r, l) pairs row r of ``cur`` with row l of ``lagged`` and
-    equals :func:`cv_from_spectral` of :func:`estimate_spectral_measure_2d`
-    on that pair, up to rounding.  One :func:`_fit_pairs` call fits every
+    equals the covariation ``sum_j s_1j s_2j^<alpha-1> gamma_j`` of
+    :func:`estimate_spectral_measure_2d` on that pair, up to rounding.
+    One :func:`_fit_pairs` call fits every
     replicate's pairs in blocks of at most ``_BLOCK_ELEMENTS`` projection
     values (one matrix product and one in-place :func:`_quartiles` read
     per block, then one NNLS per pair), so a replicate's matrix is the

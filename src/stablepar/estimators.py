@@ -105,10 +105,6 @@ class EstimationResult:
     def theta_at(self, t: int) -> np.ndarray:
         return self.theta_hat[(t - 1) % self.period]
 
-    @property
-    def all_converged(self) -> bool:
-        return all(rep.converged for rep in self.solve_reports)
-
     def to_csv(self, path) -> None:
         """Write one row per phase: ``v, theta_11, theta_12, ..., theta_mm``."""
         m = self.dim

@@ -113,7 +113,11 @@ class McReport:
         return {key: sum(causes.values()) for key, causes in self.failure_causes.items()}
 
     def coefficient_matrix(self, method: str, alpha: float, v: int, stat: str = "median"):
-        """One aggregated ``(m, m)`` matrix: ``stat`` of Theta(v)."""
+        """One aggregated ``(m, m)`` matrix: ``stat`` of Theta(v), with
+        ``method`` read by :func:`~stablepar.estimators.method_name`."""
+        if stat not in STATS:
+            raise KeyError(f"unknown stat {stat!r}; choose from {STATS}")
+        method = method_name(method)
         if (method, alpha) not in self.stats or not 1 <= v <= self.config.model.period:
             raise KeyError(f"no results for {method}, alpha={alpha}, v={v}")
         return self.stats[(method, alpha)][STATS.index(stat), v - 1].copy()

@@ -15,13 +15,12 @@ products
 and every pairwise covariation of the solution is an explicit series in
 those products.  This module provides simulation (:func:`simulate_par1`,
 one recursion for one replicate stream or many), the g-products, the
-boundedness check, and the theoretical covariations that serve as
-oracles for the estimators.  One kernel sums the series for every phase
-and component pair at a given lag, one period per step, until a further
-period no longer changes its absolute majorant in floating point;
-:func:`theoretical_cv`, :func:`theoretical_phase_matrix` and the
-stationary scales of the predictive bands are views of it.  The
-diagonal closed form is kept apart as an independent oracle.
+boundedness check, and one kernel (:func:`_covariation_stack`) that sums
+the covariation series for every phase and component pair at a given
+lag, one period per step, until a further period no longer changes its
+absolute majorant in floating point.  The stationary scales of the
+predictive bands read its lag-0 diagonal; the test suite's exact
+covariation oracles are views of it too.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ __all__ = [
     "simulate_par1",
     "g_product",
     "check_boundedness",
-    "theoretical_cv",
-    "theoretical_cv_diagonal",
-    "theoretical_phase_matrix",
 ]
 
 
@@ -100,18 +96,6 @@ class ParModel:
     def theta_at(self, t: int) -> np.ndarray:
         """Coefficient matrix at integer time ``t`` (any sign), by periodicity."""
         return self.theta[(t - 1) % self.period]
-
-    def is_diagonal(self) -> bool:
-        """True when every coefficient matrix is exactly diagonal."""
-        return all(np.all(th == np.diag(np.diag(th))) for th in self.theta)
-
-    def period_products(self) -> np.ndarray:
-        """Diagonal per-component products ``P_r = theta_rr(1)...theta_rr(T)``.
-
-        Meaningful as a one-cycle gain only for diagonal models, where the
-        solution exists iff ``|P_r| < 1`` for every component.
-        """
-        return np.prod([np.diag(th) for th in self.theta], axis=0)
 
     def to_dict(self) -> dict:
         return {
@@ -439,105 +423,3 @@ def _covariation_stack(model: ParModel, h: int) -> np.ndarray:
         f"covariation series did not converge in {_MAX_PERIODS} periods "
         f"(monodromy spectral radius {report.spectral_radius:.6g})"
     )
-
-
-def theoretical_cv(model: ParModel, r: int, l: int, s: int, t: int) -> float:
-    """Covariation ``CV(X_r(s), X_l(t))`` of the stationary solution.
-
-    The moving-average series
-
-        sum_j sum_a gamma_a <row_r Phi(s, s-m*+j), u_a>
-                            <row_l Phi(t, t-m*+j), u_a>^<alpha-1>,
-
-    over the shared noise times ``m* - j`` with ``m* = min(s, t)``,
-    summed to convergence: one entry of :func:`_covariation_stack` at
-    lag ``s - t`` and the phase of ``s``.  Also serves as the alpha-th
-    power of the covariation norm via ``r = l, s = t``.
-
-    Raises
-    ------
-    UnboundedModelError
-        When the model fails :func:`check_boundedness`.
-    NumericalError
-        When the series does not converge (near-unit monodromy).
-    """
-    _check_component(model, r, "r")
-    _check_component(model, l, "l")
-    stack = _covariation_stack(model, s - t)
-    return float(stack[(s - 1) % model.period, r - 1, l - 1])
-
-
-def theoretical_cv_diagonal(
-    model: ParModel, r: int, l: int, s: int, t: int
-) -> float:
-    """Closed-form ``CV(X_r(s), X_l(t))`` for diagonal coefficient matrices.
-
-    For diagonal models each component is a scalar periodic AR(1) and the
-    covariation series telescopes across whole periods into a geometric
-    factor ``1 / (1 - P_l^<alpha-1> P_r)``, leaving one finite sum over a
-    single period.  Exact (up to rounding), hence the oracle against
-    which the general series is validated.
-    """
-    _check_component(model, r, "r")
-    _check_component(model, l, "l")
-    if not model.is_diagonal():
-        raise ValueError("closed form only applies to diagonal models")
-    p = model.period_products()
-    p_r, p_l = p[r - 1], p[l - 1]
-    if not (abs(p_r) < 1.0 and abs(p_l) < 1.0):
-        raise ValueError(
-            f"no bounded solution for components ({r}, {l}): "
-            f"|P| = ({abs(p_r):.4g}, {abs(p_l):.4g})"
-        )
-    exp = model.alpha - 1.0
-    u = model.noise.points
-    gam = model.noise.weights
-    atom_integral = float(np.sum(gam * u[:, r - 1] * signed_power(u[:, l - 1], exp)))
-    denom = 1.0 - signed_power(p_l, exp) * p_r
-
-    def g_entry(i: int, hi: int, lo_excl: int) -> float:
-        # (i, i) entry of Theta(hi) ... Theta(lo_excl + 1), diagonal model
-        out = 1.0
-        for tau in range(lo_excl + 1, hi + 1):
-            out *= model.theta_at(tau)[i - 1, i - 1]
-        return out
-
-    T = model.period
-    if s >= t:
-        lead = g_entry(r, s, t)
-        period_sum = sum(
-            signed_power(g_entry(l, t, t - k), exp) * g_entry(r, t, t - k)
-            for k in range(T)
-        )
-    else:
-        lead = signed_power(g_entry(l, t, s), exp)
-        period_sum = sum(
-            signed_power(g_entry(l, s, s - k), exp) * g_entry(r, s, s - k)
-            for k in range(T)
-        )
-    return lead * atom_integral / denom * period_sum
-
-
-def theoretical_phase_matrix(
-    model: ParModel, v: int, h: int, normalized: bool = True
-) -> np.ndarray:
-    """Model-implied per-phase (normalized) covariation matrix.
-
-    Entry ``(r, l)`` is ``CV(X_r(v), X_l(v - h))``, divided when
-    ``normalized`` by the alpha-th covariation-norm power of the lagged
-    variable, ``CV(X_l(v-h), X_l(v-h))`` — the population counterpart of
-    the per-phase sample matrices, used as the exact-recovery oracle for
-    the estimation stage.  Returns a plain ``(m, m)`` array.
-    """
-    T = model.period
-    stack = _covariation_stack(model, h)
-    out = stack[(v - 1) % T]
-    if normalized:
-        lag0 = stack if h == 0 else _covariation_stack(model, 0)
-        out = out / np.diagonal(lag0[(v - h - 1) % T])
-    return out
-
-
-def _check_component(model: ParModel, i: int, name: str) -> None:
-    if not (1 <= i <= model.dim):
-        raise ValueError(f"{name} must lie in 1..{model.dim}, got {i}")

@@ -2,9 +2,8 @@
 
 This module provides the distributional machinery the rest of the package
 builds on: one-dimensional and multivariate symmetric alpha-stable (SaS)
-sampling, the characteristic function of a discretely-supported spectral
-measure, quantile-based parameter estimation, numerical evaluation of the
-1-D distribution function, and a Monte Carlo goodness-of-fit test.
+sampling, quantile-based parameter estimation, numerical evaluation of
+the 1-D distribution function, and a Monte Carlo goodness-of-fit test.
 The CDF, quantile, goodness-of-fit and quantile-estimation code share one
 kernel, :func:`_inversion`, a fixed Gauss-Legendre rule for the inversion
 integrals (Samorodnitsky & Taqqu 1994, ch. 1; Nolan 1997); no scipy is
@@ -14,8 +13,7 @@ derived from it on first use (:func:`_quantile_functionals`), not stored.
 Conventions used throughout:
 
 * only *symmetric* laws: zero location, zero skewness;
-* ``alpha`` is the stability index, restricted to ``(1, 2]`` (only
-  :func:`char_function` tolerates the full ``(0, 2]``);
+* ``alpha`` is the stability index, restricted to ``(1, 2]``;
 * a 1-D SaS variable with scale ``sigma`` has characteristic function
   ``exp(-(sigma*|t|)**alpha)``; at ``alpha = 2`` this is a centered
   Gaussian with variance ``2 * sigma**2`` (not ``sigma**2``).
@@ -38,8 +36,6 @@ __all__ = [
     "signed_power",
     "sample_sas_1d",
     "sample_stable_vector",
-    "char_function",
-    "empirical_char_function",
     "mcculloch_estimate",
     "iqr_constant",
     "stable_cdf",
@@ -136,19 +132,6 @@ class DiscreteSpectralMeasure:
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        """Check closure under negation with matching weights."""
-        for p, w in zip(self.points, self.weights):
-            d = np.linalg.norm(self.points + p, axis=1)
-            j = int(np.argmin(d))
-            if d[j] > tol or abs(self.weights[j] - w) > tol:
-                return False
-        return True
 
     def folded(self) -> "DiscreteSpectralMeasure":
         """The same law with one atom per line through the origin.
@@ -248,39 +231,6 @@ def sample_stable_vector(
         raise ValueError("n must be at least 1")
     w = _cms(*_sas_draws(rng.generator(), (n, measure.n_atoms)), alpha)
     return (w * measure.weights ** (1.0 / alpha)) @ measure.points
-
-
-def char_function(measure: DiscreteSpectralMeasure, alpha: float, theta):
-    """Characteristic function ``exp(-sum_j |<theta, s_j>|^alpha gamma_j)``.
-
-    Real-valued because the measures handled here are symmetric.  ``theta``
-    may be a single point in R^m or an array of shape ``(q, m)``; the
-    result is a scalar or a length-``q`` array correspondingly.
-    """
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    th = np.asarray(theta, dtype=float)
-    single = th.ndim == 1
-    th = np.atleast_2d(th)
-    if th.shape[1] != measure.dim:
-        raise ValueError(
-            f"theta has dimension {th.shape[1]}, measure has {measure.dim}"
-        )
-    proj = th @ measure.points.T  # (q, k)
-    val = np.exp(-np.abs(proj) ** alpha @ measure.weights)
-    return float(val[0]) if single else val
-
-
-def empirical_char_function(sample: np.ndarray, theta) -> np.ndarray:
-    """Real part of the empirical characteristic function of an ``(n, m)``
-    sample at one or more theta points.  (For symmetric laws the imaginary
-    part estimates zero, so the real part is the natural statistic.)"""
-    x = np.atleast_2d(np.asarray(sample, dtype=float))
-    th = np.asarray(theta, dtype=float)
-    single = th.ndim == 1
-    th = np.atleast_2d(th)
-    val = np.mean(np.cos(x @ th.T), axis=0)
-    return float(val[0]) if single else val
 
 
 # ---------------------------------------------------------------------------
@@ -613,16 +563,10 @@ def _gof_table() -> np.ndarray:
 # Goodness of fit
 # ---------------------------------------------------------------------------
 
-def _ad_statistic(sample: np.ndarray, params: StableParams) -> float:
-    """Anderson-Darling statistic of a sample against the fitted law."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    return float(_ad_sorted(x, params.alpha, params.scale))
-
-
 def _ad_sorted(x: np.ndarray, alpha, scale) -> np.ndarray:
-    """:func:`_ad_statistic` of every sample of ``x``, sorted along its last
-    axis, against SaS(alpha, scale) with one ``alpha`` and ``scale`` per
-    sample: an array of shape ``x.shape[:-1]``."""
+    """Anderson-Darling statistic of every sample of ``x``, sorted along
+    its last axis, against SaS(alpha, scale) with one ``alpha`` and
+    ``scale`` per sample: an array of shape ``x.shape[:-1]``."""
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     a = np.clip(np.ravel(alpha), _GOF_ALPHAS[0], _GOF_ALPHAS[-1])

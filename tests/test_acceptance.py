@@ -13,16 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from stablepar.covariation import cv_from_spectral, estimate_spectral_measure_2d
+from stablepar.covariation import estimate_spectral_measure_2d
 from stablepar.estimators import theta_from_cov_matrices, yw_cv_estimate
 from stablepar.mc import McConfig, model1_preset, model2_preset, run_mc_study
-from stablepar.par_model import (
-    MultiTrajectory,
-    ParModel,
-    theoretical_cv,
-    theoretical_cv_diagonal,
-    theoretical_phase_matrix,
-)
+from stablepar.par_model import MultiTrajectory, ParModel
 from stablepar.pipeline import (
     DeterministicComponents,
     fit_par1,
@@ -35,13 +29,19 @@ from stablepar.stable import (
     DiscreteSpectralMeasure,
     StableParams,
     ad_stable_test,
-    char_function,
-    empirical_char_function,
     sample_sas_1d,
     sample_stable_vector,
 )
 
-from path_oracle import one_path
+from oracles import (
+    char_function,
+    cv_from_spectral,
+    empirical_char_function,
+    one_path,
+    theoretical_cv,
+    theoretical_cv_diagonal,
+    theoretical_phase_matrix,
+)
 
 
 # one line per criterion, echoed by the terminal-summary hook in conftest

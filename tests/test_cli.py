@@ -18,7 +18,7 @@ from stablepar.mc import McConfig, model1_preset, model2_preset, run_mc_study
 from stablepar.par_model import MultiTrajectory
 from stablepar.rng import RandomStream
 
-from path_oracle import one_path
+from oracles import one_path
 
 
 @pytest.fixture(scope="module")

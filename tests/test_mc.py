@@ -25,7 +25,7 @@ from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
 
-from path_oracle import one_path
+from oracles import is_symmetric, one_path
 
 
 class TestPresets:
@@ -35,8 +35,8 @@ class TestPresets:
         assert np.array_equal(m.theta[0], [[0.5, 0.1], [-0.6, 0.4]])
         assert np.array_equal(m.theta[1], [[0.8, -0.1], [0.3, 0.7]])
         assert np.array_equal(m.theta[2], [[0.1, -0.4], [-0.5, 0.3]])
-        assert m.noise.total_mass == pytest.approx(1.4)
-        assert m.noise.is_symmetric()
+        assert m.noise.weights.sum() == pytest.approx(1.4)
+        assert is_symmetric(m.noise)
         assert check_boundedness(m).bounded
 
     def test_model2_structure(self):
@@ -46,8 +46,8 @@ class TestPresets:
             m.theta[0], [[0.8, -0.2, 0.7], [0.1, 0.5, -0.6], [0.4, 0.3, -0.1]]
         )
         assert m.noise.n_atoms == 8
-        assert m.noise.total_mass == pytest.approx(2.2)
-        assert m.noise.is_symmetric()
+        assert m.noise.weights.sum() == pytest.approx(2.2)
+        assert is_symmetric(m.noise)
         assert check_boundedness(m).bounded
 
     def test_presets_return_fresh_objects(self):
@@ -305,6 +305,17 @@ class TestMcReport:
         for method, alpha, v in [("YW-CV", 1.2, 1), ("YW-CV", 1.8, 0), ("YW-CV", 1.8, 4)]:
             with pytest.raises(KeyError):
                 small_report.coefficient_matrix(method, alpha, v)
+
+    @pytest.mark.parametrize("method, stat", [("yw-cv", "median"), (" yw_t ", "q95")])
+    def test_coefficient_matrix_reads_any_method_spelling(self, small_report, method, stat):
+        """Any spelling ``McConfig`` accepts finds its results."""
+        stats = small_report.stats[(estimators.method_name(method), 1.8)]
+        assert np.array_equal(small_report.coefficient_matrix(method, 1.8, 1, stat),
+                              stats[STATS.index(stat), 0])
+
+    def test_coefficient_matrix_unknown_stat_names_the_stats(self, small_report):
+        with pytest.raises(KeyError, match=r"unknown stat 'iqr'; choose from \('median'"):
+            small_report.coefficient_matrix("YW-CV", 1.8, 1, "iqr")
 
     def test_csv_layout(self, small_report, tmp_path):
         path = tmp_path / "study.csv"

@@ -7,16 +7,11 @@ import numpy as np
 import pytest
 
 from stablepar import pipeline
-from stablepar.covariation import ncv_auto
+from stablepar.covariation import ncv_cross
 from stablepar.estimators import EstimationResult, estimate, estimate_alpha
 from stablepar.exceptions import DataError, NumericalError, UnboundedModelError
 from stablepar.mc import model1_preset
-from stablepar.par_model import (
-    MultiTrajectory,
-    ParModel,
-    check_boundedness,
-    theoretical_cv,
-)
+from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness
 from stablepar.pipeline import (
     DeterministicComponents,
     QuantilePaths,
@@ -40,7 +35,7 @@ from stablepar.stable import (
     stable_quantile,
 )
 
-from path_oracle import one_path, simulate_paths
+from oracles import is_symmetric, one_path, simulate_paths, theoretical_cv
 
 
 def _zero_det(model):
@@ -187,7 +182,8 @@ class TestDiagnoseResiduals:
 
     def test_csv_order_and_plain_float_p_values(self, tmp_path):
         """Three components: ``ncv.csv`` lists the three auto curves, each
-        bit for bit :func:`ncv_auto`, before the three cross curves, and
+        bit for bit :func:`ncv_cross` of the component with itself, before
+        the three cross curves, and
         ``diagnostics.csv`` writes each p-value as a plain float."""
         gen_stream = RandomStream(49)
         vals = np.vstack([sample_sas_1d(StableParams(1.8, 1.0), 300, gen_stream.substream(i))
@@ -196,7 +192,7 @@ class TestDiagnoseResiduals:
         rep = diagnose_residuals(res, h_max=2, n_sims=100, rng=RandomStream(149))
         assert all(type(p_val) is float for p_val in rep.p_values)
         for i in range(3):
-            auto = [ncv_auto(vals[i], h) for h in range(-2, 3)]
+            auto = [ncv_cross(np.ravel(vals[i]), 1, 1, h) for h in range(-2, 3)]
             assert np.array_equal(rep.ncv[(i, i)], auto)
         rep.ncv_to_csv(tmp_path / "ncv.csv")
         rows = [r.split(",") for r in (tmp_path / "ncv.csv").read_text().splitlines()[1:]]
@@ -259,7 +255,7 @@ class TestBuildPredictiveModel:
         )
         model = build_predictive_model(res, est)
         assert model.noise.n_atoms == 6
-        assert model.noise.is_symmetric(tol=1e-12)
+        assert is_symmetric(model.noise, tol=1e-12)
         # per-axis mass is sigma_i^alpha / 2, so the mass ordering must
         # follow the true scale ordering sigma = (1.0, 2.0, 0.5)
         axis = np.argmax(np.abs(model.noise.points), axis=1)
@@ -274,7 +270,7 @@ class TestBuildPredictiveModel:
         for seed in range(1, 6):
             fit = fit_model(one_path(model1, 3000, RandomStream(seed)), 3)
             noise, alpha = fit.model.noise, fit.model.alpha
-            assert noise.is_symmetric(tol=1e-8), seed
+            assert is_symmetric(noise, tol=1e-8), seed
             sigma = ((np.abs(noise.points) ** alpha).T @ noise.weights) ** (1.0 / alpha)
             marginal = [mcculloch_estimate(x).scale for x in fit.residuals.values]
             assert np.allclose(sigma, marginal, rtol=0.05, atol=0.0), (seed, sigma, marginal)
