@@ -79,7 +79,11 @@ def method_name(name) -> str:
 
 @dataclass
 class EstimationResult:
-    """Per-phase coefficient estimates with their solve diagnostics."""
+    """Per-phase coefficient estimates with their solve diagnostics.
+
+    ``method`` is read by :func:`method_name`, so it holds a
+    :data:`METHODS` spelling; any other name is a ``ValueError``.
+    """
 
     theta_hat: tuple
     method: str  # "YW-CV" | "YW-T"
@@ -87,6 +91,7 @@ class EstimationResult:
     solve_reports: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
+        self.method = method_name(self.method)
         self.theta_hat = tuple(np.asarray(th, dtype=float) for th in self.theta_hat)
         for v, th in enumerate(self.theta_hat, start=1):
             if th.ndim != 2 or th.shape[0] != th.shape[1]:

@@ -14,14 +14,18 @@ runs and replicates can be distributed without coordination.  Both
 estimation methods see the *same* trajectory within a replicate, which
 makes the width comparison between the methods a paired one.
 
-Replicates are simulated together, in blocks of at most
-``REPLICATE_BLOCK``, by one recursion over time
-(:func:`~stablepar.par_model.simulate_par1`); replicate ``i`` still
+The sweep's rows are laid out in (alpha, replicate) order and simulated
+together, in blocks that may span alpha boundaries, by one recursion
+over time per block (:func:`~stablepar.par_model.simulate_par1`, which
+reads each row's alpha only to draw its noise); row ``(k, i)`` still
 draws from ``substream(k, i)`` and its trajectory equals a one-stream
-simulation on that stream.  Boundedness is checked once per block, by
-the simulation itself.  Each method estimates each block in one
-:func:`~stablepar.estimators.estimate_block` call, whose failures stay
-per replicate and carry the phase where they occurred.
+simulation at the k-th alpha on that stream.  A block holds
+``BLOCK_VALUES`` buffer values (4 MB), and never fewer than
+``REPLICATE_BLOCK`` rows.  Boundedness is checked once per block, by the
+simulation itself.  Each block is cut into its alpha segments, and each
+method estimates each segment in one
+:func:`~stablepar.estimators.estimate_block` call at that alpha, whose
+failures stay per replicate and carry the phase where they occurred.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .estimators import METHODS, _check_shape, estimate_block, method_name
 from .estimators import yw_cv_estimate, yw_t_estimate  # unused here; the benchmark tracer patches these names
 from .exceptions import NumericalError
-from .par_model import ParModel, _write_csv, simulate_par1
+from .par_model import ParModel, _burn_in, _write_csv, simulate_par1
 from .rng import RandomStream
 from .stable import DiscreteSpectralMeasure
 
@@ -47,9 +51,11 @@ __all__ = [
     "run_mc_study",
 ]
 
-# Replicates simulated in one batch: memory stays O(REPLICATE_BLOCK * L * m)
-# however large M is.
+# Rows simulated in one batch: ``BLOCK_VALUES // ((burn_in + L) * m)``, a
+# 4 MB buffer, but never fewer than ``REPLICATE_BLOCK``.  Memory stays
+# bounded however large M and the sweep are.
 REPLICATE_BLOCK = 64
+BLOCK_VALUES = 2**19
 
 # The replicate statistics of ``McReport.stats``, in the order of its
 # first axis.
@@ -67,7 +73,8 @@ class McConfig:
     spectral-measure method receives the current alpha as known — the
     study setting is simulation, where it is.  ``L`` must meet the
     sample floor of every method (four periods; ``101 T`` for YW-T) and
-    each alpha :class:`ParModel`'s range; both are checked up front.
+    each alpha :class:`ParModel`'s range, and ``burn_in`` (default
+    ``50 T``) must not be negative; all are checked up front.
     """
 
     model: ParModel
@@ -86,6 +93,7 @@ class McConfig:
             raise ValueError(f"alphas must be distinct, got {self.alphas}")
         for alpha in self.alphas:  # ParModel's rule, before anything is simulated
             dc_replace(self.model, alpha=float(alpha))
+        _burn_in(self.model, self.burn_in)
         object.__setattr__(self, "methods", tuple(map(method_name, self.methods)))
         if not self.methods:
             raise ValueError("need at least one method")
@@ -206,43 +214,53 @@ def run_mc_study(config: McConfig) -> McReport:
     statistics and counted in ``failure_causes`` by exception class and
     phase; the study aborts when more than 20% of replicates fail for
     any (method, alpha), since medians over a heavily censored sample
-    would be misleading.
+    would be misleading.  Alphas are finished in sweep order, so the
+    abort names the first such (method, alpha).
     """
     base = RandomStream(config.seed)
-    T = config.model.period
+    T, M = config.model.period, config.M
+    alphas = [float(alpha) for alpha in config.alphas]
+    n_steps = _burn_in(config.model, config.burn_in) + config.L
+    size = max(REPLICATE_BLOCK, BLOCK_VALUES // (n_steps * config.model.dim))
+    n_rows = len(alphas) * M  # row r is replicate r % M of the (r // M)-th alpha
     stats = {}
     failure_causes = {}
-    for k, alpha in enumerate(config.alphas):
-        model = dc_replace(config.model, alpha=float(alpha))
-        estimates = {meth: [] for meth in config.methods}
-        causes = {meth: Counter() for meth in config.methods}
-        streams = [base.substream(k, rep) for rep in range(config.M)]
-        for start in range(0, config.M, REPLICATE_BLOCK):
-            paths = simulate_par1(
-                model,
-                config.L,
-                streams[start : start + REPLICATE_BLOCK],
-                burn_in=config.burn_in,
-            )
+    estimates = {meth: [] for meth in config.methods}
+    causes = {meth: Counter() for meth in config.methods}
+    for start in range(0, n_rows, size):
+        stop = min(start + size, n_rows)
+        paths = simulate_par1(
+            config.model,
+            config.L,
+            [base.substream(*divmod(r, M)) for r in range(start, stop)],
+            burn_in=config.burn_in,
+            alphas=[alphas[r // M] for r in range(start, stop)],
+        )
+        for k in range(start // M, (stop - 1) // M + 1):
+            lo, hi = max(start, k * M), min(stop, (k + 1) * M)
             for meth in config.methods:
-                block = estimate_block(paths, T, meth, alpha=float(alpha))
+                block = estimate_block(paths[lo - start : hi - start], T, meth, alpha=alphas[k])
                 estimates[meth].append(np.delete(block.theta, list(block.failures), axis=0))
                 causes[meth].update(
                     (type(exc).__name__, phase) for phase, exc in block.failures.values()
                 )
-        for meth in config.methods:
-            failure_causes[(meth, float(alpha))] = dict(causes[meth])
-            n_failed = sum(causes[meth].values())
-            if n_failed > 0.2 * config.M:
-                raise NumericalError(
-                    f"{meth} failed on {n_failed} of {config.M} "
-                    f"replicates at alpha={alpha}; study aborted"
+            if hi < (k + 1) * M:
+                continue  # the alpha goes on in the next block
+            for meth in config.methods:
+                failure_causes[(meth, alphas[k])] = dict(causes[meth])
+                n_failed = sum(causes[meth].values())
+                if n_failed > 0.2 * M:
+                    raise NumericalError(
+                        f"{meth} failed on {n_failed} of {M} "
+                        f"replicates at alpha={config.alphas[k]}; study aborted"
+                    )
+                stack = np.concatenate(estimates[meth])  # (kept, T, m, m)
+                # np.quantile's default is linear interpolation of order
+                # statistics, matching the aggregation convention here.
+                stats[(meth, alphas[k])] = np.stack(
+                    [np.median(stack, axis=0),
+                     *np.quantile(stack, [0.05, 0.25, 0.75, 0.95], axis=0)]
                 )
-            stack = np.concatenate(estimates[meth])  # (kept, T, m, m)
-            # np.quantile's default is linear interpolation of order
-            # statistics, matching the aggregation convention here.
-            stats[(meth, float(alpha))] = np.stack(
-                [np.median(stack, axis=0),
-                 *np.quantile(stack, [0.05, 0.25, 0.75, 0.95], axis=0)]
-            )
+                estimates[meth].clear()
+                causes[meth].clear()
     return McReport(stats=stats, config=config, failure_causes=failure_causes)

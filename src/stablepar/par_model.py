@@ -314,11 +314,23 @@ def _require_bounded(model: ParModel) -> BoundednessReport:
     return report
 
 
+def _burn_in(model: ParModel, burn_in: int | None) -> int:
+    """The recursion steps run before time 1: ``burn_in``, or ``50 * T``
+    when it is None.  A negative count is a ``ValueError``."""
+    if burn_in is None:
+        return 50 * model.period
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    return burn_in
+
+
 def simulate_par1(
     model: ParModel,
     L: int,
     streams: list[RandomStream],
     burn_in: int | None = None,
+    *,
+    alphas: list[float] | None = None,
 ) -> np.ndarray:
     """Simulate one trajectory ``X(1..L)`` per stream, all in one pass.
 
@@ -326,11 +338,14 @@ def simulate_par1(
     1 (default ``50 * T``) so the retained stretch is effectively a draw
     from the periodically stationary solution; the phase of the retained
     samples is anchored so that ``X(t)`` uses ``Theta(t)``.  Replicate
-    ``i`` draws its ``burn_in + L`` noise vectors from ``streams[i]``, and
-    the recursion runs once over time for all replicates, so row ``i``
-    does not depend on which other streams share the call.  Once per
-    call, the model is checked and its noise measure is folded to one atom
-    per mirror pair (:meth:`~stablepar.stable.DiscreteSpectralMeasure.folded`:
+    ``i`` draws its ``burn_in + L`` noise vectors from ``streams[i]`` at
+    the stability index ``alphas[i]`` (default ``model.alpha`` for every
+    stream), and the recursion, which reads only Theta, runs once over
+    time for all replicates, so row ``i`` does not depend on which other
+    streams, or indices, share the call: it equals a one-stream call on
+    ``dataclasses.replace(model, alpha=alphas[i])``.  Once per call, the
+    model is checked and its noise measure is folded to one atom per
+    mirror pair (:meth:`~stablepar.stable.DiscreteSpectralMeasure.folded`:
     the same law, one draw per pair instead of two).  Returns an
     ``(M, m, L)`` view of the ``(burn_in + L, M, m)`` noise buffer the
     recursion overwrote; one path is
@@ -340,19 +355,21 @@ def simulate_par1(
     ------
     UnboundedModelError
         When the model fails :func:`check_boundedness`.
+    ValueError
+        On ``L`` under one period, a negative ``burn_in``, an alpha
+        outside (1, 2], or ``alphas`` not of the streams' length.
     """
     if L < model.period:
         raise ValueError(f"need L >= one period ({model.period}), got {L}")
-    if burn_in is None:
-        burn_in = 50 * model.period
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _burn_in(model, burn_in)
+    if alphas is None:
+        alphas = [model.alpha] * len(streams)
     _require_bounded(model)
     n_steps = burn_in + L
     noise = model.noise.folded()
     buf = np.empty((n_steps, len(streams), model.dim))
-    for i, rng in enumerate(streams):
-        buf[:, i] = sample_stable_vector(noise, model.alpha, n_steps, rng)
+    for i, (rng, alpha) in enumerate(zip(streams, alphas, strict=True)):
+        buf[:, i] = sample_stable_vector(noise, alpha, n_steps, rng)
     # In place over time from the zero state: buf[k] holds Z(1 - burn_in + k)
     # of every replicate, then its X.  np.matvec takes one matrix-vector
     # product per replicate, so each row's arithmetic does not depend on

@@ -10,11 +10,19 @@
   check that a measure is closed under negation.
 * Many forward paths from an independent loop (:func:`simulate_paths`),
   and one trajectory from the package's simulator (:func:`one_path`).
+* A Monte Carlo study run one alpha at a time, in blocks of at most
+  ``REPLICATE_BLOCK`` replicates (:func:`reference_mc_study`).
 """
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
+import stablepar.mc as mc
+from stablepar.exceptions import NumericalError
 from stablepar.par_model import MultiTrajectory, _covariation_stack, simulate_par1
+from stablepar.rng import RandomStream
 from stablepar.stable import sample_stable_vector, signed_power
 
 
@@ -38,6 +46,47 @@ def simulate_paths(model, x0, t_start, n_steps, n_paths, rng):
         x = x @ model.theta_at(t_start + 1 + k).T + z
         out[:, :, k] = x
     return out
+
+
+def reference_mc_study(config):
+    """:func:`stablepar.mc.run_mc_study` as a loop over the sweep: per
+    alpha, replicate blocks of at most ``mc.REPLICATE_BLOCK`` simulated at
+    that alpha, each estimated whole.  It calls the simulator and the
+    block estimator at the names ``mc`` looks up, so a test's patches of
+    those names apply to both drivers.
+    """
+    base = RandomStream(config.seed)
+    T = config.model.period
+    stats = {}
+    failure_causes = {}
+    for k, alpha in enumerate(config.alphas):
+        model = replace(config.model, alpha=float(alpha))
+        estimates = {meth: [] for meth in config.methods}
+        causes = {meth: Counter() for meth in config.methods}
+        streams = [base.substream(k, rep) for rep in range(config.M)]
+        for start in range(0, config.M, mc.REPLICATE_BLOCK):
+            paths = mc.simulate_par1(model, config.L, streams[start : start + mc.REPLICATE_BLOCK],
+                                     burn_in=config.burn_in)
+            for meth in config.methods:
+                block = mc.estimate_block(paths, T, meth, alpha=float(alpha))
+                estimates[meth].append(np.delete(block.theta, list(block.failures), axis=0))
+                causes[meth].update(
+                    (type(exc).__name__, phase) for phase, exc in block.failures.values()
+                )
+        for meth in config.methods:
+            failure_causes[(meth, float(alpha))] = dict(causes[meth])
+            n_failed = sum(causes[meth].values())
+            if n_failed > 0.2 * config.M:
+                raise NumericalError(
+                    f"{meth} failed on {n_failed} of {config.M} "
+                    f"replicates at alpha={alpha}; study aborted"
+                )
+            stack = np.concatenate(estimates[meth])
+            stats[(meth, float(alpha))] = np.stack(
+                [np.median(stack, axis=0),
+                 *np.quantile(stack, [0.05, 0.25, 0.75, 0.95], axis=0)]
+            )
+    return mc.McReport(stats=stats, config=config, failure_causes=failure_causes)
 
 
 def is_diagonal(model) -> bool:

@@ -58,6 +58,21 @@ class TestEstimationResult:
         for a, b in zip(back.theta_hat, res.theta_hat):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("method, expected", [
+        ("yw_t", "YW-T"), (" yw-cv ", "YW-CV"), ("YW-T", "YW-T"), ("nonsense", None),
+    ])
+    def test_method_is_read_by_method_name(self, tmp_path, model2, method, expected):
+        """Every spelling ``method_name`` accepts is stored as its METHODS
+        name, also through ``from_csv``; any other name is refused."""
+        path = tmp_path / "coef.csv"
+        EstimationResult(theta_hat=model2.theta, method="YW-T").to_csv(path)
+        if expected is None:
+            with pytest.raises(ValueError, match="unknown method 'nonsense'"):
+                EstimationResult.from_csv(path, method=method)
+        else:
+            assert EstimationResult.from_csv(path, method=method).method == expected
+            assert EstimationResult(theta_hat=model2.theta, method=method).method == expected
+
     def test_from_csv_skips_a_byte_order_mark(self, tmp_path, model2):
         path = tmp_path / "coef.csv"
         EstimationResult(theta_hat=model2.theta, method="YW-T").to_csv(path)

@@ -25,7 +25,7 @@ from stablepar.par_model import MultiTrajectory, ParModel, check_boundedness
 from stablepar.rng import RandomStream
 from stablepar.stable import DiscreteSpectralMeasure
 
-from oracles import is_symmetric, one_path
+from oracles import is_symmetric, one_path, reference_mc_study
 
 
 class TestPresets:
@@ -87,6 +87,17 @@ class TestMcConfig:
         with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\], got 2\.5"):
             run_mc_study(McConfig(model=model1_preset(), L=120, M=4,
                                   alphas=(1.5, 2.5), methods=("YW-CV",)))
+
+    def test_negative_burn_in_is_refused_before_simulating(self, monkeypatch):
+        """The block size reads ``burn_in + L``, so a negative burn-in fails
+        the config, before anything is drawn."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before burn_in was checked")
+
+        monkeypatch.setattr(mc, "simulate_par1", refuse)
+        with pytest.raises(ValueError, match="burn_in must be >= 0, got -5"):
+            run_mc_study(McConfig(model=model1_preset(), L=120, M=4, burn_in=-5,
+                                  methods=("YW-CV",)))
 
 
 class TestRunMcStudy:
@@ -231,18 +242,36 @@ class TestRunMcStudy:
 
 
 def _record_trajectories(monkeypatch):
-    """Capture the trajectory of every replicate in the blocks the study's
-    YW-CV estimator receives, in replicate order."""
-    seen = []
+    """Capture the trajectory of every replicate in the segments the
+    study's YW-CV estimator receives, in row order, and the (alpha, rows)
+    of each segment."""
+    seen, segments = [], []
     original = mc.estimate_block
 
     def recording(values, T, method, alpha=None):
         if method == "YW-CV":
             seen.extend(np.array(row) for row in values)
+            segments.append((alpha, len(values)))
         return original(values, T, method, alpha=alpha)
 
     monkeypatch.setattr(mc, "estimate_block", recording)
-    return seen
+    return seen, segments
+
+
+def _degenerate_rows(monkeypatch, rows):
+    """Patch the study's simulator: the replicate on ``substream(k, i)``
+    for each ``(k, i)`` in ``rows`` loses component 1 on phase 1, which
+    fails its estimate."""
+    original = mc.simulate_par1
+
+    def degenerate(model, L, streams, *args, **kwargs):
+        values = original(model, L, streams, *args, **kwargs)
+        for row, rng in zip(values, streams):
+            if rng.path in rows:
+                row[0, :: model.period] = 0.0
+        return values
+
+    monkeypatch.setattr(mc, "simulate_par1", degenerate)
 
 
 class TestBatchedReplicates:
@@ -250,16 +279,23 @@ class TestBatchedReplicates:
     def test_replicate_equals_single_stream_simulation(
         self, monkeypatch, boundedness_calls, preset
     ):
-        """Replicates run in blocks, yet replicate i of the k-th alpha is
-        exactly a one-stream simulation on substream (k, i); M spans two blocks."""
-        seen = _record_trajectories(monkeypatch)
+        """Rows run in (alpha, replicate) order in blocks that span alpha
+        boundaries, yet replicate i of the k-th alpha is exactly a
+        one-stream simulation on substream (k, i).  With the budget at its
+        64-row floor, the 134 rows make blocks [0, 64), [64, 128) and
+        [128, 134): the second straddles the boundary at row 67, and each
+        alpha spans two blocks."""
+        monkeypatch.setattr(mc, "BLOCK_VALUES", 1)
+        seen, segments = _record_trajectories(monkeypatch)
         M = REPLICATE_BLOCK + 3
         cfg = McConfig(model=preset(), L=40, M=M, alphas=(1.4, 1.9),
                        methods=("YW-CV",), seed=17, burn_in=12)
         run_mc_study(cfg)
         assert len(seen) == 2 * M
-        # one check per replicate block, two blocks per alpha
-        assert [m.alpha for m in boundedness_calls] == [1.4, 1.4, 1.9, 1.9]
+        assert segments == [(1.4, 64), (1.4, 3), (1.9, 61), (1.9, 6)]
+        # one check per block, of the configured model: it does not read alpha
+        assert len(boundedness_calls) == 3
+        assert all(model is cfg.model for model in boundedness_calls)
         base = RandomStream(17)
         for k, alpha in enumerate(cfg.alphas):
             model = replace(cfg.model, alpha=alpha)
@@ -267,7 +303,56 @@ class TestBatchedReplicates:
                 expected = one_path(model, 40, base.substream(k, i), burn_in=12)
                 assert np.array_equal(seen[k * M + i], expected.values), (k, i)
 
-    def test_unbounded_model_raises_once(self, boundedness_calls):
+    def test_default_budget_holds_the_sweep_in_one_block(self, monkeypatch, boundedness_calls):
+        """At L 120 the 4 MB budget holds 2**19 // (270 * 2) = 970 model1
+        rows, so a 3 x 40 sweep is one block cut into three segments."""
+        _, segments = _record_trajectories(monkeypatch)
+        run_mc_study(McConfig(model=model1_preset(), L=120, M=40, alphas=(1.2, 1.5, 1.8),
+                              methods=("YW-CV",), seed=4))
+        assert segments == [(1.2, 40), (1.5, 40), (1.8, 40)]
+        assert len(boundedness_calls) == 1
+
+    @pytest.mark.parametrize("budget", [1, mc.BLOCK_VALUES])
+    @pytest.mark.parametrize("preset, L, methods, alphas", [
+        (model1_preset, 120, ("YW-CV",), (1.1, 1.5, 1.9)),
+        (model2_preset, 210, METHODS, (1.4, 1.9)),
+    ])
+    def test_report_equals_per_alpha_reference(self, monkeypatch, budget, preset, L,
+                                               methods, alphas):
+        """Stats and failure causes equal the per-alpha loop's exactly, with
+        a failing replicate (1, 5) in the block that straddles the first
+        alpha boundary (rows [0, 64) at the 64-row floor, one block at the
+        default budget)."""
+        monkeypatch.setattr(mc, "BLOCK_VALUES", budget)
+        _degenerate_rows(monkeypatch, {(1, 5)})
+        cfg = McConfig(model=preset(), L=L, M=40, alphas=alphas, methods=methods, seed=9)
+        report, reference = run_mc_study(cfg), reference_mc_study(cfg)
+        assert list(report.stats) == list(reference.stats)
+        for key in reference.stats:
+            assert np.array_equal(report.stats[key], reference.stats[key]), key
+        assert report.failure_causes == reference.failure_causes
+        assert all(report.failures[(meth, alphas[1])] == 1 for meth in methods)
+
+    @pytest.mark.parametrize("budget", [1, mc.BLOCK_VALUES])
+    def test_abort_names_the_same_method_and_alpha(self, monkeypatch, budget):
+        """8 of 40 failures (20%) at the first alpha pass; 9 at the second
+        abort the study, with the per-alpha loop's message, though at the
+        64-row floor the second alpha's failures sit in two blocks."""
+        monkeypatch.setattr(mc, "BLOCK_VALUES", budget)
+        _degenerate_rows(monkeypatch, {(0, i) for i in range(0, 40, 5)}
+                         | {(1, i) for i in range(0, 40, 4)[:9]})
+        cfg = McConfig(model=model1_preset(), L=120, M=40, alphas=(1.3, 1.6, 1.9),
+                       methods=("YW-CV",), seed=12)
+        with pytest.raises(NumericalError) as expected:
+            reference_mc_study(cfg)
+        assert str(expected.value) == (
+            "YW-CV failed on 9 of 40 replicates at alpha=1.6; study aborted")
+        with pytest.raises(NumericalError) as raised:
+            run_mc_study(cfg)
+        assert str(raised.value) == str(expected.value)
+
+    def test_unbounded_model_raises_once(self, monkeypatch, boundedness_calls):
+        monkeypatch.setattr(mc, "BLOCK_VALUES", 1)  # two 64-row blocks
         bad = ParModel(
             period=1,
             theta=(np.array([[1.3]]),),

@@ -3,6 +3,7 @@ boundedness, simulation, and theoretical covariation values."""
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,6 +295,18 @@ class TestSimulateReplicates:
             assert np.array_equal(paths[i], one_path(model, 60, rng, burn_in=9).values)
 
     @pytest.mark.parametrize("preset", ["model1", "model2"])
+    def test_rows_draw_at_their_own_alpha(self, preset, request):
+        """With per-stream ``alphas``, row i equals a one-stream run of the
+        model at ``alphas[i]``."""
+        model = request.getfixturevalue(preset)
+        streams = [RandomStream(36).substream(1, i) for i in range(40)]
+        alphas = [(1.3, 1.9)[i % 2] for i in range(40)]
+        paths = simulate_par1(model, 60, streams, burn_in=9, alphas=alphas)
+        for i, rng in enumerate(streams):
+            one = one_path(replace(model, alpha=alphas[i]), 60, rng, burn_in=9)
+            assert np.array_equal(paths[i], one.values), i
+
+    @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_noise_has_the_measure_law(self, preset, request):
         """With zero coefficients and no burn-in each path is its noise:
         10^5 draws match the measure's characteristic function on the
@@ -320,6 +333,8 @@ class TestSimulateReplicates:
             simulate_par1(model1, 30, [RandomStream(1)], burn_in=-1)
         with pytest.raises(ValueError, match="one period"):
             simulate_par1(model1, 2, [RandomStream(1)])
+        with pytest.raises(ValueError, match="shorter"):
+            simulate_par1(model1, 30, [RandomStream(1), RandomStream(2)], alphas=[1.5])
 
     @pytest.mark.parametrize("preset", ["model1", "model2"])
     def test_simulate_paths_matches_reference_loop(self, preset, request):
